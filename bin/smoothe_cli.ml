@@ -233,12 +233,8 @@ let run_method g ~method_ ~time_limit ~batch ~iters ~assumption ~lambda ~seed ~p
           Smoothe_extract.extract ~config ~health ?checkpoint:store ~checkpoint_every
             ?resume_from ~preflight g
         in
-        Printf.printf "iterations=%d batch=%d prop_iters=%d (loss %.2fs / grad %.2fs / sample %.2fs)\n"
-          run.Smoothe_extract.iterations run.Smoothe_extract.batch_used
-          run.Smoothe_extract.prop_iters
-          run.Smoothe_extract.profile.Smoothe_extract.loss_time
-          run.Smoothe_extract.profile.Smoothe_extract.grad_time
-          run.Smoothe_extract.profile.Smoothe_extract.sample_time;
+        Printf.printf "iterations=%d batch=%d prop_iters=%d\n" run.Smoothe_extract.iterations
+          run.Smoothe_extract.batch_used run.Smoothe_extract.prop_iters;
         run.Smoothe_extract.result
   in
   Format.printf "%a@." Extractor.pp result;
@@ -310,14 +306,6 @@ let plan_flag =
            allocation; $(b,check) replays AND interprets every iteration, asserting \
            bit-identical losses, probabilities and gradients (differential testing).")
 
-let plan_check_replay_flag =
-  Arg.(
-    value & flag
-    & info [ "plan-check-replay" ]
-        ~doc:
-          "Shorthand for $(b,--plan check): run the replayed and interpreted iteration \
-           side by side and fail loudly on any bitwise divergence.")
-
 let seed_flag = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 
 let show_term_flag =
@@ -356,8 +344,9 @@ let fault_plan_flag =
     & info [ "fault-plan" ] ~docv:"PLAN"
         ~doc:
           "Deterministic fault injection: comma-separated $(b,nan\\@K) (poison the K-th \
-           gradient), $(b,mem\\@SCALE) (memory pressure), $(b,stall) (LP solver stall), \
-           $(b,skew\\@S) (clock jump). The run must still return a valid extraction.")
+           SmoothE iteration's gradient), $(b,mem\\@SCALE) (memory pressure), $(b,stall) \
+           (LP solver stall), $(b,skew\\@S) (clock jump). The run must still return a valid \
+           extraction.")
 
 let health_report_flag =
   Arg.(
@@ -436,14 +425,13 @@ let write_metrics_snapshot ?(format = `Json) = function
       Printf.printf "metrics written to %s\n" path
 
 let extract_cmd =
-  let run spec method_ time_limit batch iters assumption lambda seed plan plan_check_replay
-      fault_plan health_report trace_out metrics_out checkpoint_dir checkpoint_every resume
-      show_term no_preflight jobs fix_threshold hybrid_gap =
+  let run spec method_ time_limit batch iters assumption lambda seed plan fault_plan
+      health_report trace_out metrics_out checkpoint_dir checkpoint_every resume show_term
+      no_preflight jobs fix_threshold hybrid_gap =
     if jobs < 1 then begin
       Printf.eprintf "--jobs must be >= 1\n";
       exit 1
     end;
-    let plan = if plan_check_replay then "check" else plan in
     Pool.set_jobs jobs;
     let g = load_egraph spec in
     let health = Health.create () in
@@ -477,10 +465,10 @@ let extract_cmd =
   Cmd.v (Cmd.info "extract" ~doc:"Extract an optimised program from an e-graph.")
     Term.(
       const run $ instance_arg $ method_flag $ time_limit_flag $ batch_flag $ iters_flag
-      $ assumption_flag $ lambda_flag $ seed_flag $ plan_flag $ plan_check_replay_flag
-      $ fault_plan_flag $ health_report_flag
-      $ trace_flag $ metrics_flag $ checkpoint_dir_flag $ checkpoint_every_flag $ resume_flag
-      $ show_term_flag $ no_preflight_flag $ jobs_flag $ fix_threshold_flag $ hybrid_gap_flag)
+      $ assumption_flag $ lambda_flag $ seed_flag $ plan_flag $ fault_plan_flag
+      $ health_report_flag $ trace_flag $ metrics_flag $ checkpoint_dir_flag
+      $ checkpoint_every_flag $ resume_flag $ show_term_flag $ no_preflight_flag $ jobs_flag
+      $ fix_threshold_flag $ hybrid_gap_flag)
 
 (* --------------------------------------------------------------- analyze *)
 

@@ -142,11 +142,8 @@ let backward out =
        forward/backward pair per tape); build a fresh tape for the next pass";
   tp.swept <- true;
   let sweep () =
-    (* Seed with ones: differentiates the sum of the output's entries.
-       An active NaN-gradient fault poisons the seed instead, so the NaN
-       flows through the whole tape exactly like a real numeric blow-up
-       and downstream guards see a fully contaminated gradient. *)
-    Tensor.fill (grad_tensor out) (if Fault_plan.on_backward () then Float.nan else 1.0);
+    (* Seed with ones: differentiates the sum of the output's entries. *)
+    Tensor.fill (grad_tensor out) 1.0;
     for i = Vec.length tp.nodes - 1 downto 0 do
       let n = Vec.get tp.nodes i in
       match n.pull, n.grad with

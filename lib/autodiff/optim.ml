@@ -2,75 +2,44 @@ type adam = {
   params : Tensor.t array;
   m : Tensor.t array;
   v : Tensor.t array;
-  beta1 : float;
-  beta2 : float;
-  eps : float;
-  mutable lr : float;
+  lr : float;
   mutable step : int;
 }
 
+let beta1 = 0.9
+let beta2 = 0.999
+let eps = 1e-8
+
 let like t = Tensor.create ~batch:t.Tensor.batch ~width:t.Tensor.width
 
-let adam ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) ~lr params =
+let adam ~lr params =
   let params = Array.of_list params in
-  {
-    params;
-    m = Array.map like params;
-    v = Array.map like params;
-    beta1;
-    beta2;
-    eps;
-    lr;
-    step = 0;
-  }
+  { params; m = Array.map like params; v = Array.map like params; lr; step = 0 }
 
-let set_lr opt lr = opt.lr <- lr
-let lr opt = opt.lr
-
-let reset opt =
-  opt.step <- 0;
-  Array.iter (fun t -> Tensor.fill t 0.0) opt.m;
-  Array.iter (fun t -> Tensor.fill t 0.0) opt.v
-
-let step opt = opt.step
-
-let state opt = (Array.map Tensor.copy opt.m, Array.map Tensor.copy opt.v, opt.step)
-
-let restore opt ~m ~v ~step =
-  if Array.length m <> Array.length opt.m || Array.length v <> Array.length opt.v then
-    invalid_arg "Optim.restore: moment count mismatch";
-  if step < 0 then invalid_arg "Optim.restore: negative step";
-  let blit src dst =
-    if Tensor.numel src <> Tensor.numel dst then
-      invalid_arg "Optim.restore: moment shape mismatch";
-    Array.blit (Tensor.unsafe_data src) 0 (Tensor.unsafe_data dst) 0 (Tensor.numel dst)
-  in
-  Array.iter2 blit m opt.m;
-  Array.iter2 blit v opt.v;
-  opt.step <- step
+let adam_update ~lr ~step ~m ~v p ~grad =
+  let t = float_of_int step in
+  let bc1 = 1.0 -. (beta1 ** t) in
+  let bc2 = 1.0 -. (beta2 ** t) in
+  let pd = Tensor.unsafe_data p
+  and md = Tensor.unsafe_data m
+  and vd = Tensor.unsafe_data v
+  and gd = Tensor.unsafe_data grad in
+  for i = 0 to Tensor.numel p - 1 do
+    let gi = gd.(i) in
+    md.(i) <- (beta1 *. md.(i)) +. ((1.0 -. beta1) *. gi);
+    vd.(i) <- (beta2 *. vd.(i)) +. ((1.0 -. beta2) *. gi *. gi);
+    let mhat = md.(i) /. bc1 and vhat = vd.(i) /. bc2 in
+    pd.(i) <- pd.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+  done
 
 let adam_step opt grads =
   let grads = Array.of_list grads in
   if Array.length grads <> Array.length opt.params then
     invalid_arg "Optim.adam_step: gradient count mismatch";
   opt.step <- opt.step + 1;
-  let t = float_of_int opt.step in
-  let bc1 = 1.0 -. (opt.beta1 ** t) in
-  let bc2 = 1.0 -. (opt.beta2 ** t) in
   Array.iteri
-    (fun k g ->
-      let p = opt.params.(k) and m = opt.m.(k) and v = opt.v.(k) in
-      let pd = Tensor.unsafe_data p
-      and md = Tensor.unsafe_data m
-      and vd = Tensor.unsafe_data v
-      and gd = Tensor.unsafe_data g in
-      for i = 0 to Tensor.numel p - 1 do
-        let gi = gd.(i) in
-        md.(i) <- (opt.beta1 *. md.(i)) +. ((1.0 -. opt.beta1) *. gi);
-        vd.(i) <- (opt.beta2 *. vd.(i)) +. ((1.0 -. opt.beta2) *. gi *. gi);
-        let mhat = md.(i) /. bc1 and vhat = vd.(i) /. bc2 in
-        pd.(i) <- pd.(i) -. (opt.lr *. mhat /. (sqrt vhat +. opt.eps))
-      done)
+    (fun k grad ->
+      adam_update ~lr:opt.lr ~step:opt.step ~m:opt.m.(k) ~v:opt.v.(k) opt.params.(k) ~grad)
     grads
 
 let sgd_step ~lr ~params ~grads =

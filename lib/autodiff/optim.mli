@@ -7,36 +7,21 @@
 
 type adam
 
-val adam :
-  ?beta1:float -> ?beta2:float -> ?eps:float -> lr:float -> Tensor.t list -> adam
-(** Standard Adam (Kingma & Ba) with bias correction; defaults
+val adam : lr:float -> Tensor.t list -> adam
+(** Standard Adam (Kingma & Ba) with bias correction, at the usual
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8. *)
 
 val adam_step : adam -> Tensor.t list -> unit
 (** [adam_step opt grads] applies one update. [grads] aligns one-to-one
     with the parameter list given at construction. *)
 
-val set_lr : adam -> float -> unit
-
-val lr : adam -> float
-
-val reset : adam -> unit
-(** Zero the first/second-moment estimates and the step counter,
-    keeping the parameters themselves. Numeric recovery uses this to
-    discard moment state contaminated by a non-finite gradient. *)
-
-val step : adam -> int
-(** Update count (the [t] of the bias correction). *)
-
-val state : adam -> Tensor.t array * Tensor.t array * int
-(** [(m, v, step)] as fresh copies — everything beyond the parameters
-    and learning rate needed to checkpoint the optimiser mid-run. *)
-
-val restore : adam -> m:Tensor.t array -> v:Tensor.t array -> step:int -> unit
-(** Blit saved moments back in place and set the step counter, so a
-    resumed run's next {!adam_step} is bit-identical to the one the
-    original run would have taken. @raise Invalid_argument on a
-    count/shape mismatch or a negative step. *)
+val adam_update :
+  lr:float -> step:int -> m:Tensor.t -> v:Tensor.t -> Tensor.t -> grad:Tensor.t -> unit
+(** [adam_update ~lr ~step ~m ~v p ~grad] is one Adam update of [p] in
+    place, with the moment tensors and the 1-based update count [step]
+    (the [t] of the bias correction) held by the caller — the form a
+    loop uses when its optimiser state lives in its own checkpointable
+    record. {!adam_step} is exactly this per parameter. *)
 
 val sgd_step : lr:float -> params:Tensor.t list -> grads:Tensor.t list -> unit
 

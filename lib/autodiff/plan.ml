@@ -985,7 +985,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
     let seed_list = !seed_zeros in
     let seed () =
       List.iter (fun t -> Tensor.fill t 0.0) seed_list;
-      Tensor.fill root_grad (if Fault_plan.on_backward () then Float.nan else 1.0)
+      Tensor.fill root_grad 1.0
     in
     let count_some a = Array.fold_left (fun acc s -> if s = None then acc else acc + 1) 0 a in
     let plan_stats =

@@ -19,7 +19,7 @@ type plan_mode =
   | Plan_on
       (** capture iterations 1–2, verify with the plan_check analysis,
           then replay 3..N over the preallocated arena; any gate failure
-          silently falls back to interpretation *)
+          falls back to interpretation with a [Plan] health event *)
   | Plan_check
       (** replay AND interpret every iteration, asserting bit-identical
           losses, probabilities and gradients (differential testing) *)

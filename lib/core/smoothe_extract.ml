@@ -1,11 +1,4 @@
-type profile = {
-  loss_time : float;
-  grad_time : float;
-  sample_time : float;
-  total_time : float;
-}
-
-type history_point = {
+type history_point = Checkpoint.history_point = {
   iter : int;
   elapsed : float;
   relaxed_loss : float;
@@ -19,7 +12,6 @@ type run = {
   best_seed : int;
   batch_used : int;
   prop_iters : int;
-  profile : profile;
   history : history_point list;
   oom : bool;
   recoveries : int;
@@ -40,6 +32,19 @@ type replayable = {
   rp_penalty : int;
   rp_loss : int;
 }
+
+(* How an iteration's forward and backward run: on the Ad interpreter,
+   by replaying a compiled plan, or both, compared bit for bit. *)
+type executor = Interp | Replay of replayable | Check of replayable
+
+(* The static-plan state machine. Iterations run interpreted until two
+   consecutive clean captures are structurally identical; the executor
+   it settles on (Interp when the plan is off or disabled) then serves
+   every later iteration. *)
+type plan_state = Cold | Armed of Plan.capture | Settled of executor
+
+(* The observable tensors of one forward pass, whichever executor ran it. *)
+type outputs = { loss : Tensor.t; cp : Tensor.t; per_seed : Tensor.t; penalty : Tensor.t }
 
 let init_theta rng ~batch ~width ~std =
   Tensor.init ~batch ~width (fun _ _ -> std *. Rng.gaussian rng)
@@ -118,35 +123,312 @@ let select_configuration log config device g =
   in
   walk [] false 0 (derating_ladder config device)
 
+(* Static pre-flight: lint the e-graph before the first iteration so
+   input defects surface as structured events in milliseconds instead of
+   index errors or NaNs minutes in. Events only, never the optimisation
+   path. *)
+let preflight_lint log g =
+  let findings = Egraph_lint.check g in
+  if !Obs.on then begin
+    Metrics.incr ~by:(float_of_int (Diagnostic.errors findings)) "analysis.errors";
+    Metrics.incr ~by:(float_of_int (Diagnostic.warnings findings)) "analysis.warnings"
+  end;
+  List.iter
+    (fun d ->
+      if d.Diagnostic.severity <> Diagnostic.Info then
+        Health.record log ~member Health.Preflight (Diagnostic.render d))
+    findings
+
+let record_plan_diag log d = Health.record log ~member Health.Plan (Diagnostic.render d)
+
+(* The second clean capture: gate it on structural identity with the
+   first, let the Plan_check dataflow analysis derive and independently
+   verify a buffer arena, and compile it into a static schedule. Every
+   rejection is recorded as a [Plan] event and returned as [Error]. *)
+let compile_plan log c1 (fwd : Relaxation.forward) =
+  Trace.with_span ~cat:"smoothe" "plan.capture" @@ fun () ->
+  let c2 = Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss in
+  match Plan.stable c1 c2 with
+  | Error why ->
+      List.iter (record_plan_diag log) (Plan_check.stability c1.Plan.ir c2.Plan.ir);
+      Error why
+  | Ok () -> (
+      let rp_theta = Ad.node_id fwd.Relaxation.theta
+      and rp_cp = Ad.node_id fwd.Relaxation.cp
+      and rp_per_seed = Ad.node_id fwd.Relaxation.per_seed_cost
+      and rp_penalty = Ad.node_id fwd.Relaxation.penalty
+      and rp_loss = Ad.node_id fwd.Relaxation.loss in
+      let outputs = [| rp_cp; rp_per_seed; rp_penalty; rp_loss |]
+      and grads = [| rp_theta |] in
+      let report = Plan_check.analyze ~grads ~root:rp_loss ~outputs c2.Plan.ir in
+      let diags = report.Plan_check.diags in
+      if !Obs.on then begin
+        Metrics.incr ~by:(float_of_int (Diagnostic.errors diags)) "analysis.errors";
+        Metrics.incr ~by:(float_of_int (Diagnostic.warnings diags)) "analysis.warnings"
+      end;
+      match List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) diags with
+      | _ :: _ as blocking ->
+          List.iter (record_plan_diag log) blocking;
+          Error "the dataflow analysis rejected the captured IR"
+      | [] ->
+          Plan.compile ~arena:(Plan_check.arena_spec report)
+            ~chains:(Plan_check.plan_chains report) ~outputs ~grads c2
+          |> Result.map (fun rp ->
+                 let st = Plan.stats rp in
+                 if !Obs.on then begin
+                   Metrics.set_gauge "plan.arena_bytes" (float_of_int st.Plan.arena_bytes);
+                   Metrics.incr ~by:(float_of_int st.Plan.fused_nodes) "plan.fused_ops"
+                 end;
+                 Health.record log ~member Health.Plan
+                   (Printf.sprintf
+                      "plan armed: %d nodes, %d KiB arena + %d KiB pinned (interpreter \
+                       allocates %d KiB per iteration), %d ops fused into %d chains"
+                      st.Plan.nodes (st.Plan.arena_bytes / 1024)
+                      (st.Plan.dedicated_bytes / 1024)
+                      (report.Plan_check.naive_bytes / 1024)
+                      st.Plan.fused_nodes st.Plan.chains);
+                 { rp; rp_theta; rp_cp; rp_per_seed; rp_penalty; rp_loss }))
+
+(* Numeric recovery: a non-finite loss or gradient must never reach the
+   Adam state or the incumbent. Each strike resets the optimiser
+   moments, backs the learning rate off by 2x, and (from the second
+   strike) re-randomises theta from a fresh seed stream. Returns true
+   once [max_recoveries] strikes are spent: the loop then stops and
+   keeps its incumbent. *)
+let recover config (st : Checkpoint.snapshot) what =
+  let log = st.health in
+  Health.record log ~member Health.Nan_detected
+    (Printf.sprintf "iteration %d: non-finite %s" st.iter what);
+  if !Obs.on then Metrics.incr "smoothe.nan_recoveries";
+  st.recoveries <- st.recoveries + 1;
+  if st.recoveries > max_recoveries then begin
+    Health.record log ~member Health.Degraded
+      (Printf.sprintf "%d numeric recoveries exhausted; keeping incumbent" max_recoveries);
+    true
+  end
+  else begin
+    st.adam_step <- 0;
+    Tensor.fill st.adam_m 0.0;
+    Tensor.fill st.adam_v 0.0;
+    let lr = config.Smoothe_config.lr *. (0.5 ** float_of_int st.recoveries) in
+    st.adam_lr <- lr;
+    let d = Tensor.unsafe_data st.theta in
+    if st.recoveries >= 2 then begin
+      let seed = config.Smoothe_config.seed + (7919 * st.recoveries) in
+      let rng = Rng.create seed in
+      for i = 0 to Tensor.numel st.theta - 1 do
+        d.(i) <- config.Smoothe_config.init_std *. Rng.gaussian rng
+      done;
+      Health.record log ~member Health.Recovery
+        (Printf.sprintf "adam reset, lr %.3g, theta re-randomised (seed %d)" lr seed)
+    end
+    else begin
+      for i = 0 to Tensor.numel st.theta - 1 do
+        if not (Float.is_finite d.(i)) then d.(i) <- 0.0
+      done;
+      Health.record log ~member Health.Recovery
+        (Printf.sprintf "adam reset, lr backed off to %.3g" lr)
+    end;
+    false
+  end
+
+(* The loop state a run starts from. A snapshot only resumes the run it
+   was taken from — same graph, seed and (post-derating) batch — and the
+   run works on copies of its tensors, so the caller's snapshot is never
+   mutated. Anything else would silently continue a different
+   optimisation, so it is refused loudly and the run starts fresh. *)
+let initial_state log config ~fingerprint ~rung resume_from : Checkpoint.snapshot =
+  match resume_from with
+  | Some snap when snap.Checkpoint.fingerprint = fingerprint ->
+      (* replay the snapshot's health timeline first so counts and
+         ordering match the uninterrupted run's log *)
+      List.iter (Health.add log) (Health.events snap.Checkpoint.health);
+      Health.record log ~member Health.Resumed
+        (Printf.sprintf "resumed at iteration %d (%.2fs of budget consumed)"
+           snap.Checkpoint.iter snap.Checkpoint.elapsed);
+      {
+        snap with
+        theta = Tensor.copy snap.Checkpoint.theta;
+        adam_m = Tensor.copy snap.Checkpoint.adam_m;
+        adam_v = Tensor.copy snap.Checkpoint.adam_v;
+        health = log;
+      }
+  | foreign ->
+      Option.iter
+        (fun snap ->
+          Health.record log ~member Health.Checkpoint_corrupt
+            (Printf.sprintf "snapshot fingerprint %s does not match run %s; starting fresh"
+               (Checkpoint.fingerprint_to_string snap.Checkpoint.fingerprint)
+               (Checkpoint.fingerprint_to_string fingerprint)))
+        foreign;
+      let batch = fingerprint.Checkpoint.fp_batch
+      and width = fingerprint.Checkpoint.fp_nodes in
+      let rng = Rng.create config.Smoothe_config.seed in
+      let theta = init_theta rng ~batch ~width ~std:config.Smoothe_config.init_std in
+      {
+        Checkpoint.fingerprint;
+        iter = 0;
+        elapsed = 0.0;
+        rng_state = Rng.state rng;
+        theta;
+        adam_m = Tensor.create ~batch ~width;
+        adam_v = Tensor.create ~batch ~width;
+        adam_step = 0;
+        adam_lr = config.Smoothe_config.lr;
+        best_cost = infinity;
+        best_seed = -1;
+        best_choice = None;
+        best_cp = None;
+        last_improvement = 0;
+        recoveries = 0;
+        ladder_rung = rung;
+        trace = [];
+        history = [];
+        health = log;
+      }
+
+(* Each executor's forward pass: its outputs, its backward (returning
+   the theta gradient) and, when interpreted, the tape to capture. *)
+let interpret config compiled model (st : Checkpoint.snapshot) =
+  let temperature =
+    Float.max config.Smoothe_config.min_temperature
+      (config.Smoothe_config.temperature
+      *. (config.Smoothe_config.temperature_decay ** float_of_int (st.iter - 1)))
+  in
+  let fwd =
+    Trace.with_span ~cat:"smoothe" "smoothe.forward" (fun () ->
+        Relaxation.forward ~temperature compiled ~config ~model ~theta:st.theta)
+  in
+  let backward () =
+    Trace.with_span ~cat:"smoothe" "smoothe.backward" (fun () ->
+        Ad.backward fwd.Relaxation.loss);
+    Ad.grad fwd.Relaxation.theta
+  in
+  ( {
+      loss = Ad.value fwd.Relaxation.loss;
+      cp = Ad.value fwd.Relaxation.cp;
+      per_seed = Ad.value fwd.Relaxation.per_seed_cost;
+      penalty = Ad.value fwd.Relaxation.penalty;
+    },
+    backward,
+    Some fwd )
+
+(* verified replay: the static schedule re-runs the captured iteration
+   over the arena — no tape, no tensor allocation *)
+let replay r =
+  if !Obs.on then Metrics.incr "plan.replays";
+  Trace.with_span ~cat:"smoothe" "plan.replay" (fun () -> Plan.run_forward r.rp);
+  let backward () =
+    Trace.with_span ~cat:"smoothe" "plan.replay.backward" (fun () ->
+        Plan.run_backward r.rp);
+    Plan.grad_of r.rp r.rp_theta
+  in
+  let value = Plan.value r.rp in
+  ( {
+      loss = value r.rp_loss;
+      cp = value r.rp_cp;
+      per_seed = value r.rp_per_seed;
+      penalty = value r.rp_penalty;
+    },
+    backward,
+    None )
+
+let execute config compiled model (st : Checkpoint.snapshot) = function
+  | Interp -> interpret config compiled model st
+  | Replay r -> replay r
+  | Check r ->
+      let out, backward, fwd = interpret config compiled model st in
+      let shadow, shadow_backward, _ = replay r in
+      let same what replayed interpreted =
+        if not (Tensor.bits_equal replayed interpreted) then
+          failwith
+            (Printf.sprintf
+               "plan check: replayed %s diverges bitwise from the interpreter at iteration %d"
+               what st.iter)
+      in
+      same "loss" shadow.loss out.loss;
+      same "cp" shadow.cp out.cp;
+      same "per-seed cost" shadow.per_seed out.per_seed;
+      same "penalty" shadow.penalty out.penalty;
+      let backward () =
+        let grad = backward () in
+        same "theta gradient" (shadow_backward ()) grad;
+        grad
+      in
+      (out, backward, fwd)
+
+(* Sample every seed (§3.5), track the incumbent and its marginals, and
+   return this iteration's (relaxed loss, sampled cost) for the
+   history. *)
+let sample config g model (st : Checkpoint.snapshot) ~now out =
+  let sampled =
+    Trace.with_span ~cat:"smoothe" "smoothe.sample" (fun () ->
+        Sampler.best_of_batch ~repair:config.Smoothe_config.repair_sampling g ~model
+          ~cp:out.cp)
+  in
+  let sampled_cost =
+    match sampled with
+    | Some (seed, s, cost) ->
+        if cost < st.best_cost -. 1e-12 then begin
+          st.best_cost <- cost;
+          st.best_seed <- seed;
+          st.best_choice <- Some s.Egraph.Solution.choice;
+          st.best_cp <-
+            Some (Array.init (Egraph.num_nodes g) (fun i -> Tensor.get out.cp seed i));
+          st.last_improvement <- st.iter;
+          st.trace <- (now (), cost) :: st.trace
+        end;
+        cost
+    | None -> infinity
+  in
+  (* relaxed loss of the best seed this iteration, for Fig. 9 *)
+  let relaxed_loss =
+    let best = ref infinity in
+    for b = 0 to out.per_seed.Tensor.batch - 1 do
+      let v = Tensor.get out.per_seed b 0 in
+      if v < !best then best := v
+    done;
+    !best +. (config.Smoothe_config.lambda_ *. Tensor.get out.penalty 0 0)
+  in
+  if !Obs.on then begin
+    Metrics.observe "smoothe.loss" relaxed_loss;
+    if Float.is_finite st.best_cost then Metrics.set_gauge "smoothe.incumbent" st.best_cost
+  end;
+  (relaxed_loss, sampled_cost)
+
+let oom_run config device g =
+  {
+    result =
+      {
+        (Extractor.failed ~method_name:"smoothe" ~time_s:0.0) with
+        Extractor.notes = [ ("oom", device.Device.device_name) ];
+      };
+    iterations = 0;
+    best_seed = -1;
+    batch_used = 0;
+    prop_iters = (Relaxation.compile config g).Relaxation.prop_iters;
+    history = [];
+    oom = true;
+    recoveries = 0;
+    health = [];
+    final_cp = None;
+  }
+
 let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?health
     ?checkpoint ?(checkpoint_every = 25) ?resume_from ?(preflight = false) g =
   let model = match model with Some m -> m | None -> Cost_model.of_egraph g in
   let log = Health.create () in
-  (* static pre-flight: lint the e-graph before the first iteration so
-     input defects surface as structured events in milliseconds instead
-     of index errors or NaNs minutes in. Off by default — the gate must
-     not change behaviour for existing callers (events only, never the
-     optimisation path). *)
-  if preflight then begin
-    let findings = Egraph_lint.check g in
-    if !Obs.on then begin
-      Metrics.incr ~by:(float_of_int (Diagnostic.errors findings)) "analysis.errors";
-      Metrics.incr ~by:(float_of_int (Diagnostic.warnings findings)) "analysis.warnings"
-    end;
-    List.iter
-      (fun d ->
-        if d.Diagnostic.severity <> Diagnostic.Info then
-          Health.record log ~member Health.Preflight (Diagnostic.render d))
-      findings
-  end;
-  let drain () =
+  if preflight then preflight_lint log g;
+  (* also runs when the loop raises: a crash (injected or real) must not
+     lose the supervision timeline the supervisor's retry reads *)
+  let publish_health () =
     List.iter
       (fun what -> Health.record log ~member Health.Fault_injected what)
-      (Fault_plan.drain_injections ())
+      (Fault_plan.drain_injections ());
+    Option.iter (fun shared -> Health.merge ~into:shared log) health
   in
   let finish run =
-    drain ();
-    (match health with Some shared -> Health.merge ~into:shared log | None -> ());
+    publish_health ();
     { run with health = Health.events log; recoveries = Health.count log Health.Recovery }
   in
   match select_configuration log config device g with
@@ -156,499 +438,119 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
       Health.record log ~member Health.Degraded
         (Printf.sprintf "OOM on every derating step (requested device %s)"
            device.Device.device_name);
-      let compiled = Relaxation.compile config g in
-      finish
-        {
-          result =
-            {
-              (Extractor.failed ~method_name:"smoothe" ~time_s:0.0) with
-              Extractor.notes = [ ("oom", device.Device.device_name) ];
-            };
-          iterations = 0;
-          best_seed = -1;
-          batch_used = 0;
-          prop_iters = compiled.Relaxation.prop_iters;
-          profile = { loss_time = 0.0; grad_time = 0.0; sample_time = 0.0; total_time = 0.0 };
-          history = [];
-          oom = true;
-          recoveries = 0;
-          health = [];
-          final_cp = None;
-        }
+      finish (oom_run config device g)
   | Some { c_config; c_device; c_compiled; c_max_batch; c_desc; c_rung } ->
       let config = c_config and device = c_device and compiled = c_compiled in
       let batch = min config.Smoothe_config.batch c_max_batch in
-      let n = Egraph.num_nodes g in
-      (* A snapshot only resumes the run it was taken from: same graph,
-         seed and (post-derating) batch. Anything else would silently
-         continue a different optimisation, so it is refused loudly. *)
       let fingerprint =
         {
           Checkpoint.fp_graph = g.Egraph.name;
-          fp_nodes = n;
+          fp_nodes = Egraph.num_nodes g;
           fp_classes = Egraph.num_classes g;
           fp_seed = config.Smoothe_config.seed;
           fp_batch = batch;
         }
       in
-      let resume =
-        match resume_from with
-        | None -> None
-        | Some snap when snap.Checkpoint.fingerprint = fingerprint -> Some snap
-        | Some snap ->
-            Health.record log ~member Health.Checkpoint_corrupt
-              (Printf.sprintf "snapshot fingerprint %s does not match run %s; starting fresh"
-                 (Checkpoint.fingerprint_to_string snap.Checkpoint.fingerprint)
-                 (Checkpoint.fingerprint_to_string fingerprint));
-            None
-      in
-      let rng = Rng.create config.Smoothe_config.seed in
-      let theta = init_theta rng ~batch ~width:n ~std:config.Smoothe_config.init_std in
-      let lr0 = config.Smoothe_config.lr in
-      let opt = Optim.adam ~lr:lr0 [ theta ] in
-      let rng =
-        match resume with
-        | None -> rng
-        | Some snap ->
-            (* replay the snapshot's health timeline first so counts and
-               ordering match the uninterrupted run's log *)
-            List.iter (Health.add log) snap.Checkpoint.health;
-            Health.record log ~member Health.Resumed
-              (Printf.sprintf "resumed at iteration %d (%.2fs of budget consumed)"
-                 snap.Checkpoint.iter snap.Checkpoint.elapsed);
-            Array.blit
-              (Tensor.unsafe_data snap.Checkpoint.theta)
-              0 (Tensor.unsafe_data theta) 0 (Tensor.numel theta);
-            Optim.restore opt ~m:[| snap.Checkpoint.adam_m |] ~v:[| snap.Checkpoint.adam_v |]
-              ~step:snap.Checkpoint.adam_step;
-            Optim.set_lr opt snap.Checkpoint.adam_lr;
-            Rng.of_state snap.Checkpoint.rng_state
-      in
-      let base_elapsed =
-        match resume with Some snap -> snap.Checkpoint.elapsed | None -> 0.0
-      in
+      let st = initial_state log config ~fingerprint ~rung:c_rung resume_from in
+      let base_elapsed = st.elapsed in
       let deadline =
         let tl = config.Smoothe_config.time_limit in
         Timer.deadline_after (if tl > 0.0 then Float.max 1e-6 (tl -. base_elapsed) else tl)
       in
       let elapsed_now () = base_elapsed +. Timer.elapsed deadline in
-      let restore_ref f default =
-        match resume with Some snap -> ref (f snap) | None -> ref default
-      in
-      let loss_time = restore_ref (fun s -> s.Checkpoint.loss_time) 0.0
-      and grad_time = restore_ref (fun s -> s.Checkpoint.grad_time) 0.0
-      and sample_time = restore_ref (fun s -> s.Checkpoint.sample_time) 0.0 in
-      let best_cost = restore_ref (fun s -> s.Checkpoint.best_cost) infinity in
-      let best_solution =
-        restore_ref
-          (fun s ->
-            Option.map
-              (fun choice -> { Egraph.Solution.choice = Array.copy choice })
-              s.Checkpoint.best_choice)
-          None
-      in
-      let best_seed = restore_ref (fun s -> s.Checkpoint.best_seed) (-1) in
-      (* cp row of the seed that produced the incumbent, at the
-         iteration it was found — the marginals the hybrid pipeline
-         fixes classes with. Not checkpointed: after a resume it stays
-         None until the next improvement. *)
-      let incumbent_cp = ref None in
-      let last_improvement = restore_ref (fun s -> s.Checkpoint.last_improvement) 0 in
-      let trace = restore_ref (fun s -> List.rev s.Checkpoint.trace) [] in
-      let history =
-        restore_ref
-          (fun s ->
-            List.rev_map
-              (fun (iter, elapsed, relaxed_loss, sampled_cost, incumbent) ->
-                { iter; elapsed; relaxed_loss; sampled_cost; incumbent })
-              s.Checkpoint.history)
-          []
-      in
-      let start_iter = match resume with Some snap -> snap.Checkpoint.iter | None -> 0 in
-      let iters_done = ref start_iter in
-      let recoveries = restore_ref (fun s -> s.Checkpoint.recoveries) 0 in
-      let save_checkpoint st ~iter =
-        let m, v, step = Optim.state opt in
-        let snap =
-          {
-            Checkpoint.fingerprint;
-            iter;
-            elapsed = elapsed_now ();
-            rng_state = Rng.state rng;
-            theta = Tensor.copy theta;
-            adam_m = m.(0);
-            adam_v = v.(0);
-            adam_step = step;
-            adam_lr = Optim.lr opt;
-            best_cost = !best_cost;
-            best_seed = !best_seed;
-            best_choice =
-              Option.map (fun s -> Array.copy s.Egraph.Solution.choice) !best_solution;
-            last_improvement = !last_improvement;
-            recoveries = !recoveries;
-            ladder_rung = c_rung;
-            loss_time = !loss_time;
-            grad_time = !grad_time;
-            sample_time = !sample_time;
-            trace = List.rev !trace;
-            history =
-              List.rev_map
-                (fun h -> (h.iter, h.elapsed, h.relaxed_loss, h.sampled_cost, h.incumbent))
-                !history;
-            health = Health.events log;
-          }
-        in
-        ignore (Checkpoint.save st snap)
-      in
-      let repair = config.Smoothe_config.repair_sampling in
-      (* Static-plan replay state machine. Iterations run interpreted
-         until two consecutive successful captures are structurally
-         identical; the Plan_check dataflow analysis then derives and
-         independently verifies a buffer arena, the capture compiles
-         into a static schedule, and every later iteration replays with
-         zero tape construction and zero tensor allocation. Any gate
-         failure records a Preflight event and leaves the run on the
-         interpreter — the plan must never change results, only cost. *)
       let plan_mode = config.Smoothe_config.plan in
-      let plan_state =
-        ref (match plan_mode with Smoothe_config.Plan_off -> `Off | _ -> `Cold)
-      in
+      let plan = ref (if plan_mode = Smoothe_config.Plan_off then Settled Interp else Cold) in
       let disable_plan why =
-        Health.record log ~member Health.Preflight ("plan disabled: " ^ why);
+        Health.record log ~member Health.Plan ("plan disabled: " ^ why);
         if !Obs.on then Metrics.incr "plan.disabled";
-        plan_state := `Disabled
+        plan := Settled Interp
       in
       let advance_plan (fwd : Relaxation.forward) =
-        match !plan_state with
-        | `Off | `Disabled | `Ready _ -> ()
-        | `Cold ->
-            if Tensor.Backend.current () <> Tensor.Backend.Vectorized then
-              disable_plan
-                "the scalar backend models per-element dispatch and has no replay kernels"
-            else
-              plan_state := `Armed (Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss)
-        | `Armed c1 -> (
-            Trace.with_span ~cat:"smoothe" "plan.capture"
-            @@ fun () ->
-            let c2 = Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss in
-            match Plan.stable c1 c2 with
-            | Error why ->
-                List.iter
-                  (fun d -> Health.record log ~member Health.Preflight (Diagnostic.render d))
-                  (Plan_check.stability c1.Plan.ir c2.Plan.ir);
-                disable_plan why
-            | Ok () -> (
-                let rp_theta = Ad.node_id fwd.Relaxation.theta
-                and rp_cp = Ad.node_id fwd.Relaxation.cp
-                and rp_per_seed = Ad.node_id fwd.Relaxation.per_seed_cost
-                and rp_penalty = Ad.node_id fwd.Relaxation.penalty
-                and rp_loss = Ad.node_id fwd.Relaxation.loss in
-                let outputs = [| rp_cp; rp_per_seed; rp_penalty; rp_loss |] in
-                let grads = [| rp_theta |] in
-                let report = Plan_check.analyze ~grads ~root:rp_loss ~outputs c2.Plan.ir in
-                let blocking =
-                  List.filter
-                    (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-                    report.Plan_check.diags
-                in
-                if !Obs.on then begin
-                  Metrics.incr
-                    ~by:(float_of_int (Diagnostic.errors report.Plan_check.diags))
-                    "analysis.errors";
-                  Metrics.incr
-                    ~by:(float_of_int (Diagnostic.warnings report.Plan_check.diags))
-                    "analysis.warnings"
-                end;
-                if blocking <> [] then begin
-                  List.iter
-                    (fun d ->
-                      Health.record log ~member Health.Preflight (Diagnostic.render d))
-                    blocking;
-                  disable_plan "the dataflow analysis rejected the captured IR"
-                end
-                else
-                  match
-                    Plan.compile
-                      ~arena:(Plan_check.arena_spec report)
-                      ~chains:(Plan_check.plan_chains report)
-                      ~outputs ~grads c2
-                  with
-                  | Error why -> disable_plan why
-                  | Ok rp ->
-                      let st = Plan.stats rp in
-                      if !Obs.on then begin
-                        Metrics.set_gauge "plan.arena_bytes"
-                          (float_of_int st.Plan.arena_bytes);
-                        Metrics.incr ~by:(float_of_int st.Plan.fused_nodes) "plan.fused_ops"
-                      end;
-                      Health.record log ~member Health.Preflight
-                        (Printf.sprintf
-                           "plan armed: %d nodes, %d KiB arena + %d KiB pinned (interpreter \
-                            allocates %d KiB per iteration), %d ops fused into %d chains"
-                           st.Plan.nodes
-                           (st.Plan.arena_bytes / 1024)
-                           (st.Plan.dedicated_bytes / 1024)
-                           (report.Plan_check.naive_bytes / 1024)
-                           st.Plan.fused_nodes st.Plan.chains);
-                      plan_state :=
-                        `Ready { rp; rp_theta; rp_cp; rp_per_seed; rp_penalty; rp_loss }))
+        match !plan with
+        | Settled _ -> ()
+        | Cold when Tensor.Backend.current () <> Tensor.Backend.Vectorized ->
+            disable_plan
+              "the scalar backend models per-element dispatch and has no replay kernels"
+        | Cold -> plan := Armed (Plan.capture fwd.Relaxation.tape ~root:fwd.Relaxation.loss)
+        | Armed c1 -> (
+            match compile_plan log c1 fwd with
+            | Ok r ->
+                plan :=
+                  Settled (if plan_mode = Smoothe_config.Plan_check then Check r else Replay r)
+            | Error why -> disable_plan why)
       in
-      (* a crash (injected or real) must not lose the supervision
-         timeline: merge it into the shared log before re-raising so the
-         supervisor's retry sees what happened *)
+      let stop = ref false in
+      (* One SmoothE iteration (§3.5) under any executor: forward, finite
+         check, backward, gradient clip and Adam, then sampling and
+         history. A non-finite loss or gradient skips the update and the
+         sample and takes a recovery strike instead. *)
+      let step exec =
+        let out, backward, fwd = execute config compiled model st exec in
+        let loss_ok = Tensor.all_finite out.loss in
+        let grad_ok =
+          loss_ok
+          &&
+          let grad = backward () in
+          if Fault_plan.on_backward () then Tensor.fill grad Float.nan;
+          Tensor.all_finite grad
+          && begin
+               Trace.with_span ~cat:"smoothe" "smoothe.adam_step" (fun () ->
+                   let norm = Optim.clip_grad_norm ~max_norm:100.0 [ grad ] in
+                   if !Obs.on then Metrics.observe "smoothe.grad_norm" norm;
+                   st.adam_step <- st.adam_step + 1;
+                   Optim.adam_update ~lr:st.adam_lr ~step:st.adam_step ~m:st.adam_m
+                     ~v:st.adam_v st.theta ~grad);
+               true
+             end
+        in
+        let relaxed_loss, sampled_cost =
+          if grad_ok then sample config g model st ~now:elapsed_now out
+          else begin
+            if recover config st (if loss_ok then "gradient" else "loss") then stop := true;
+            (Float.nan, infinity)
+          end
+        in
+        st.history <-
+          { iter = st.iter; elapsed = elapsed_now (); relaxed_loss; sampled_cost;
+            incumbent = st.best_cost }
+          :: st.history;
+        if grad_ok then Option.iter advance_plan fwd
+      in
       (try
          Trace.with_span ~cat:"smoothe"
            ~attrs:
              (if !Obs.on then
-                [ ("batch", string_of_int batch); ("nodes", string_of_int n) ]
+                [
+                  ("batch", string_of_int batch);
+                  ("nodes", string_of_int (Egraph.num_nodes g));
+                ]
               else [])
            "smoothe.extract"
          @@ fun () ->
          Device.run device (fun () ->
-          let iter = ref start_iter in
-          let stop = ref false in
-          (* Numeric recovery: a non-finite loss or gradient must never
-             reach the Adam state or the incumbent. Each strike resets
-             the optimiser moments, backs the learning rate off by 2x,
-             and (from the second strike) re-randomises theta from a
-             fresh seed stream; after [max_recoveries] strikes the loop
-             stops and keeps its incumbent. *)
-          let recover what =
-            Health.record log ~member Health.Nan_detected
-              (Printf.sprintf "iteration %d: non-finite %s" !iter what);
-            if !Obs.on then Metrics.incr "smoothe.nan_recoveries";
-            incr recoveries;
-            if !recoveries > max_recoveries then begin
-              Health.record log ~member Health.Degraded
-                (Printf.sprintf "%d numeric recoveries exhausted; keeping incumbent"
-                   max_recoveries);
-              stop := true
-            end
-            else begin
-              Optim.reset opt;
-              let lr = lr0 *. (0.5 ** float_of_int !recoveries) in
-              Optim.set_lr opt lr;
-              let d = Tensor.unsafe_data theta in
-              if !recoveries >= 2 then begin
-                let seed = config.Smoothe_config.seed + (7919 * !recoveries) in
-                let rng' = Rng.create seed in
-                for i = 0 to Tensor.numel theta - 1 do
-                  d.(i) <- config.Smoothe_config.init_std *. Rng.gaussian rng'
-                done;
-                Health.record log ~member Health.Recovery
-                  (Printf.sprintf "adam reset, lr %.3g, theta re-randomised (seed %d)" lr seed)
-              end
-              else begin
-                for i = 0 to Tensor.numel theta - 1 do
-                  if not (Float.is_finite d.(i)) then d.(i) <- 0.0
-                done;
-                Health.record log ~member Health.Recovery
-                  (Printf.sprintf "adam reset, lr backed off to %.3g" lr)
-              end
-            end
-          in
-          (* Per-iteration tail — sampling, incumbent tracking, history —
-             identical whether the step was interpreted or replayed, so
-             both executors feed it their own output tensors. *)
-          let sample_and_log ~loss_ok ~grad_ok ~cp ~per_seed ~penalty =
-            if loss_ok && grad_ok then begin
-              (* sample every iteration (§3.5) *)
-              let sampled, t_smp =
-                Timer.time (fun () ->
-                    Trace.with_span ~cat:"smoothe" "smoothe.sample" (fun () ->
-                        Sampler.best_of_batch ~repair g ~model ~cp))
-              in
-              sample_time := !sample_time +. t_smp;
-              let sampled_cost =
-                match sampled with
-                | Some (seed, s, cost) ->
-                    if cost < !best_cost -. 1e-12 then begin
-                      best_cost := cost;
-                      best_solution := Some s;
-                      best_seed := seed;
-                      last_improvement := !iter;
-                      trace := (elapsed_now (), cost) :: !trace;
-                      incumbent_cp := Some (Array.init n (fun i -> Tensor.get cp seed i))
-                    end;
-                    cost
-                | None -> infinity
-              in
-              (* relaxed loss of the best seed this iteration, for Fig. 9 *)
-              let relaxed_loss =
-                let h = Tensor.get penalty 0 0 in
-                let best = ref infinity in
-                for b = 0 to batch - 1 do
-                  let v = Tensor.get per_seed b 0 in
-                  if v < !best then best := v
-                done;
-                !best +. (config.Smoothe_config.lambda_ *. h)
-              in
-              if !Obs.on then begin
-                Metrics.observe "smoothe.loss" relaxed_loss;
-                if Float.is_finite !best_cost then
-                  Metrics.set_gauge "smoothe.incumbent" !best_cost
-              end;
-              history :=
-                {
-                  iter = !iter;
-                  elapsed = elapsed_now ();
-                  relaxed_loss;
-                  sampled_cost;
-                  incumbent = !best_cost;
-                }
-                :: !history
-            end
-            else begin
-              recover (if loss_ok then "gradient" else "loss");
-              history :=
-                {
-                  iter = !iter;
-                  elapsed = elapsed_now ();
-                  relaxed_loss = Float.nan;
-                  sampled_cost = infinity;
-                  incumbent = !best_cost;
-                }
-                :: !history
-            end
-          in
-          while (not !stop) && !iter < config.Smoothe_config.max_iters do
-            incr iter;
-            iters_done := !iter;
-            Fault_plan.crash_now ~iter:!iter;
-            if !Obs.on then Metrics.incr "smoothe.iterations";
-            Trace.with_span ~cat:"smoothe"
-              ~attrs:(if !Obs.on then [ ("iteration", string_of_int !iter) ] else [])
-              "smoothe.iter"
-            @@ fun () ->
-            (match (!plan_state, plan_mode) with
-            | `Ready r, Smoothe_config.Plan_on ->
-                (* verified replay: the static schedule re-runs the
-                   captured iteration over the arena — no tape, no
-                   tensor allocation *)
-                if !Obs.on then Metrics.incr "plan.replays";
-                let (), t_fwd =
-                  Timer.time (fun () ->
-                      Trace.with_span ~cat:"smoothe" "plan.replay" (fun () ->
-                          Plan.run_forward r.rp))
-                in
-                loss_time := !loss_time +. t_fwd;
-                let loss_ok = Tensor.all_finite (Plan.value r.rp r.rp_loss) in
-                let grad_ok = ref false in
-                if loss_ok then begin
-                  let (), t_bwd =
-                    Timer.time (fun () ->
-                        Trace.with_span ~cat:"smoothe" "plan.replay.backward" (fun () ->
-                            Plan.run_backward r.rp);
-                        let grad = Plan.grad_of r.rp r.rp_theta in
-                        if Tensor.all_finite grad then begin
-                          grad_ok := true;
-                          Trace.with_span ~cat:"smoothe" "smoothe.adam_step" (fun () ->
-                              let norm = Optim.clip_grad_norm ~max_norm:100.0 [ grad ] in
-                              if !Obs.on then Metrics.observe "smoothe.grad_norm" norm;
-                              Optim.adam_step opt [ grad ])
-                        end)
-                  in
-                  grad_time := !grad_time +. t_bwd
-                end;
-                sample_and_log ~loss_ok ~grad_ok:!grad_ok
-                  ~cp:(Plan.value r.rp r.rp_cp)
-                  ~per_seed:(Plan.value r.rp r.rp_per_seed)
-                  ~penalty:(Plan.value r.rp r.rp_penalty)
-            | st, _ ->
-                (* interpreted step — and, in check mode with a ready
-                   plan, a shadow replay asserted bit-identical to it *)
-                let shadow =
-                  match (st, plan_mode) with
-                  | `Ready r, Smoothe_config.Plan_check -> Some r
-                  | _ -> None
-                in
-                (* forward, under the (possibly annealed) temperature *)
-                let temperature =
-                  Float.max config.Smoothe_config.min_temperature
-                    (config.Smoothe_config.temperature
-                    *. (config.Smoothe_config.temperature_decay
-                       ** float_of_int (!iter - 1)))
-                in
-                let fwd, t_fwd =
-                  Timer.time (fun () ->
-                      Trace.with_span ~cat:"smoothe" "smoothe.forward" (fun () ->
-                          Relaxation.forward ~temperature compiled ~config ~model ~theta))
-                in
-                loss_time := !loss_time +. t_fwd;
-                (match shadow with
-                | Some r ->
-                    if !Obs.on then Metrics.incr "plan.replays";
-                    Trace.with_span ~cat:"smoothe" "plan.replay" (fun () ->
-                        Plan.run_forward r.rp);
-                    let bits what plan_t interp_t =
-                      if not (Tensor.bits_equal plan_t interp_t) then
-                        failwith
-                          (Printf.sprintf
-                             "plan check: replayed %s diverges bitwise from the \
-                              interpreter at iteration %d"
-                             what !iter)
-                    in
-                    bits "loss" (Plan.value r.rp r.rp_loss) (Ad.value fwd.Relaxation.loss);
-                    bits "cp" (Plan.value r.rp r.rp_cp) (Ad.value fwd.Relaxation.cp);
-                    bits "per-seed cost"
-                      (Plan.value r.rp r.rp_per_seed)
-                      (Ad.value fwd.Relaxation.per_seed_cost);
-                    bits "penalty"
-                      (Plan.value r.rp r.rp_penalty)
-                      (Ad.value fwd.Relaxation.penalty)
-                | None -> ());
-                let loss_ok = Tensor.all_finite (Ad.value fwd.Relaxation.loss) in
-                let grad_ok = ref false in
-                if loss_ok then begin
-                  (* backward + step, guarded: a poisoned gradient skips
-                     the Adam update entirely *)
-                  let (), t_bwd =
-                    Timer.time (fun () ->
-                        Trace.with_span ~cat:"smoothe" "smoothe.backward" (fun () ->
-                            Ad.backward fwd.Relaxation.loss);
-                        let grad = Ad.grad fwd.Relaxation.theta in
-                        (match shadow with
-                        | Some r ->
-                            Trace.with_span ~cat:"smoothe" "plan.replay.backward"
-                              (fun () -> Plan.run_backward r.rp);
-                            if not (Tensor.bits_equal (Plan.grad_of r.rp r.rp_theta) grad)
-                            then
-                              failwith
-                                (Printf.sprintf
-                                   "plan check: replayed theta gradient diverges bitwise \
-                                    from the interpreter at iteration %d"
-                                   !iter)
-                        | None -> ());
-                        if Tensor.all_finite grad then begin
-                          grad_ok := true;
-                          Trace.with_span ~cat:"smoothe" "smoothe.adam_step" (fun () ->
-                              let norm = Optim.clip_grad_norm ~max_norm:100.0 [ grad ] in
-                              if !Obs.on then Metrics.observe "smoothe.grad_norm" norm;
-                              Optim.adam_step opt [ grad ])
-                        end)
-                  in
-                  grad_time := !grad_time +. t_bwd
-                end;
-                sample_and_log ~loss_ok ~grad_ok:!grad_ok
-                  ~cp:(Ad.value fwd.Relaxation.cp)
-                  ~per_seed:(Ad.value fwd.Relaxation.per_seed_cost)
-                  ~penalty:(Ad.value fwd.Relaxation.penalty);
-                if loss_ok && !grad_ok then advance_plan fwd);
-            (match checkpoint with
-             | Some st when checkpoint_every > 0 && !iter mod checkpoint_every = 0 ->
-                 save_checkpoint st ~iter:!iter
-             | _ -> ());
-            if Timer.expired deadline then stop := true
-            else if
-              !best_solution <> None
-              && !iter - !last_improvement >= config.Smoothe_config.patience
-            then stop := true
-          done)
+             while (not !stop) && st.iter < config.Smoothe_config.max_iters do
+               st.iter <- st.iter + 1;
+               Fault_plan.crash_now ~iter:st.iter;
+               if !Obs.on then Metrics.incr "smoothe.iterations";
+               Trace.with_span ~cat:"smoothe"
+                 ~attrs:(if !Obs.on then [ ("iteration", string_of_int st.iter) ] else [])
+                 "smoothe.iter"
+               @@ fun () ->
+               step (match !plan with Settled exec -> exec | Cold | Armed _ -> Interp);
+               st.elapsed <- elapsed_now ();
+               (match checkpoint with
+               | Some store when checkpoint_every > 0 && st.iter mod checkpoint_every = 0 ->
+                   ignore (Checkpoint.save store st)
+               | _ -> ());
+               if
+                 Timer.expired deadline
+                 || st.best_choice <> None
+                    && st.iter - st.last_improvement >= config.Smoothe_config.patience
+               then stop := true
+             done)
        with e ->
-         drain ();
-         (match health with Some shared -> Health.merge ~into:shared log | None -> ());
+         publish_health ();
          raise e);
-      let total = !loss_time +. !grad_time +. !sample_time in
       let notes =
         [
           ("assumption", Smoothe_config.assumption_name config.Smoothe_config.assumption);
@@ -656,31 +558,23 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
           ("device", device.Device.device_name);
         ]
         @ (match c_desc with Some d -> [ ("derated", d) ] | None -> [])
-        @
-        if !recoveries > 0 then [ ("recoveries", string_of_int !recoveries) ] else []
+        @ if st.recoveries > 0 then [ ("recoveries", string_of_int st.recoveries) ] else []
       in
       let result =
-        Extractor.make_with_model
-          ~trace:(List.rev !trace)
-          ~notes ~method_name:"smoothe" ~time_s:total ~model g !best_solution
+        Extractor.make_with_model ~trace:(List.rev st.trace) ~notes ~method_name:"smoothe"
+          ~time_s:st.elapsed ~model g
+          (Option.map (fun choice -> { Egraph.Solution.choice }) st.best_choice)
       in
       finish
         {
           result;
-          iterations = !iters_done;
-          best_seed = !best_seed;
+          iterations = st.iter;
+          best_seed = st.best_seed;
           batch_used = batch;
           prop_iters = compiled.Relaxation.prop_iters;
-          profile =
-            {
-              loss_time = !loss_time;
-              grad_time = !grad_time;
-              sample_time = !sample_time;
-              total_time = total;
-            };
-          history = List.rev !history;
+          history = List.rev st.history;
           oom = false;
           recoveries = 0;
           health = [];
-          final_cp = !incumbent_cp;
+          final_cp = st.best_cp;
         }

@@ -8,14 +8,7 @@
     and, like the paper's anytime evaluation (Figure 4), records the
     incumbent trajectory. *)
 
-type profile = {
-  loss_time : float;  (** forward passes (the "Loss Calculation" share of Fig. 8) *)
-  grad_time : float;  (** backward + Adam ("Gradient Descent") *)
-  sample_time : float;  (** decoding + scoring ("Sampling") *)
-  total_time : float;
-}
-
-type history_point = {
+type history_point = Checkpoint.history_point = {
   iter : int;
   elapsed : float;
   relaxed_loss : float;  (** best per-seed f(p) + λ·h this iteration (Fig. 9's optimisation loss) *)
@@ -29,7 +22,6 @@ type run = {
   best_seed : int;  (** which seed produced the incumbent; -1 if none *)
   batch_used : int;  (** after device memory derating *)
   prop_iters : int;
-  profile : profile;
   history : history_point list;  (** chronological *)
   oom : bool;  (** no derating step could fit even one seed *)
   recoveries : int;  (** numeric recoveries applied during the run *)
@@ -37,8 +29,10 @@ type run = {
   final_cp : float array option;
       (** per-node class-softmax probabilities (cp) of the incumbent's
           seed, captured at the iteration the incumbent was found — the
-          marginals the hybrid extractor's fixing rule consumes. [None]
-          when no sample ever improved (or right after a resume). *)
+          marginals the hybrid extractor's fixing rule consumes. They
+          are checkpointed with the incumbent, so a resumed run returns
+          the same row as an uninterrupted one. [None] when no sample
+          ever improved. *)
 }
 
 val extract :
@@ -55,7 +49,9 @@ val extract :
 (** [model] defaults to the e-graph's linear costs; [device] defaults to
     {!Device.a100}. The device's memory model derates the configured
     batch (Table 5) and its backend selects vectorised or scalar kernels
-    (Figure 6).
+    (Figure 6). [result.time_s] is the loop's elapsed wall clock,
+    including a resumed run's offset; per-phase time is in the
+    [smoothe.*] and [plan.*] trace spans.
 
     With [~preflight:true] the run lints the e-graph ({!Egraph_lint})
     before the first iteration: error/warning findings are recorded as
@@ -66,13 +62,14 @@ val extract :
     enables it unless [--no-preflight] is given.
 
     Durability: with [?checkpoint], the loop writes a {!Checkpoint}
-    snapshot to the store every [checkpoint_every] iterations
-    (default 25; 0 disables the periodic writes). [?resume_from]
-    restores a previous snapshot — θ, the Adam moments, the RNG stream,
-    the incumbent, the elapsed-budget offset and the health timeline —
-    so a run killed at iteration K and resumed continues exactly where
-    it stopped: the completed run is bit-identical (modulo wall-clock
-    fields) to an uninterrupted run at the same seed. A snapshot whose
+    snapshot of the loop's state to the store every [checkpoint_every]
+    iterations (default 25; 0 disables the periodic writes).
+    [?resume_from] continues from a previous snapshot — θ, the Adam
+    moments, the RNG stream, the incumbent and its marginals, the
+    elapsed-budget offset and the health timeline — without mutating
+    it, so a run killed at iteration K and resumed continues exactly
+    where it stopped: the completed run is bit-identical (modulo
+    wall-clock fields) to an uninterrupted run at the same seed. A snapshot whose
     fingerprint (graph, size, seed, derated batch) does not match the
     current run is refused with a [Checkpoint_corrupt] health event and
     the run starts fresh.

@@ -170,8 +170,8 @@ let extract ?(config = default_config) ?pool ?health ?incumbent ?marginals g =
   safe_drops ub0 dropped_by_bound keep;
   (* ------------------------------------------------------------------
      A solve over a restricted copy of the graph: rebuild, map the warm
-     start forward, encode with the bound cut, branch-and-bound, lift
-     the incumbent back to original node ids. *)
+     start forward, encode, branch-and-bound, lift the incumbent back to
+     original node ids. *)
   let solve_on ~keep_mask ~budget ~warm =
     match Egraph.restrict g ~keep:keep_mask with
     | None -> None
@@ -197,7 +197,7 @@ let extract ?(config = default_config) ?pool ?health ?incumbent ?marginals g =
            but measurably slows every simplex solve (it is dense), and
            branch-and-bound already prunes on the incumbent — the
            warm-started incumbent gives it the same information free *)
-        let enc = Ilp.encode_with_costs sub ~costs:sub.Egraph.costs in
+        let enc = Ilp.encode sub in
         let warm_pt =
           match warm_sub with
           | Some s when config.profile.Bnb.use_warm_start -> Ilp.warm_start_point sub enc s

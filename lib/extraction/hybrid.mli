@@ -13,11 +13,11 @@
     - {b bound cut}: the threshold [UB(+slack)] derived from the
       incumbent cost. With nonnegative costs it soundly eliminates every
       node whose own cost exceeds the cut (the optimum cannot contain
-      one). It is applied as node {e elimination} rather than as the
-      explicit LP row [sum_i cost_i s_i <= UB] ({!Ilp.extract}'s
-      [cost_bound]): the row is equally sound but dense, so it slows
-      every simplex solve, while branch-and-bound already prunes on the
-      warm-started incumbent.
+      one). It is applied as node {e elimination}, never as the
+      explicit LP row [sum_i cost_i s_i <= UB]: the row is equally
+      sound but dense, and measured slower — it slows every simplex
+      solve, while branch-and-bound already prunes on the warm-started
+      incumbent.
     - {b warm start}: the incumbent is lifted into each encoding as the
       initial MILP incumbent, so pruning starts at full strength.
 

@@ -5,12 +5,12 @@ type encoding = {
   integer_vars : int array;
 }
 
-let encode_with_costs ?cost_bound g ~costs =
+let encode g =
   let n = Egraph.num_nodes g and m = Egraph.num_classes g in
   let nvars = n + m in
   let t_offset = n in
   let objective = Array.make nvars 0.0 in
-  Array.blit costs 0 objective 0 n;
+  Array.blit g.Egraph.costs 0 objective 0 n;
   let upper = Array.make nvars 1.0 in
   let constraints = ref [] in
   let addc c = constraints := c :: !constraints in
@@ -21,18 +21,6 @@ let encode_with_costs ?cost_bound g ~costs =
       rel = Lp.Eq;
       rhs = 1.0;
     };
-  (* objective bound cut: sum_i cost_i s_i <= UB. Any solution at least
-     as good as the incumbent that produced UB satisfies it, so adding
-     the row never cuts off the optimum — it only tightens the LP
-     relaxation (the hybrid extractor's e-boost-style cut). *)
-  (match cost_bound with
-  | Some ub ->
-      let coeffs = ref [] in
-      for i = 0 to n - 1 do
-        if costs.(i) <> 0.0 then coeffs := (i, costs.(i)) :: !coeffs
-      done;
-      if !coeffs <> [] then addc { Lp.coeffs = !coeffs; rel = Lp.Le; rhs = ub }
-  | None -> ());
   (* (1c) completeness: s_i <= sum of child class members *)
   for i = 0 to n - 1 do
     let seen = Hashtbl.create 4 in
@@ -81,8 +69,6 @@ let encode_with_costs ?cost_bound g ~costs =
     t_offset;
     integer_vars = Array.init n Fun.id;
   }
-
-let encode g = encode_with_costs g ~costs:g.Egraph.costs
 
 let decode g x =
   let choice = ref [] in
@@ -134,8 +120,8 @@ let gap_of (outcome : Bnb.outcome) =
       ((outcome.Bnb.objective -. outcome.Bnb.best_bound)
       /. Float.max 1.0 (Float.abs outcome.Bnb.objective))
 
-let extract ?(time_limit = 60.0) ?(node_limit = 200_000) ?warm_start ?cost_bound ?pool
-    ?health ~profile g =
+let extract ?(time_limit = 60.0) ?(node_limit = 200_000) ?warm_start ?pool ?health
+    ~profile g =
   Trace.with_span ~cat:"extraction"
     ~attrs:
       (if !Obs.on then
@@ -147,7 +133,7 @@ let extract ?(time_limit = 60.0) ?(node_limit = 200_000) ?warm_start ?cost_bound
     "ilp.extract"
   @@ fun () ->
   let run () =
-    let enc = encode_with_costs ?cost_bound g ~costs:g.Egraph.costs in
+    let enc = encode g in
     let warm =
       match warm_start with
       | Some s when profile.Bnb.use_warm_start -> warm_start_point g enc s

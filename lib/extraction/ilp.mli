@@ -19,11 +19,6 @@ type encoding = {
 
 val encode : Egraph.t -> encoding
 
-val encode_with_costs : ?cost_bound:float -> Egraph.t -> costs:float array -> encoding
-(** [cost_bound] adds the objective bound cut [sum_i costs(i) s_i <= ub]
-    — safe for any [ub] at least the cost of one known solution, since
-    the optimum satisfies it too; it only tightens the LP relaxation. *)
-
 val gap_of : Bnb.outcome -> float
 (** Relative optimality gap [(objective - best_bound) / max 1 |objective|];
     0 when proved, [infinity] when no incumbent or no finite bound. *)
@@ -41,15 +36,13 @@ val extract :
   ?time_limit:float ->
   ?node_limit:int ->
   ?warm_start:Egraph.Solution.s ->
-  ?cost_bound:float ->
   ?pool:Pool.t ->
   ?health:Health.log ->
   profile:Bnb.profile ->
   Egraph.t ->
   Extractor.r
-(** Full extraction pipeline: encode (with the bound cut when
-    [cost_bound] is given), solve under the given solver profile and
-    time budget, decode, validate. The anytime trace carries the
-    solver's incumbent improvements (Figure 4); notes report nodes,
-    bound and the relative gap. [pool]/[health] are forwarded to
-    {!Bnb.solve}. *)
+(** Full extraction pipeline: encode, solve under the given solver
+    profile and time budget, decode, validate. The anytime trace
+    carries the solver's incumbent improvements (Figure 4); notes
+    report nodes, bound and the relative gap. [pool]/[health] are
+    forwarded to {!Bnb.solve}. *)

@@ -356,8 +356,7 @@ let fig6 bank =
       in
       let time_of device cfg =
         let run = Smoothe_extract.extract ~config:cfg ~device g in
-        if run.Smoothe_extract.oom then nan
-        else run.Smoothe_extract.profile.Smoothe_extract.total_time
+        if run.Smoothe_extract.oom then nan else run.Smoothe_extract.result.Extractor.time_s
       in
       let cpu = time_of Device.cpu_baseline unoptimised in
       let gpu = time_of Device.a100 unoptimised in
@@ -404,7 +403,7 @@ let fig7 bank =
                in
                let run = Smoothe_extract.extract ~config g in
                ( run.Smoothe_extract.result.Extractor.cost,
-                 run.Smoothe_extract.profile.Smoothe_extract.total_time )))
+                 run.Smoothe_extract.result.Extractor.time_s )))
       in
       let costs = Array.of_list costs and times = Array.of_list times in
       Report.row
@@ -418,22 +417,47 @@ let fig7 bank =
 
 (* -------------------------------------------------------------- Fig. 8 *)
 
+(* total seconds per span name in a captured event list *)
+let span_seconds events =
+  let totals = Trace.span_totals_of events in
+  fun name ->
+    match List.find_opt (fun (n, _, _) -> n = name) totals with
+    | Some (_, _, t) -> t
+    | None -> 0.0
+
+(* The first repetition of each Table 2 run again, traced: the shares
+   are summed from its smoothe.* and plan.* spans, whichever executor
+   ran each iteration. *)
 let fig8 bank =
   Report.heading "Figure 8: runtime profiling (share of wall-clock per component)";
   Report.set_columns [ 10; 14; 16; 12 ];
   Report.row [ "Dataset"; "LossCalc"; "GradDescent"; "Sampling" ];
   Report.rule ();
+  let budget = Runbank.budget bank in
   List.iter
     (fun ds ->
+      let config =
+        {
+          budget.Budget.smoothe with
+          Smoothe_config.assumption = Smoothe_config.assumption_of_string ds.Registry.assumption;
+        }
+      in
       let shares =
         List.map
           (fun inst ->
-            let run = List.hd (Runbank.smoothe_runs bank ds inst) in
-            let p = run.Smoothe_extract.profile in
-            let total = Float.max 1e-9 p.Smoothe_extract.total_time in
-            ( p.Smoothe_extract.loss_time /. total,
-              p.Smoothe_extract.grad_time /. total,
-              p.Smoothe_extract.sample_time /. total ))
+            let g = Runbank.egraph bank inst in
+            let (), events =
+              Obs.with_enabled (fun () ->
+                  Metrics.scoped (fun () ->
+                      Trace.capturing (fun () -> ignore (Smoothe_extract.extract ~config g))))
+            in
+            let seconds = span_seconds events in
+            let sum = List.fold_left (fun acc name -> acc +. seconds name) 0.0 in
+            let loss = sum [ "smoothe.forward"; "plan.replay" ]
+            and grad = sum [ "smoothe.backward"; "plan.replay.backward"; "smoothe.adam_step" ]
+            and sample = seconds "smoothe.sample" in
+            let total = Float.max 1e-9 (loss +. grad +. sample) in
+            (loss /. total, grad /. total, sample /. total))
           ds.Registry.instances
       in
       let mean f = Stats.mean (Array.of_list (List.map f shares)) in
@@ -696,9 +720,9 @@ let ablation_temperature bank =
 (* ------------------------------------------------------ phase breakdown *)
 
 (* The Fig. 6 configurations again (scalar vs vectorised backend,
-   matexp optimisations off/on), but with the per-phase wall-clock
-   summed from recorded spans rather than the profile struct, plus the
-   matexp squaring counts that explain the gap. *)
+   matexp optimisations off/on), with the per-phase wall-clock summed
+   from recorded spans, plus the matexp squaring counts that explain
+   the gap. *)
 let phases bank =
   Report.heading "Per-phase breakdown from recorded spans (Fig. 6 configurations)";
   let budget = Runbank.budget bank in
@@ -742,13 +766,8 @@ let phases bank =
                      Trace.capturing (fun () ->
                          ignore (Smoothe_extract.extract ~config ~device g))
                    in
-                   let totals = Trace.span_totals_of evs in
+                   let total = span_seconds evs in
                    Trace.absorb evs;
-                   let total name =
-                     match List.find_opt (fun (n, _, _) -> n = name) totals with
-                     | Some (_, _, t) -> t
-                     | None -> 0.0
-                   in
                    let calls = Metrics.counter_value "tensor.matexp_calls" in
                    let sq = Metrics.counter_value "tensor.matexp_squarings" in
                    [

@@ -1,6 +1,6 @@
 (** Memoised experiment runner.
 
-    Tables 2 and 3 (and Figures 4, 8 and 9) consume the *same* per-
+    Tables 2 and 3 (and Figures 4 and 9) consume the *same* per-
     instance runs, and the oracle normalisation reuses every method's
     best-known solution, so all results are cached per (instance,
     method) within one bench invocation. All runs are deterministic

@@ -16,7 +16,7 @@
    silently wrong snapshot. *)
 
 let magic = "SMCK"
-let format_version = 1
+let format_version = 2
 
 exception Corrupt of string
 
@@ -34,28 +34,34 @@ let fingerprint_to_string fp =
   Printf.sprintf "%s[N=%d,M=%d,seed=%d,batch=%d]" fp.fp_graph fp.fp_nodes fp.fp_classes
     fp.fp_seed fp.fp_batch
 
+type history_point = {
+  iter : int;
+  elapsed : float;
+  relaxed_loss : float;
+  sampled_cost : float;
+  incumbent : float;
+}
+
 type snapshot = {
   fingerprint : fingerprint;
-  iter : int;
-  elapsed : float;  (* budget seconds consumed when the snapshot was taken *)
+  mutable iter : int;
+  mutable elapsed : float;  (* budget seconds consumed, including any resumed offset *)
   rng_state : int64 array;
   theta : Tensor.t;
   adam_m : Tensor.t;
   adam_v : Tensor.t;
-  adam_step : int;
-  adam_lr : float;
-  best_cost : float;
-  best_seed : int;
-  best_choice : int option array option;
-  last_improvement : int;
-  recoveries : int;
+  mutable adam_step : int;
+  mutable adam_lr : float;
+  mutable best_cost : float;
+  mutable best_seed : int;
+  mutable best_choice : int option array option;
+  mutable best_cp : float array option;
+  mutable last_improvement : int;
+  mutable recoveries : int;
   ladder_rung : int;
-  loss_time : float;
-  grad_time : float;
-  sample_time : float;
-  trace : (float * float) list;
-  history : (int * float * float * float * float) list;
-  health : Health.event list;
+  mutable trace : (float * float) list;
+  mutable history : history_point list;
+  health : Health.log;
 }
 
 (* ------------------------------------------------------------ writing *)
@@ -91,6 +97,20 @@ let w_event buf (e : Health.event) =
   w_str buf (Health.kind_name e.Health.kind);
   w_str buf e.Health.detail
 
+(* optional float row: None encoded as -1 *)
+let w_row buf = function
+  | None -> w_int buf (-1)
+  | Some row ->
+      w_int buf (Array.length row);
+      Array.iter (w_f64 buf) row
+
+let w_history buf (h : history_point) =
+  w_int buf h.iter;
+  w_f64 buf h.elapsed;
+  w_f64 buf h.relaxed_loss;
+  w_f64 buf h.sampled_cost;
+  w_f64 buf h.incumbent
+
 let encode snap =
   let buf = Buffer.create 4096 in
   w_str buf snap.fingerprint.fp_graph;
@@ -109,18 +129,13 @@ let encode snap =
   w_f64 buf snap.best_cost;
   w_int buf snap.best_seed;
   w_choice buf snap.best_choice;
+  w_row buf snap.best_cp;
   w_int buf snap.last_improvement;
   w_int buf snap.recoveries;
   w_int buf snap.ladder_rung;
-  w_f64 buf snap.loss_time;
-  w_f64 buf snap.grad_time;
-  w_f64 buf snap.sample_time;
   w_list (fun buf (t, c) -> w_f64 buf t; w_f64 buf c) buf snap.trace;
-  w_list
-    (fun buf (i, e, r, s, inc) ->
-      w_int buf i; w_f64 buf e; w_f64 buf r; w_f64 buf s; w_f64 buf inc)
-    buf snap.history;
-  w_list w_event buf snap.health;
+  w_list w_history buf snap.history;
+  w_list w_event buf (Health.events snap.health);
   Buffer.contents buf
 
 (* ------------------------------------------------------------ reading *)
@@ -185,6 +200,20 @@ let r_event r =
   | Some kind -> { Health.at; member; kind; detail }
   | None -> raise (Corrupt (Printf.sprintf "unknown health kind %S" kind_name))
 
+let r_row r =
+  let n = r_int r in
+  if n < -1 || n > (String.length r.src - r.pos) / 8 then
+    raise (Corrupt (Printf.sprintf "implausible row length %d" n));
+  if n = -1 then None else Some (Array.init n (fun _ -> r_f64 r))
+
+let r_history r =
+  let iter = r_int r in
+  let elapsed = r_f64 r in
+  let relaxed_loss = r_f64 r in
+  let sampled_cost = r_f64 r in
+  let incumbent = r_f64 r in
+  { iter; elapsed; relaxed_loss; sampled_cost; incumbent }
+
 let decode payload =
   let r = { src = payload; pos = 0 } in
   let fp_graph = r_str r in
@@ -198,36 +227,30 @@ let decode payload =
   let theta = r_tensor r in
   let adam_m = r_tensor r in
   let adam_v = r_tensor r in
+  List.iter
+    (fun t ->
+      if t.Tensor.batch <> fp_batch || t.Tensor.width <> fp_nodes then
+        raise (Corrupt "tensor shape does not match the fingerprint"))
+    [ theta; adam_m; adam_v ];
   let adam_step = r_int r in
   let adam_lr = r_f64 r in
   let best_cost = r_f64 r in
   let best_seed = r_int r in
   let best_choice = r_choice r in
+  let best_cp = r_row r in
   let last_improvement = r_int r in
   let recoveries = r_int r in
   let ladder_rung = r_int r in
-  let loss_time = r_f64 r in
-  let grad_time = r_f64 r in
-  let sample_time = r_f64 r in
   let trace = r_list (fun r -> let t = r_f64 r in let c = r_f64 r in (t, c)) r "trace" in
-  let history =
-    r_list
-      (fun r ->
-        let i = r_int r in
-        let e = r_f64 r in
-        let rl = r_f64 r in
-        let s = r_f64 r in
-        let inc = r_f64 r in
-        (i, e, rl, s, inc))
-      r "history"
-  in
-  let health = r_list r_event r "health" in
+  let history = r_list r_history r "history" in
+  let health = Health.create () in
+  List.iter (Health.add health) (r_list r_event r "health");
   if r.pos <> String.length payload then raise (Corrupt "trailing bytes after snapshot");
   {
     fingerprint = { fp_graph; fp_nodes; fp_classes; fp_seed; fp_batch };
     iter; elapsed; rng_state; theta; adam_m; adam_v; adam_step; adam_lr;
-    best_cost; best_seed; best_choice; last_improvement; recoveries; ladder_rung;
-    loss_time; grad_time; sample_time; trace; history; health;
+    best_cost; best_seed; best_choice; best_cp; last_improvement; recoveries; ladder_rung;
+    trace; history; health;
   }
 
 (* ------------------------------------------------------------ framing *)

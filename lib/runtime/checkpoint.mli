@@ -3,9 +3,9 @@
     SmoothE runs are long, stateful optimisation loops; this module
     makes their state durable so a crashed, killed or faulted run
     resumes from its last snapshot instead of restarting — and, because
-    every input to an iteration is captured (θ, Adam moments, RNG
-    state, incumbent, patience counter), the resumed run replays
-    bit-identically to the uninterrupted one.
+    the snapshot is the loop's state record itself (θ, Adam moments,
+    RNG state, incumbent and its marginals, patience counter), the
+    resumed run replays bit-identically to the uninterrupted one.
 
     On disk, a snapshot is a single framed file:
     magic ["SMCK"], a format version, the payload length and a CRC-32
@@ -34,30 +34,41 @@ type fingerprint = {
 
 val fingerprint_to_string : fingerprint -> string
 
+type history_point = {
+  iter : int;
+  elapsed : float;
+  relaxed_loss : float;  (** best per-seed f(p) + λ·h this iteration (Fig. 9's optimisation loss) *)
+  sampled_cost : float;  (** best sampled discrete cost this iteration (Fig. 9's sampling loss) *)
+  incumbent : float;  (** best cost so far *)
+}
+(** One iteration of the optimisation trajectory. *)
+
 type snapshot = {
   fingerprint : fingerprint;
-  iter : int;  (** iterations completed *)
-  elapsed : float;  (** budget seconds consumed before the snapshot *)
-  rng_state : int64 array;  (** xoshiro256** words ({!Rng.state}) *)
+  mutable iter : int;  (** iterations completed *)
+  mutable elapsed : float;  (** budget seconds consumed, including any resumed offset *)
+  rng_state : int64 array;  (** xoshiro256** words ({!Rng.state}) after θ's draw *)
   theta : Tensor.t;
   adam_m : Tensor.t;
   adam_v : Tensor.t;
-  adam_step : int;
-  adam_lr : float;
-  best_cost : float;
-  best_seed : int;
-  best_choice : int option array option;  (** incumbent per-class choice *)
-  last_improvement : int;
-  recoveries : int;  (** numeric-recovery strikes consumed *)
+  mutable adam_step : int;
+  mutable adam_lr : float;
+  mutable best_cost : float;
+  mutable best_seed : int;
+  mutable best_choice : int option array option;  (** incumbent per-class choice *)
+  mutable best_cp : float array option;
+      (** the incumbent seed's cp row at the iteration it was found *)
+  mutable last_improvement : int;
+  mutable recoveries : int;  (** numeric-recovery strikes consumed *)
   ladder_rung : int;  (** OOM derating-ladder position (0 = as configured) *)
-  loss_time : float;
-  grad_time : float;
-  sample_time : float;
-  trace : (float * float) list;  (** anytime curve, chronological *)
-  history : (int * float * float * float * float) list;
-      (** (iter, elapsed, relaxed_loss, sampled_cost, incumbent), chronological *)
-  health : Health.event list;  (** supervision events up to the snapshot *)
+  mutable trace : (float * float) list;  (** anytime curve, newest first *)
+  mutable history : history_point list;  (** newest first *)
+  health : Health.log;  (** supervision events *)
 }
+(** The SmoothE loop's whole state. The loop mutates one value of this
+    type in place (θ and the Adam moments through their tensors), and
+    {!save} serialises it as is, so a snapshot is exactly the state an
+    iteration starts from. *)
 
 (** {1 Codec} *)
 
@@ -66,8 +77,10 @@ val serialize : snapshot -> string
 
 val deserialize : string -> (snapshot, string) result
 (** Inverse of {!serialize}. Every failure mode — short file, bad
-    magic, version skew, length mismatch from a torn write, checksum
-    mismatch from a bit flip, implausible field values — yields
+    magic, version skew (including every version-1 file), length
+    mismatch from a torn write, checksum mismatch from a bit flip,
+    implausible field values, tensors not shaped like the
+    fingerprint's batch × nodes — yields
     [Error reason]; this function never raises and never returns a
     snapshot that did not pass the checksum. *)
 

@@ -7,16 +7,16 @@
     points.
 
     The plan is ambient (installed, not threaded): the instrumented
-    subsystems — the AD tape's backward pass, the device memory model,
+    subsystems — the SmoothE iteration step, the device memory model,
     the LP inner loop, the supervisor's deadline arming — query it
     through the hooks below, which all answer "no fault" when nothing is
     installed, so the fault-free path costs one list lookup. *)
 
 type fault =
   | Nan_grad of int
-      (** Poison the gradient on the [k]-th backward pass (1-based)
-          after installation, at the tape root so NaN flows through the
-          whole tape exactly like a real numeric blow-up. *)
+      (** Poison the θ gradient of the [k]-th SmoothE iteration (1-based,
+          counting iterations that run a backward pass) after
+          installation, whichever executor computed it. *)
   | Mem_pressure of float
       (** Multiply every device footprint by this factor (> 1 shrinks
           the effective memory), simulating external memory pressure. *)
@@ -90,8 +90,8 @@ val active : unit -> t
 (** {1 Hooks for instrumented subsystems} *)
 
 val on_backward : unit -> bool
-(** Called by [Ad.backward] once per backward pass; [true] means
-    "poison this pass's seed gradient with NaN". *)
+(** Called by the SmoothE loop once per iteration that runs a backward
+    pass; [true] means "poison this iteration's θ gradient with NaN". *)
 
 val mem_pressure : unit -> float
 (** Footprint multiplier for the device memory model; 1.0 when no

@@ -10,6 +10,7 @@ type kind =
   | Checkpoint_corrupt
   | Resumed
   | Preflight
+  | Plan
   | Journal_torn
   | Replayed
   | Watchdog_restart
@@ -23,7 +24,7 @@ type log = { created : float; events : event Vec.t }
 let all_kinds =
   [
     Fault_injected; Nan_detected; Recovery; Oom_derate; Timeout; Member_failed;
-    Budget_reallocated; Degraded; Checkpoint_corrupt; Resumed; Preflight;
+    Budget_reallocated; Degraded; Checkpoint_corrupt; Resumed; Preflight; Plan;
     Journal_torn; Replayed; Watchdog_restart; Crash_loop; Warm_start_rejected;
   ]
 
@@ -39,6 +40,7 @@ let kind_name = function
   | Checkpoint_corrupt -> "checkpoint-corrupt"
   | Resumed -> "resumed"
   | Preflight -> "preflight"
+  | Plan -> "plan"
   | Journal_torn -> "journal-torn"
   | Replayed -> "replayed"
   | Watchdog_restart -> "watchdog-restart"

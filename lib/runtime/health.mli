@@ -25,6 +25,10 @@ type kind =
       (** a static pre-flight analysis finding (e-graph lint) surfaced
           before the first iteration; detail carries the rendered
           diagnostic *)
+  | Plan
+      (** the SmoothE loop's static plan armed ([plan armed: …]) or was
+          disabled ([plan disabled: …]), together with the plan-analysis
+          diagnostics that caused a disable *)
   | Journal_torn
       (** a request-journal frame failed its checksum / framing check
           (torn append, bit rot) and was dropped on the startup scan *)

@@ -426,20 +426,6 @@ let test_hybrid_rejects_invalid_incumbent () =
     o.Hybrid.result.Extractor.cost;
   Alcotest.(check bool) "proved" true o.Hybrid.result.Extractor.proved_optimal
 
-let test_ilp_cost_bound_row () =
-  (* the objective bound cut row: a cut above the optimum leaves it
-     reachable, a cut strictly below it makes the encoding infeasible *)
-  let g = Fig1.egraph () in
-  let solve cb =
-    let enc = Ilp.encode_with_costs ?cost_bound:cb g ~costs:g.Egraph.costs in
-    Bnb.solve enc.Ilp.problem ~integer_vars:enc.Ilp.integer_vars
-      (Bnb.default_options Bnb.cplex_like)
-  in
-  let above = solve (Some (Fig1.optimal_cost +. 0.5)) in
-  Test_util.check_close ~msg:"optimum under the cut" Fig1.optimal_cost above.Bnb.objective;
-  let below = solve (Some (Fig1.optimal_cost -. 0.5)) in
-  Alcotest.(check bool) "cut excludes everything" true (below.Bnb.incumbent = None)
-
 let test_ilp_gap_note_finite () =
   (* with a node-limited weak profile the solve stops early; the "gap"
      stat must still be finite (regression: a -infinity DFS frontier
@@ -522,7 +508,6 @@ let () =
           ilp_matches_brute_force;
           ilp_matches_brute_force_cyclic;
           Alcotest.test_case "warm start round trip" `Quick test_ilp_warm_start_round_trip;
-          Alcotest.test_case "cost bound row" `Quick test_ilp_cost_bound_row;
           Alcotest.test_case "gap note finite under node limit" `Quick test_ilp_gap_note_finite;
         ] );
       ( "hybrid",

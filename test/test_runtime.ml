@@ -309,10 +309,15 @@ let with_tmpdir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
+let health_log events =
+  let log = Health.create () in
+  List.iter (Health.add log) events;
+  log
+
 let mk_snapshot ?(iter = 10) () =
   {
     Checkpoint.fingerprint =
-      { Checkpoint.fp_graph = "g"; fp_nodes = 4; fp_classes = 2; fp_seed = 1; fp_batch = 2 };
+      { Checkpoint.fp_graph = "g"; fp_nodes = 2; fp_classes = 2; fp_seed = 1; fp_batch = 2 };
     iter;
     elapsed = 1.5;
     rng_state = [| 1L; 2L; 3L; 4L |];
@@ -324,15 +329,20 @@ let mk_snapshot ?(iter = 10) () =
     best_cost = 42.0;
     best_seed = 1;
     best_choice = Some [| Some 0; None |];
+    best_cp = Some [| 0.25; 0.75 |];
     last_improvement = 8;
     recoveries = 0;
     ladder_rung = 0;
-    loss_time = 0.01;
-    grad_time = 0.02;
-    sample_time = 0.003;
-    trace = [ (0.1, 50.0); (0.4, 42.0) ];
-    history = [ (1, 0.1, 1.0, 50.0, 50.0); (2, 0.4, 0.9, 42.0, 42.0) ];
-    health = [ { Health.at = 0.2; member = "smoothe"; kind = Health.Recovery; detail = "x" } ];
+    trace = [ (0.4, 42.0); (0.1, 50.0) ];
+    history =
+      [
+        { Checkpoint.iter = 2; elapsed = 0.4; relaxed_loss = 0.9; sampled_cost = 42.0;
+          incumbent = 42.0 };
+        { Checkpoint.iter = 1; elapsed = 0.1; relaxed_loss = 1.0; sampled_cost = 50.0;
+          incumbent = 50.0 };
+      ];
+    health =
+      health_log [ { Health.at = 0.2; member = "smoothe"; kind = Health.Recovery; detail = "x" } ];
   }
 
 (* floats compare bitwise so NaN payloads and signed zeros round-trip *)
@@ -344,6 +354,9 @@ let teq a b =
   && Array.for_all2 feq (Tensor.unsafe_data a) (Tensor.unsafe_data b)
 
 let snapshot_equal (a : Checkpoint.snapshot) (b : Checkpoint.snapshot) =
+  let rows_eq x y = Array.length x = Array.length y && Array.for_all2 feq x y in
+  let health_a = Health.events a.Checkpoint.health
+  and health_b = Health.events b.Checkpoint.health in
   a.Checkpoint.fingerprint = b.Checkpoint.fingerprint
   && a.Checkpoint.iter = b.Checkpoint.iter
   && feq a.Checkpoint.elapsed b.Checkpoint.elapsed
@@ -356,18 +369,23 @@ let snapshot_equal (a : Checkpoint.snapshot) (b : Checkpoint.snapshot) =
   && feq a.Checkpoint.best_cost b.Checkpoint.best_cost
   && a.Checkpoint.best_seed = b.Checkpoint.best_seed
   && a.Checkpoint.best_choice = b.Checkpoint.best_choice
+  && Option.equal rows_eq a.Checkpoint.best_cp b.Checkpoint.best_cp
   && a.Checkpoint.last_improvement = b.Checkpoint.last_improvement
   && a.Checkpoint.recoveries = b.Checkpoint.recoveries
   && a.Checkpoint.ladder_rung = b.Checkpoint.ladder_rung
-  && feq a.Checkpoint.loss_time b.Checkpoint.loss_time
-  && feq a.Checkpoint.grad_time b.Checkpoint.grad_time
-  && feq a.Checkpoint.sample_time b.Checkpoint.sample_time
+  && List.length a.Checkpoint.trace = List.length b.Checkpoint.trace
+  && List.length a.Checkpoint.history = List.length b.Checkpoint.history
+  && List.length health_a = List.length health_b
   && List.for_all2
        (fun (t1, c1) (t2, c2) -> feq t1 t2 && feq c1 c2)
        a.Checkpoint.trace b.Checkpoint.trace
   && List.for_all2
-       (fun (i1, e1, r1, s1, n1) (i2, e2, r2, s2, n2) ->
-         i1 = i2 && feq e1 e2 && feq r1 r2 && feq s1 s2 && feq n1 n2)
+       (fun (x : Checkpoint.history_point) (y : Checkpoint.history_point) ->
+         x.Checkpoint.iter = y.Checkpoint.iter
+         && feq x.Checkpoint.elapsed y.Checkpoint.elapsed
+         && feq x.Checkpoint.relaxed_loss y.Checkpoint.relaxed_loss
+         && feq x.Checkpoint.sampled_cost y.Checkpoint.sampled_cost
+         && feq x.Checkpoint.incumbent y.Checkpoint.incumbent)
        a.Checkpoint.history b.Checkpoint.history
   && List.for_all2
        (fun (x : Health.event) (y : Health.event) ->
@@ -375,10 +393,7 @@ let snapshot_equal (a : Checkpoint.snapshot) (b : Checkpoint.snapshot) =
          && x.Health.member = y.Health.member
          && x.Health.kind = y.Health.kind
          && x.Health.detail = y.Health.detail)
-       a.Checkpoint.health b.Checkpoint.health
-  && List.length a.Checkpoint.trace = List.length b.Checkpoint.trace
-  && List.length a.Checkpoint.history = List.length b.Checkpoint.history
-  && List.length a.Checkpoint.health = List.length b.Checkpoint.health
+       health_a health_b
 
 let test_checkpoint_roundtrip () =
   let snap = mk_snapshot () in
@@ -476,16 +491,12 @@ let test_torn_write_falls_back () =
 let snapshot_gen =
   let open QCheck2.Gen in
   let f64 = float in
-  let tensor =
-    pair (int_range 1 3) (int_range 1 4) >>= fun (batch, width) ->
-    array_repeat (batch * width) f64 >|= fun xs -> Tensor.of_array ~batch ~width xs
-  in
   let kind =
     oneofl
       [
         Health.Fault_injected; Health.Nan_detected; Health.Recovery; Health.Oom_derate;
         Health.Timeout; Health.Member_failed; Health.Budget_reallocated; Health.Degraded;
-        Health.Checkpoint_corrupt; Health.Resumed;
+        Health.Checkpoint_corrupt; Health.Resumed; Health.Plan;
       ]
   in
   let small_string = string_size ~gen:(char_range 'a' 'z') (int_range 0 8) in
@@ -498,11 +509,23 @@ let snapshot_gen =
   let choice =
     option (list_size (int_range 0 6) (option (int_range 0 1000)) >|= Array.of_list)
   in
+  let history_point =
+    nat >>= fun iter ->
+    f64 >>= fun elapsed ->
+    f64 >>= fun relaxed_loss ->
+    f64 >>= fun sampled_cost ->
+    f64 >|= fun incumbent ->
+    { Checkpoint.iter; elapsed; relaxed_loss; sampled_cost; incumbent }
+  in
   small_string >>= fun fp_graph ->
-  int_range 1 1000 >>= fun fp_nodes ->
+  int_range 1 4 >>= fun fp_nodes ->
   int_range 1 1000 >>= fun fp_classes ->
   int_range 0 9999 >>= fun fp_seed ->
-  int_range 1 64 >>= fun fp_batch ->
+  int_range 1 3 >>= fun fp_batch ->
+  (* the decoder insists θ and the moments are shaped as the fingerprint *)
+  let tensor =
+    array_repeat (fp_batch * fp_nodes) f64 >|= Tensor.of_array ~batch:fp_batch ~width:fp_nodes
+  in
   int_range 0 10_000 >>= fun iter ->
   f64 >>= fun elapsed ->
   array_repeat 4 (map Int64.of_int int) >>= fun rng_words ->
@@ -514,23 +537,18 @@ let snapshot_gen =
   f64 >>= fun best_cost ->
   int_range (-1) 63 >>= fun best_seed ->
   choice >>= fun best_choice ->
+  option (array_repeat fp_nodes f64) >>= fun best_cp ->
   int_range 0 10_000 >>= fun last_improvement ->
   int_range 0 5 >>= fun recoveries ->
   int_range 0 4 >>= fun ladder_rung ->
-  f64 >>= fun loss_time ->
-  f64 >>= fun grad_time ->
-  f64 >>= fun sample_time ->
   list_size (int_range 0 5) (pair f64 f64) >>= fun trace ->
-  list_size (int_range 0 5) (pair (pair nat f64) (pair f64 (pair f64 f64)))
-  >>= fun raw_history ->
-  list_size (int_range 0 4) event >|= fun health ->
+  list_size (int_range 0 5) history_point >>= fun history ->
+  list_size (int_range 0 4) event >|= fun events ->
   {
     Checkpoint.fingerprint = { Checkpoint.fp_graph; fp_nodes; fp_classes; fp_seed; fp_batch };
     iter; elapsed; rng_state = rng_words; theta; adam_m; adam_v; adam_step; adam_lr;
-    best_cost; best_seed; best_choice; last_improvement; recoveries; ladder_rung;
-    loss_time; grad_time; sample_time; trace;
-    history = List.map (fun ((i, e), (r, (s, n))) -> (i, e, r, s, n)) raw_history;
-    health;
+    best_cost; best_seed; best_choice; best_cp; last_improvement; recoveries; ladder_rung;
+    trace; history; health = health_log events;
   }
 
 let qtest ?(count = 100) name gen prop =
@@ -573,6 +591,13 @@ let check_same_run ~msg (clean : Smoothe_extract.run) (resumed : Smoothe_extract
        resumed.Smoothe_extract.result.Extractor.cost);
   Alcotest.(check int) (msg ^ ": recoveries") clean.Smoothe_extract.recoveries
     resumed.Smoothe_extract.recoveries;
+  (* the incumbent's marginals, which the hybrid pipeline fixes with *)
+  Alcotest.(check bool)
+    (msg ^ ": final cp bit-identical")
+    true
+    (Option.equal
+       (fun a b -> Array.length a = Array.length b && Array.for_all2 feq a b)
+       clean.Smoothe_extract.final_cp resumed.Smoothe_extract.final_cp);
   (* full optimisation trajectory, modulo the wall-clock column *)
   Alcotest.(check int) (msg ^ ": history length")
     (List.length clean.Smoothe_extract.history)
@@ -589,9 +614,11 @@ let check_same_run ~msg (clean : Smoothe_extract.run) (resumed : Smoothe_extract
         (feq a.Smoothe_extract.incumbent b.Smoothe_extract.incumbent))
     clean.Smoothe_extract.history resumed.Smoothe_extract.history
 
-let test_resume_determinism () =
+let test_resume_determinism plan =
+  let config = { resume_cfg with Smoothe_config.plan } in
+  let msg what = Printf.sprintf "plan %s: %s" (Smoothe_config.plan_mode_name plan) what in
   let g = small_graph () in
-  let clean = Smoothe_extract.extract ~config:resume_cfg g in
+  let clean = Smoothe_extract.extract ~config g in
   with_tmpdir @@ fun dir ->
   let st = Checkpoint.store ~dir ~name:"resume" () in
   let log = Health.create () in
@@ -606,23 +633,22 @@ let test_resume_determinism () =
               if attempt = 0 then None
               else Option.map fst (Checkpoint.load_latest ~health:log st)
             in
-            Smoothe_extract.extract ~config:resume_cfg ~checkpoint:st ~checkpoint_every:5
-              ?resume_from g))
+            Smoothe_extract.extract ~config ~checkpoint:st ~checkpoint_every:5 ?resume_from g))
   in
   let resumed =
     match outcome with
     | Supervisor.Finished run -> run
-    | Supervisor.Crashed { exn } -> Alcotest.failf "retry did not recover: %s" exn
+    | Supervisor.Crashed { exn } -> Alcotest.failf "%s: %s" (msg "retry did not recover") exn
   in
   (* the injected kill actually happened, and the retry resumed *)
-  Alcotest.(check bool) "member failure recorded" true
+  Alcotest.(check bool) (msg "member failure recorded") true
     (Health.count log Health.Member_failed >= 1);
-  Alcotest.(check bool) "retry recorded" true (Health.count log Health.Recovery >= 1);
-  Alcotest.(check bool) "resume recorded on the run" true
+  Alcotest.(check bool) (msg "retry recorded") true (Health.count log Health.Recovery >= 1);
+  Alcotest.(check bool) (msg "resume recorded on the run") true
     (List.exists
        (fun e -> e.Health.kind = Health.Resumed)
        resumed.Smoothe_extract.health);
-  check_same_run ~msg:"killed@13 vs uninterrupted" clean resumed
+  check_same_run ~msg:(msg "killed@13 vs uninterrupted") clean resumed
 
 let test_resume_rejects_foreign_snapshot () =
   (* a snapshot from a different run must not silently warm-start *)
@@ -649,40 +675,68 @@ let test_timer_poll () =
 
 (* --- numeric recovery in the smoothe loop ----------------------------- *)
 
-let test_nan_recovery () =
+let test_nan_recovery plan =
+  let config = { quick_cfg with Smoothe_config.plan } in
+  let msg what = Printf.sprintf "plan %s: %s" (Smoothe_config.plan_mode_name plan) what in
   let g = small_graph () in
-  let clean = Smoothe_extract.extract ~config:quick_cfg g in
-  Fault_plan.with_plan
-    [ Fault_plan.Nan_grad 3 ]
-    (fun () ->
-      let run = Smoothe_extract.extract ~config:quick_cfg g in
-      Alcotest.(check bool) "survives the poisoned pass" true
-        (run.Smoothe_extract.result.Extractor.solution <> None);
-      Alcotest.(check bool) "recovery counted" true (run.Smoothe_extract.recoveries >= 1);
-      Alcotest.(check bool) "injection logged" true
-        (List.exists
-           (fun e -> e.Health.kind = Health.Fault_injected)
-           run.Smoothe_extract.health);
-      Alcotest.(check bool) "nan detected" true
-        (List.exists
-           (fun e -> e.Health.kind = Health.Nan_detected)
-           run.Smoothe_extract.health);
-      Alcotest.(check bool) "recovery noted on result" true
-        (List.mem_assoc "recoveries" run.Smoothe_extract.result.Extractor.notes);
-      (* history still covers every iteration *)
-      Alcotest.(check int) "history covers every iteration"
-        run.Smoothe_extract.iterations
-        (List.length run.Smoothe_extract.history));
+  let clean = Smoothe_extract.extract ~config g in
+  let faulted =
+    Fault_plan.with_plan
+      [ Fault_plan.Nan_grad 3 ]
+      (fun () ->
+        let run = Smoothe_extract.extract ~config g in
+        Alcotest.(check bool) (msg "survives the poisoned pass") true
+          (run.Smoothe_extract.result.Extractor.solution <> None);
+        Alcotest.(check bool) (msg "recovery counted") true
+          (run.Smoothe_extract.recoveries >= 1);
+        Alcotest.(check bool) (msg "injection logged") true
+          (List.exists
+             (fun e -> e.Health.kind = Health.Fault_injected)
+             run.Smoothe_extract.health);
+        Alcotest.(check bool) (msg "nan detected") true
+          (List.exists
+             (fun e -> e.Health.kind = Health.Nan_detected)
+             run.Smoothe_extract.health);
+        Alcotest.(check bool) (msg "recovery noted on result") true
+          (List.mem_assoc "recoveries" run.Smoothe_extract.result.Extractor.notes);
+        (* history still covers every iteration *)
+        Alcotest.(check int) (msg "history covers every iteration")
+          run.Smoothe_extract.iterations
+          (List.length run.Smoothe_extract.history);
+        run)
+  in
   (* the ambient plan leaks nothing: a fault-free rerun is identical *)
-  let after = Smoothe_extract.extract ~config:quick_cfg g in
-  Alcotest.(check (float 1e-12)) "same cost after faulted run"
+  let after = Smoothe_extract.extract ~config g in
+  Alcotest.(check (float 1e-12)) (msg "same cost after faulted run")
     clean.Smoothe_extract.result.Extractor.cost after.Smoothe_extract.result.Extractor.cost;
-  Alcotest.(check int) "same iterations" clean.Smoothe_extract.iterations
+  Alcotest.(check int) (msg "same iterations") clean.Smoothe_extract.iterations
     after.Smoothe_extract.iterations;
-  Alcotest.(check int) "same best seed" clean.Smoothe_extract.best_seed
+  Alcotest.(check int) (msg "same best seed") clean.Smoothe_extract.best_seed
     after.Smoothe_extract.best_seed;
-  Alcotest.(check int) "no recoveries" 0 after.Smoothe_extract.recoveries;
-  Alcotest.(check bool) "healthy" true (after.Smoothe_extract.health = [])
+  Alcotest.(check int) (msg "no recoveries") 0 after.Smoothe_extract.recoveries;
+  (* healthy: nothing but the plan arming, when the plan is on *)
+  Alcotest.(check (list string)) (msg "healthy")
+    (if plan = Smoothe_config.Plan_off then [] else [ "plan" ])
+    (List.map (fun e -> Health.kind_name e.Health.kind) after.Smoothe_extract.health);
+  faulted
+
+(* nan@K names the same iteration whichever executor runs it, so the
+   recovered runs agree across plan modes *)
+let test_nan_recovery_across_plans () =
+  let runs =
+    List.map test_nan_recovery
+      [ Smoothe_config.Plan_off; Smoothe_config.Plan_on; Smoothe_config.Plan_check ]
+  in
+  let off = List.hd runs in
+  List.iter
+    (fun run ->
+      Alcotest.(check bool) "recovered cost bit-identical across plan modes" true
+        (feq off.Smoothe_extract.result.Extractor.cost run.Smoothe_extract.result.Extractor.cost);
+      Alcotest.(check int) "iterations equal across plan modes" off.Smoothe_extract.iterations
+        run.Smoothe_extract.iterations;
+      Alcotest.(check int) "recoveries equal across plan modes" off.Smoothe_extract.recoveries
+        run.Smoothe_extract.recoveries)
+    runs
 
 (* --- the pre-flight gate ---------------------------------------------- *)
 
@@ -915,14 +969,15 @@ let () =
         ] );
       ( "resume",
         [
-          Alcotest.test_case "kill and resume is deterministic" `Quick
-            test_resume_determinism;
+          Alcotest.test_case "kill and resume is deterministic" `Quick (fun () ->
+              List.iter test_resume_determinism
+                [ Smoothe_config.Plan_off; Smoothe_config.Plan_on ]);
           Alcotest.test_case "foreign snapshot refused" `Quick
             test_resume_rejects_foreign_snapshot;
         ] );
       ( "recovery",
         [
-          Alcotest.test_case "nan recovery" `Quick test_nan_recovery;
+          Alcotest.test_case "nan recovery" `Quick test_nan_recovery_across_plans;
           Alcotest.test_case "preflight is bit-identical" `Quick test_preflight_bit_identical;
           Alcotest.test_case "preflight flags corrupt graph" `Quick
             test_preflight_flags_corrupt_graph;
