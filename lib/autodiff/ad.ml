@@ -188,8 +188,8 @@ let mul a b =
     Some
       (fun () ->
         let g = grad_tensor out in
-        Tensor.add_inplace (grad_tensor a) (Tensor.mul g b.value);
-        Tensor.add_inplace (grad_tensor b) (Tensor.mul g a.value));
+        Tensor.mul_grad ~into:(grad_tensor a) ~g b.value;
+        Tensor.mul_grad ~into:(grad_tensor b) ~g a.value);
   out
 
 let neg a =
@@ -217,32 +217,20 @@ let add_scalar k a =
 
 let one_minus a = add_scalar 1.0 (neg a)
 
-let log_floor = 1e-12
-
 let log_safe a =
   let tp = owner a in
-  let out =
-    node ~op:"log_safe" ~args:[| a |] tp
-      (Tensor.map (fun x -> Stdlib.log (Float.max x log_floor)) a.value)
-      None
-  in
+  let y = Tensor.create ~batch:a.value.Tensor.batch ~width:a.value.Tensor.width in
+  Tensor.log_safe_into ~out:y a.value;
+  let out = node ~op:"log_safe" ~args:[| a |] tp y None in
   out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let inv = Tensor.map (fun x -> 1.0 /. Float.max x log_floor) a.value in
-        Tensor.add_inplace (grad_tensor a) (Tensor.mul g inv));
+    Some (fun () -> Tensor.log_safe_grad ~into:(grad_tensor a) ~g:(grad_tensor out) a.value);
   out
 
 let relu a =
   let tp = owner a in
   let out = node ~op:"relu" ~args:[| a |] tp (Tensor.relu a.value) None in
   out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let mask = Tensor.map (fun x -> if x > 0.0 then 1.0 else 0.0) a.value in
-        Tensor.add_inplace (grad_tensor a) (Tensor.mul g mask));
+    Some (fun () -> Tensor.relu_grad ~into:(grad_tensor a) ~g:(grad_tensor out) a.value);
   out
 
 let gather_meta idx =
@@ -277,16 +265,7 @@ let segment_softmax a seg =
   let y = Segments.softmax a.value seg in
   let out = node ~op:"segment_softmax" ~meta:(segments_meta seg) ~payload:(P_segments seg) ~args:[| a |] tp y None in
   out.pull <-
-    Some
-      (fun () ->
-        (* dθ_i = y_i (g_i - Σ_{j in seg} g_j y_j) *)
-        let g = grad_tensor out in
-        let gy = Tensor.mul g y in
-        let seg_dot = Segments.sum gy seg in
-        let owner_of = Segments.seg_of_index seg in
-        let spread = Segments.gather seg_dot owner_of in
-        let corr = Tensor.mul y (Tensor.sub g spread) in
-        Tensor.add_inplace (grad_tensor a) corr);
+    Some (fun () -> Segments.softmax_grad ~into:(grad_tensor a) ~g:(grad_tensor out) ~y seg);
   out
 
 let segment_sum a seg =
@@ -295,12 +274,7 @@ let segment_sum a seg =
     node ~op:"segment_sum" ~meta:(segments_meta seg) ~payload:(P_segments seg) ~args:[| a |] tp
       (Segments.sum a.value seg) None
   in
-  out.pull <-
-    Some
-      (fun () ->
-        let owner_of = Segments.seg_of_index seg in
-        let spread = Segments.gather (grad_tensor out) owner_of in
-        Tensor.add_inplace (grad_tensor a) spread);
+  out.pull <- Some (fun () -> Segments.sum_grad ~into:(grad_tensor a) ~g:(grad_tensor out) seg);
   out
 
 let segment_prod a seg =
@@ -312,10 +286,8 @@ let segment_prod a seg =
   out.pull <-
     Some
       (fun () ->
-        let others = Segments.prod_grad_scratch a.value seg in
-        let owner_of = Segments.seg_of_index seg in
-        let spread = Segments.gather (grad_tensor out) owner_of in
-        Tensor.add_inplace (grad_tensor a) (Tensor.mul spread others));
+        let scratch = Tensor.create ~batch:a.value.Tensor.batch ~width:a.value.Tensor.width in
+        Segments.prod_grad ~into:(grad_tensor a) ~g:(grad_tensor out) ~scratch a.value seg);
   out
 
 let segment_max a seg =
@@ -323,109 +295,48 @@ let segment_max a seg =
   let y, argmax = Segments.max a.value seg in
   let out = node ~op:"segment_max" ~meta:(segments_meta seg) ~payload:(P_segments seg) ~args:[| a |] tp y None in
   out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        Array.iteri
-          (fun flat src_pos -> if src_pos >= 0 then gad.(src_pos) <- gad.(src_pos) +. gd.(flat))
-          argmax);
+    Some (fun () -> Segments.max_grad ~into:(grad_tensor a) ~g:(grad_tensor out) ~arg:argmax);
   out
 
 let override_columns a pins =
   let tp = owner a in
-  let y = Tensor.copy a.value in
-  List.iter
-    (fun (col, c) ->
-      for b = 0 to y.Tensor.batch - 1 do
-        Tensor.set y b col c
-      done)
-    pins;
-  let out =
-    node ~op:"override_columns" ~meta:(Ir.M_columns (Array.of_list pins)) ~args:[| a |]
-      tp y None
-  in
+  let pins = Array.of_list pins in
+  let y = Tensor.create ~batch:a.value.Tensor.batch ~width:a.value.Tensor.width in
+  Tensor.override_columns_into ~out:y pins a.value;
+  let out = node ~op:"override_columns" ~meta:(Ir.M_columns pins) ~args:[| a |] tp y None in
   out.pull <-
     Some
-      (fun () ->
-        let g = Tensor.copy (grad_tensor out) in
-        List.iter
-          (fun (col, _) ->
-            for b = 0 to g.Tensor.batch - 1 do
-              Tensor.set g b col 0.0
-            done)
-          pins;
-        Tensor.add_inplace (grad_tensor a) g);
+      (fun () -> Tensor.override_columns_grad ~into:(grad_tensor a) ~g:(grad_tensor out) pins);
   out
 
 let mean_rows a =
   let tp = owner a in
   let out = node ~op:"mean_rows" ~args:[| a |] tp (Tensor.mean_rows a.value) None in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let inv = 1.0 /. float_of_int (max 1 a.value.Tensor.batch) in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        let w = a.value.Tensor.width in
-        for b = 0 to a.value.Tensor.batch - 1 do
-          for i = 0 to w - 1 do
-            gad.((b * w) + i) <- gad.((b * w) + i) +. (gd.(i) *. inv)
-          done
-        done);
+  out.pull <- Some (fun () -> Tensor.mean_rows_grad ~into:(grad_tensor a) ~g:(grad_tensor out));
   out
 
 let slice_row a b =
   let tp = owner a in
-  let y = Tensor.of_row (Tensor.row a.value b) in
+  let y = Tensor.create ~batch:1 ~width:a.value.Tensor.width in
+  Tensor.slice_row_into ~out:y a.value b;
   let out = node ~op:"slice_row" ~meta:(Ir.M_row b) ~args:[| a |] tp y None in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let w = a.value.Tensor.width in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        for i = 0 to w - 1 do
-          gad.((b * w) + i) <- gad.((b * w) + i) +. gd.(i)
-        done);
+  out.pull <- Some (fun () -> Tensor.slice_row_grad ~into:(grad_tensor a) ~g:(grad_tensor out) b);
   out
 
 let sum_width a =
   let tp = owner a in
-  let sums = Tensor.sum_rows a.value in
-  let y = Tensor.of_array ~batch:a.value.Tensor.batch ~width:1 sums in
+  let y = Tensor.create ~batch:a.value.Tensor.batch ~width:1 in
+  Tensor.sum_rows_into ~out:y a.value;
   let out = node ~op:"sum_width" ~args:[| a |] tp y None in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let w = a.value.Tensor.width in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        for b = 0 to a.value.Tensor.batch - 1 do
-          let gb = gd.(b) in
-          for i = 0 to w - 1 do
-            gad.((b * w) + i) <- gad.((b * w) + i) +. gb
-          done
-        done);
+  out.pull <- Some (fun () -> Tensor.sum_rows_grad ~into:(grad_tensor a) ~g:(grad_tensor out));
   out
 
 let sum_all a =
   let tp = owner a in
-  let y = Tensor.of_array ~batch:1 ~width:1 [| Tensor.sum a.value |] in
+  let y = Tensor.create ~batch:1 ~width:1 in
+  Tensor.sum_all_into ~out:y a.value;
   let out = node ~op:"sum_all" ~args:[| a |] tp y None in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = Tensor.get (grad_tensor out) 0 0 in
-        let ga = grad_tensor a in
-        let gad = Tensor.unsafe_data ga in
-        for i = 0 to Tensor.numel a.value - 1 do
-          gad.(i) <- gad.(i) +. g
-        done);
+  out.pull <- Some (fun () -> Tensor.sum_all_grad ~into:(grad_tensor a) ~g:(grad_tensor out));
   out
 
 let mean_all a =
@@ -435,33 +346,12 @@ let mean_all a =
 let dot_const a u =
   if Array.length u <> a.value.Tensor.width then invalid_arg "Ad.dot_const: width mismatch";
   let tp = owner a in
-  let batch = a.value.Tensor.batch and w = a.value.Tensor.width in
-  let y = Tensor.create ~batch ~width:1 in
-  let ad = Tensor.unsafe_data a.value and yd = Tensor.unsafe_data y in
-  for b = 0 to batch - 1 do
-    let acc = ref 0.0 in
-    let base = b * w in
-    for i = 0 to w - 1 do
-      acc := !acc +. (ad.(base + i) *. u.(i))
-    done;
-    yd.(b) <- !acc
-  done;
+  let y = Tensor.create ~batch:a.value.Tensor.batch ~width:1 in
+  Tensor.dot_const_into ~out:y a.value u;
   let out =
     node ~op:"dot_const" ~meta:(Ir.M_width (Array.length u)) ~payload:(P_coeffs u) ~args:[| a |] tp y None
   in
-  out.pull <-
-    Some
-      (fun () ->
-        let g = grad_tensor out in
-        let ga = grad_tensor a in
-        let gd = Tensor.unsafe_data g and gad = Tensor.unsafe_data ga in
-        for b = 0 to batch - 1 do
-          let gb = gd.(b) in
-          let base = b * w in
-          for i = 0 to w - 1 do
-            gad.(base + i) <- gad.(base + i) +. (gb *. u.(i))
-          done
-        done);
+  out.pull <- Some (fun () -> Tensor.dot_const_grad ~into:(grad_tensor a) ~g:(grad_tensor out) u);
   out
 
 let linear ~input ~weight ~bias =
@@ -470,13 +360,7 @@ let linear ~input ~weight ~bias =
   if w.Tensor.width <> x.Tensor.width then invalid_arg "Ad.linear: in_features mismatch";
   if b.Tensor.width <> w.Tensor.batch then invalid_arg "Ad.linear: bias width mismatch";
   let y = Tensor.matmul_nt x w in
-  let yd = Tensor.unsafe_data y and bd = Tensor.unsafe_data b in
-  let h = w.Tensor.batch in
-  for row = 0 to y.Tensor.batch - 1 do
-    for j = 0 to h - 1 do
-      yd.((row * h) + j) <- yd.((row * h) + j) +. bd.(j)
-    done
-  done;
+  Tensor.add_bias_rows ~out:y b;
   let out = node ~op:"linear" ~args:[| input; weight; bias |] tp y None in
   out.pull <-
     Some
@@ -487,13 +371,7 @@ let linear ~input ~weight ~bias =
         (* dW = Gᵀ · X       : (H,B)x(B,N) -> (H,N) *)
         Tensor.add_inplace (grad_tensor weight) (Tensor.matmul (Tensor.transpose g) x);
         (* db = column sums of G *)
-        let gb = grad_tensor bias in
-        let gbd = Tensor.unsafe_data gb and gd = Tensor.unsafe_data g in
-        for row = 0 to g.Tensor.batch - 1 do
-          for j = 0 to h - 1 do
-            gbd.(j) <- gbd.(j) +. gd.((row * h) + j)
-          done
-        done);
+        Tensor.linear_bias_grad ~into:(grad_tensor bias) ~g);
   out
 
 let mse ~pred ~target =
@@ -504,8 +382,7 @@ let matrix_of_entries cp ~dim entries =
   let tp = owner cp in
   if cp.value.Tensor.batch <> 1 then invalid_arg "Ad.matrix_of_entries: expected a (1,N) input";
   let a = Tensor.create ~batch:dim ~width:dim in
-  let src = Tensor.unsafe_data cp.value and dst = Tensor.unsafe_data a in
-  Array.iter (fun (col, i, j) -> dst.((i * dim) + j) <- dst.((i * dim) + j) +. src.(col)) entries;
+  Tensor.matrix_of_entries_into ~out:a ~dim entries cp.value;
   let class_min =
     Array.fold_left (fun m (_, i, j) -> min m (min i j)) (if Array.length entries = 0 then 0 else max_int) entries
   in
@@ -520,10 +397,7 @@ let matrix_of_entries cp ~dim entries =
   out.pull <-
     Some
       (fun () ->
-        let g = grad_tensor out in
-        let gcp = grad_tensor cp in
-        let gd = Tensor.unsafe_data g and gcpd = Tensor.unsafe_data gcp in
-        Array.iter (fun (col, i, j) -> gcpd.(col) <- gcpd.(col) +. gd.((i * dim) + j)) entries);
+        Tensor.matrix_of_entries_grad ~into:(grad_tensor cp) ~g:(grad_tensor out) ~dim entries);
   out
 
 let expm_trace a =

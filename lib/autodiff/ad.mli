@@ -13,6 +13,12 @@
     single-use: one forward/backward pair per tape; a second {!backward}
     on the same tape raises [Invalid_argument].
 
+    Every operator computes its value with a [Tensor]/[Segments] kernel
+    and its pull with that kernel's fused in-place adjoint — the same
+    kernels [Plan] replays — so a pull allocates no temporaries beyond
+    [segment_prod]'s product-of-others scratch and the matmul
+    intermediates of [linear] and [expm_trace].
+
     Alongside the runtime tape, every operator records one node of a
     lightweight op-graph {!Ir} — op name, operand ids, output shape,
     ambient {!with_context} label, and op-specific metadata. The IR is
@@ -144,8 +150,9 @@ val one_minus : v -> v
 val relu : v -> v
 
 val log_safe : v -> v
-(** Natural log clamped below at 1e-12 (value and gradient) — used by
-    the entropy regulariser over conditional probabilities. *)
+(** Natural log clamped below at {!Tensor.log_floor} (value and
+    gradient) — used by the entropy regulariser over conditional
+    probabilities. *)
 
 (** {1 Structure ops} *)
 

@@ -1,13 +1,16 @@
 (* Compiles a captured tape into a static replay schedule: one closure
    per forward op and per backward pull, over buffers allocated once at
-   compile time. Every closure mirrors the corresponding interpreter
-   kernel expression-for-expression — same rounding steps, same
-   accumulation order — so a replayed iteration is bit-identical to an
-   interpreted one. The interpreter's lazily-zeroed gradient buffers
-   become explicit [fill 0.0] steps scheduled immediately before each
-   buffer's first writer; its fresh per-op outputs become arena slots
-   (placement supplied by the caller, verified independently by
-   lib/analysis/plan_check) or dedicated buffers. *)
+   compile time. Each closure calls the lib/tensor kernel — forward
+   or fused adjoint — that the interpreter's op or pull calls; only
+   [linear]'s and [expm_trace]'s matmuls run through scratch buffers
+   instead of fresh tensors, and the chain jams fuse unary runs while
+   keeping each stage's rounding. So a replayed iteration is
+   bit-identical to an interpreted one. The interpreter's lazily-zeroed
+   gradient buffers become explicit [fill 0.0] steps scheduled
+   immediately before each buffer's first writer; its fresh per-op
+   outputs become arena slots (placement supplied by the caller,
+   verified independently by lib/analysis/plan_check) or dedicated
+   buffers. *)
 
 type capture = {
   ir : Ad.Ir.t;
@@ -40,10 +43,6 @@ let backward_reads_arg op k =
 
 let backward_reads_self op = String.equal op "segment_softmax"
 let fusable_elementwise = function "neg" | "scale" | "add_scalar" -> true | _ -> false
-
-(* Ad.log_safe clamps at 1e-12 (Tensor.log_safe uses a different floor;
-   the tape op is the one a plan replays). *)
-let log_floor = 1e-12
 
 (* ---- Stability ---------------------------------------------------- *)
 
@@ -147,8 +146,6 @@ type t = {
   node_grads : Tensor.t option array;
   plan_stats : stats;
 }
-
-let row_grain width = Stdlib.max 1 (Parallel.default_grain / Stdlib.max 1 width)
 
 let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
   try
@@ -340,6 +337,16 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       | Ad.Ir.M_scalar k -> k
       | _ -> failf "node %d (%s): scalar metadata missing" i ir.(i).op
     in
+    let row_of i =
+      match ir.(i).meta with
+      | Ad.Ir.M_row r -> r
+      | _ -> failf "node %d (%s): row metadata missing" i ir.(i).op
+    in
+    let pins_of i =
+      match ir.(i).meta with
+      | Ad.Ir.M_columns pins -> pins
+      | _ -> failf "node %d (%s): column metadata missing" i ir.(i).op
+    in
     (* per-node state shared between the forward and backward emitters *)
     let argmaxes = Array.make n None in
     let expm_es = Array.make n None in
@@ -378,14 +385,8 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           let o = v i and x = v (a 0) in
           Some (fun () -> Tensor.relu_into ~out:o x)
       | "log_safe" ->
-          let od = data (v i) and xd = data (v (a 0)) and nn = numel_of i in
-          Some
-            (fun () ->
-              Parallel.chunks nn (fun lo hi ->
-                  for p = lo to hi - 1 do
-                    Array.unsafe_set od p
-                      (Stdlib.log (Float.max (Array.unsafe_get xd p) log_floor))
-                  done))
+          let o = v i and x = v (a 0) in
+          Some (fun () -> Tensor.log_safe_into ~out:o x)
       | "gather" ->
           let o = v i and x = v (a 0) and idx = idx_of i in
           Some (fun () -> Segments.gather_into ~out:o x idx)
@@ -404,103 +405,33 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           argmaxes.(i) <- Some arg;
           Some (fun () -> Segments.max_into ~out:o ~arg x seg)
       | "override_columns" ->
-          let o = v i and x = v (a 0) in
-          let pins =
-            match nd.meta with
-            | Ad.Ir.M_columns pins -> pins
-            | _ -> failf "node %d: column metadata missing" i
-          in
-          let od = data o and w = o.Tensor.width and bt = o.Tensor.batch in
-          Some
-            (fun () ->
-              Tensor.copy_into ~out:o x;
-              Array.iter
-                (fun (col, c) ->
-                  for b = 0 to bt - 1 do
-                    od.((b * w) + col) <- c
-                  done)
-                pins)
+          let o = v i and x = v (a 0) and pins = pins_of i in
+          Some (fun () -> Tensor.override_columns_into ~out:o pins x)
       | "mean_rows" ->
           let o = v i and x = v (a 0) in
-          let od = data o and xd = data x in
-          let w = x.Tensor.width and bt = x.Tensor.batch in
-          let inv = 1.0 /. float_of_int (Stdlib.max 1 bt) in
-          Some
-            (fun () ->
-              Array.fill od 0 w 0.0;
-              for b = 0 to bt - 1 do
-                let base = b * w in
-                for p = 0 to w - 1 do
-                  od.(p) <- od.(p) +. xd.(base + p)
-                done
-              done;
-              for p = 0 to w - 1 do
-                od.(p) <- od.(p) *. inv
-              done)
+          Some (fun () -> Tensor.mean_rows_into ~out:o x)
       | "slice_row" ->
-          let o = v i and x = v (a 0) in
-          let r = match nd.meta with Ad.Ir.M_row r -> r | _ -> failf "node %d: row missing" i in
-          let od = data o and xd = data x and w = x.Tensor.width in
-          Some (fun () -> Array.blit xd (r * w) od 0 w)
+          let o = v i and x = v (a 0) and r = row_of i in
+          Some (fun () -> Tensor.slice_row_into ~out:o x r)
       | "sum_width" ->
           let o = v i and x = v (a 0) in
-          let od = data o and xd = data x in
-          let w = x.Tensor.width and bt = x.Tensor.batch in
-          Some
-            (fun () ->
-              for b = 0 to bt - 1 do
-                let acc = ref 0.0 in
-                let base = b * w in
-                for p = 0 to w - 1 do
-                  acc := !acc +. Array.unsafe_get xd (base + p)
-                done;
-                od.(b) <- !acc
-              done)
+          Some (fun () -> Tensor.sum_rows_into ~out:o x)
       | "sum_all" ->
-          let od = data (v i) and xd = data (v (a 0)) and nn = numel_of (a 0) in
-          Some
-            (fun () ->
-              let acc = ref 0.0 in
-              for p = 0 to nn - 1 do
-                acc := !acc +. xd.(p)
-              done;
-              od.(0) <- !acc)
+          let o = v i and x = v (a 0) in
+          Some (fun () -> Tensor.sum_all_into ~out:o x)
       | "dot_const" ->
           let o = v i and x = v (a 0) and u = coeffs_of i in
-          let od = data o and xd = data x in
-          let w = x.Tensor.width and bt = x.Tensor.batch in
-          Some
-            (fun () ->
-              for b = 0 to bt - 1 do
-                let acc = ref 0.0 in
-                let base = b * w in
-                for p = 0 to w - 1 do
-                  acc := !acc +. (xd.(base + p) *. u.(p))
-                done;
-                od.(b) <- !acc
-              done)
+          Some (fun () -> Tensor.dot_const_into ~out:o x u)
       | "linear" ->
           let o = v i and x = v (a 0) and wt = v (a 1) and bias = v (a 2) in
-          let od = data o and bd = data bias in
-          let h = wt.Tensor.batch in
           Some
             (fun () ->
               Tensor.matmul_nt_into ~out:o x wt;
-              for r = 0 to o.Tensor.batch - 1 do
-                for j = 0 to h - 1 do
-                  od.((r * h) + j) <- od.((r * h) + j) +. bd.(j)
-                done
-              done)
+              Tensor.add_bias_rows ~out:o bias)
       | "matrix_of_entries" ->
           let o = v i and x = v (a 0) in
           let dim, entries = entries_of i in
-          let od = data o and xd = data x in
-          Some
-            (fun () ->
-              Array.fill od 0 (dim * dim) 0.0;
-              Array.iter
-                (fun (col, r, c) -> od.((r * dim) + c) <- od.((r * dim) + c) +. xd.(col))
-                entries)
+          Some (fun () -> Tensor.matrix_of_entries_into ~out:o ~dim entries x)
       | "expm_trace" ->
           let o = v i and x = v (a 0) in
           let d = x.Tensor.width in
@@ -528,18 +459,27 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           ks.(m) <- kv)
         cs;
       let od = data (v last) and xd = data (v x) and nn = numel_of last in
+      (* stage by stage over each chunk, so the stage dispatch sits
+         outside the element loops; every stage rounds to a double
+         exactly as the unfused op would *)
       fun () ->
         Parallel.chunks nn (fun lo hi ->
-            let acc = ref 0.0 in
-            for p = lo to hi - 1 do
-              acc := Array.unsafe_get xd p;
-              for s = 0 to k - 1 do
-                match Array.unsafe_get tags s with
-                | 0 -> acc := -. !acc
-                | 1 -> acc := Array.unsafe_get ks s *. !acc
-                | _ -> acc := Array.unsafe_get ks s +. !acc
-              done;
-              Array.unsafe_set od p !acc
+            Array.blit xd lo od lo (hi - lo);
+            for s = 0 to k - 1 do
+              let kv = Array.unsafe_get ks s in
+              match Array.unsafe_get tags s with
+              | 0 ->
+                  for p = lo to hi - 1 do
+                    Array.unsafe_set od p (-.Array.unsafe_get od p)
+                  done
+              | 1 ->
+                  for p = lo to hi - 1 do
+                    Array.unsafe_set od p (kv *. Array.unsafe_get od p)
+                  done
+              | _ ->
+                  for p = lo to hi - 1 do
+                    Array.unsafe_set od p (kv +. Array.unsafe_get od p)
+                  done
             done)
     in
     let fwd_steps =
@@ -569,31 +509,11 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
               (match ta with Some ga -> Tensor.add_inplace ga gj | None -> ());
               match tb with Some gbt -> Tensor.axpy (-1.0) gj gbt | None -> ())
       | "mul" ->
-          let ta = gb 0 and tb = gb 1 in
-          let ad = data (v (a 0)) and bd = data (v (a 1)) and nn = numel_of j in
-          (* interpreter: ga += fl(g *. b), then gb += fl(g *. a) *)
+          let ta = gb 0 and tb = gb 1 and x = v (a 0) and y = v (a 1) in
           Some
             (fun () ->
-              (match ta with
-              | Some ga ->
-                  let gad = data ga in
-                  Parallel.chunks nn (fun lo hi ->
-                      for p = lo to hi - 1 do
-                        Array.unsafe_set gad p
-                          (Array.unsafe_get gad p
-                          +. (Array.unsafe_get gjd p *. Array.unsafe_get bd p))
-                      done)
-              | None -> ());
-              match tb with
-              | Some gbt ->
-                  let gbd = data gbt in
-                  Parallel.chunks nn (fun lo hi ->
-                      for p = lo to hi - 1 do
-                        Array.unsafe_set gbd p
-                          (Array.unsafe_get gbd p
-                          +. (Array.unsafe_get gjd p *. Array.unsafe_get ad p))
-                      done)
-              | None -> ())
+              (match ta with Some ga -> Tensor.mul_grad ~into:ga ~g:gj y | None -> ());
+              match tb with Some gbt -> Tensor.mul_grad ~into:gbt ~g:gj x | None -> ())
       | "neg" -> (
           match gb 0 with
           | Some ga -> Some (fun () -> Tensor.axpy (-1.0) gj ga)
@@ -606,34 +526,14 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           | Some ga -> Some (fun () -> Tensor.add_inplace ga gj)
           | None -> None)
       | "log_safe" -> (
+          let x = v (a 0) in
           match gb 0 with
-          | Some ga ->
-              let gad = data ga and xd = data (v (a 0)) and nn = numel_of j in
-              (* interpreter: inv = fl(1 / max x floor); ga += fl(g *. inv) *)
-              Some
-                (fun () ->
-                  Parallel.chunks nn (fun lo hi ->
-                      for p = lo to hi - 1 do
-                        Array.unsafe_set gad p
-                          (Array.unsafe_get gad p
-                          +. Array.unsafe_get gjd p
-                             *. (1.0 /. Float.max (Array.unsafe_get xd p) log_floor))
-                      done))
+          | Some ga -> Some (fun () -> Tensor.log_safe_grad ~into:ga ~g:gj x)
           | None -> None)
       | "relu" -> (
+          let x = v (a 0) in
           match gb 0 with
-          | Some ga ->
-              let gad = data ga and xd = data (v (a 0)) and nn = numel_of j in
-              (* keep the mask multiply: fl(g *. 0.0) preserves the
-                 interpreter's signed zeros *)
-              Some
-                (fun () ->
-                  Parallel.chunks nn (fun lo hi ->
-                      for p = lo to hi - 1 do
-                        let m = if Array.unsafe_get xd p > 0.0 then 1.0 else 0.0 in
-                        Array.unsafe_set gad p
-                          (Array.unsafe_get gad p +. (Array.unsafe_get gjd p *. m))
-                      done))
+          | Some ga -> Some (fun () -> Tensor.relu_grad ~into:ga ~g:gj x)
           | None -> None)
       | "gather" -> (
           match gb 0 with
@@ -642,79 +542,21 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
               Some (fun () -> Segments.scatter_add ~into:ga idx gj)
           | None -> None)
       | "segment_softmax" -> (
+          let y = v j and seg = seg_of j in
           match gb 0 with
-          | Some ga ->
-              let seg = seg_of j in
-              let yd = data (v j) and gad = data ga in
-              let starts = seg.Segments.starts and lens = seg.Segments.lens in
-              let nsegs = Array.length starts and w = seg.Segments.width in
-              let bt = (shape_of (a 0)).Ad.Ir.batch in
-              Some
-                (fun () ->
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) bt
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w in
-                        for s = 0 to nsegs - 1 do
-                          let st = base + starts.(s) and ln = lens.(s) in
-                          let dot = ref 0.0 in
-                          for p = st to st + ln - 1 do
-                            dot :=
-                              !dot +. (Array.unsafe_get gjd p *. Array.unsafe_get yd p)
-                          done;
-                          let dv = !dot in
-                          for p = st to st + ln - 1 do
-                            Array.unsafe_set gad p
-                              (Array.unsafe_get gad p
-                              +. Array.unsafe_get yd p *. (Array.unsafe_get gjd p -. dv))
-                          done
-                        done
-                      done))
+          | Some ga -> Some (fun () -> Segments.softmax_grad ~into:ga ~g:gj ~y seg)
           | None -> None)
       | "segment_sum" -> (
+          let seg = seg_of j in
           match gb 0 with
-          | Some ga ->
-              let seg = seg_of j in
-              let owner = Segments.seg_of_index seg in
-              let gad = data ga in
-              let w = seg.Segments.width and nsegs = Segments.count seg in
-              let bt = (shape_of (a 0)).Ad.Ir.batch in
-              Some
-                (fun () ->
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) bt
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w and gbase = b * nsegs in
-                        for p = 0 to w - 1 do
-                          Array.unsafe_set gad (base + p)
-                            (Array.unsafe_get gad (base + p)
-                            +. Array.unsafe_get gjd (gbase + Array.unsafe_get owner p))
-                        done
-                      done))
+          | Some ga -> Some (fun () -> Segments.sum_grad ~into:ga ~g:gj seg)
           | None -> None)
       | "segment_prod" -> (
           match gb 0 with
           | Some ga ->
-              let seg = seg_of j in
-              let owner = Segments.seg_of_index seg in
-              let x = v (a 0) in
-              let others = scratch ~batch:x.Tensor.batch ~width:x.Tensor.width in
-              let gad = data ga and othd = data others in
-              let w = seg.Segments.width and nsegs = Segments.count seg in
-              Some
-                (fun () ->
-                  Segments.prod_grad_scratch_into ~out:others x seg;
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) x.Tensor.batch
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w and gbase = b * nsegs in
-                        for p = 0 to w - 1 do
-                          Array.unsafe_set gad (base + p)
-                            (Array.unsafe_get gad (base + p)
-                            +. Array.unsafe_get gjd (gbase + Array.unsafe_get owner p)
-                               *. Array.unsafe_get othd (base + p))
-                        done
-                      done))
+              let x = v (a 0) and seg = seg_of j in
+              let scratch = scratch ~batch:x.Tensor.batch ~width:x.Tensor.width in
+              Some (fun () -> Segments.prod_grad ~into:ga ~g:gj ~scratch x seg)
           | None -> None)
       | "segment_max" -> (
           match gb 0 with
@@ -724,111 +566,34 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
                 | Some arr -> arr
                 | None -> failf "internal: node %d argmax scratch missing" j
               in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  Array.iteri
-                    (fun flat src_pos ->
-                      if src_pos >= 0 then gad.(src_pos) <- gad.(src_pos) +. gjd.(flat))
-                    arg)
+              Some (fun () -> Segments.max_grad ~into:ga ~g:gj ~arg)
           | None -> None)
       | "override_columns" -> (
+          let pins = pins_of j in
           match gb 0 with
-          | Some ga ->
-              let w = (shape_of j).Ad.Ir.width and bt = (shape_of j).Ad.Ir.batch in
-              let pinned = Array.make w false in
-              (match nd.meta with
-              | Ad.Ir.M_columns pins -> Array.iter (fun (col, _) -> pinned.(col) <- true) pins
-              | _ -> failf "node %d: column metadata missing" j);
-              let gad = data ga in
-              Some
-                (fun () ->
-                  Parallel.chunks ~grain:(row_grain w) ~cost:(Stdlib.max 1 w) bt
-                    (fun blo bhi ->
-                      for b = blo to bhi - 1 do
-                        let base = b * w in
-                        for p = 0 to w - 1 do
-                          let gv =
-                            if Array.unsafe_get pinned p then 0.0
-                            else Array.unsafe_get gjd (base + p)
-                          in
-                          Array.unsafe_set gad (base + p)
-                            (Array.unsafe_get gad (base + p) +. gv)
-                        done
-                      done))
+          | Some ga -> Some (fun () -> Tensor.override_columns_grad ~into:ga ~g:gj pins)
           | None -> None)
       | "mean_rows" -> (
           match gb 0 with
-          | Some ga ->
-              let s = shape_of (a 0) in
-              let bt = s.Ad.Ir.batch and w = s.Ad.Ir.width in
-              let inv = 1.0 /. float_of_int (Stdlib.max 1 bt) in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  for b = 0 to bt - 1 do
-                    for p = 0 to w - 1 do
-                      gad.((b * w) + p) <- gad.((b * w) + p) +. (gjd.(p) *. inv)
-                    done
-                  done)
+          | Some ga -> Some (fun () -> Tensor.mean_rows_grad ~into:ga ~g:gj)
           | None -> None)
       | "slice_row" -> (
+          let r = row_of j in
           match gb 0 with
-          | Some ga ->
-              let r =
-                match nd.meta with Ad.Ir.M_row r -> r | _ -> failf "node %d: row missing" j
-              in
-              let w = (shape_of (a 0)).Ad.Ir.width in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  for p = 0 to w - 1 do
-                    gad.((r * w) + p) <- gad.((r * w) + p) +. gjd.(p)
-                  done)
+          | Some ga -> Some (fun () -> Tensor.slice_row_grad ~into:ga ~g:gj r)
           | None -> None)
       | "sum_width" -> (
           match gb 0 with
-          | Some ga ->
-              let s = shape_of (a 0) in
-              let bt = s.Ad.Ir.batch and w = s.Ad.Ir.width in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  for b = 0 to bt - 1 do
-                    let gv = gjd.(b) in
-                    for p = 0 to w - 1 do
-                      gad.((b * w) + p) <- gad.((b * w) + p) +. gv
-                    done
-                  done)
+          | Some ga -> Some (fun () -> Tensor.sum_rows_grad ~into:ga ~g:gj)
           | None -> None)
       | "sum_all" -> (
           match gb 0 with
-          | Some ga ->
-              let nn = numel_of (a 0) in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  let gv = gjd.(0) in
-                  for p = 0 to nn - 1 do
-                    gad.(p) <- gad.(p) +. gv
-                  done)
+          | Some ga -> Some (fun () -> Tensor.sum_all_grad ~into:ga ~g:gj)
           | None -> None)
       | "dot_const" -> (
+          let u = coeffs_of j in
           match gb 0 with
-          | Some ga ->
-              let u = coeffs_of j in
-              let s = shape_of (a 0) in
-              let bt = s.Ad.Ir.batch and w = s.Ad.Ir.width in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  for b = 0 to bt - 1 do
-                    let gv = gjd.(b) in
-                    let base = b * w in
-                    for p = 0 to w - 1 do
-                      gad.(base + p) <- gad.(base + p) +. (gv *. u.(p))
-                    done
-                  done)
+          | Some ga -> Some (fun () -> Tensor.dot_const_grad ~into:ga ~g:gj u)
           | None -> None)
       | "linear" ->
           let xv = v (a 0) and wv = v (a 1) in
@@ -862,15 +627,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           in
           let b_step =
             match t_b with
-            | Some gbias ->
-                let gbd = data gbias in
-                Some
-                  (fun () ->
-                    for r = 0 to bt - 1 do
-                      for jj = 0 to h - 1 do
-                        gbd.(jj) <- gbd.(jj) +. gjd.((r * h) + jj)
-                      done
-                    done)
+            | Some gbias -> Some (fun () -> Tensor.linear_bias_grad ~into:gbias ~g:gj)
             | None -> None
           in
           if in_step = None && w_step = None && b_step = None then None
@@ -881,15 +638,9 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
                 (match w_step with Some f -> f () | None -> ());
                 match b_step with Some f -> f () | None -> ())
       | "matrix_of_entries" -> (
+          let dim, entries = entries_of j in
           match gb 0 with
-          | Some ga ->
-              let dim, entries = entries_of j in
-              let gad = data ga in
-              Some
-                (fun () ->
-                  Array.iter
-                    (fun (col, r, c) -> gad.(col) <- gad.(col) +. gjd.((r * dim) + c))
-                    entries)
+          | Some ga -> Some (fun () -> Tensor.matrix_of_entries_grad ~into:ga ~g:gj ~dim entries)
           | None -> None)
       | "expm_trace" -> (
           match gb 0 with
@@ -1004,6 +755,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
   with Fail msg -> Error msg
 
 let stats t = t.plan_stats
+let replay_words_per_step = 32.0
 
 let run_forward t =
   Array.iter (function Some f -> f () | None -> ()) t.fwd_steps

@@ -112,13 +112,21 @@ val stats : t -> stats
 (** {1 Replay} *)
 
 val run_forward : t -> unit
-(** Execute the forward schedule. Allocates nothing. *)
+(** Execute the forward schedule. Allocates no tensor; each step's
+    kernel reads and writes flat arrays without boxing, so the minor
+    heap sees only per-step closures and metric updates. *)
 
 val run_backward : t -> unit
 (** Seed the root gradient and execute the backward schedule (gradient
     buffers are re-zeroed exactly where the interpreter's lazy zero
-    materialisation would). Must follow {!run_forward}. Allocates
-    nothing. *)
+    materialisation would). Must follow {!run_forward}. Allocates as
+    little as {!run_forward}. *)
+
+val replay_words_per_step : float
+(** [32.], the minor-heap budget of one replayed iteration divided by
+    its step count ([steps_forward + steps_backward]) — the allocation
+    gate of [bench replay] and the plan tests. A kernel boxing one
+    float per element reads in the thousands. *)
 
 val value : t -> int -> Tensor.t
 (** Buffer holding node [i]'s value after {!run_forward}.

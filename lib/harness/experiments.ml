@@ -926,12 +926,15 @@ let preflight bank =
    interpreter it must reproduce bit for bit: the same captured
    iteration run both ways over identical in-place theta updates,
    reporting per-iteration wall clock and per-iteration tensor
-   allocation for each executor. Two hard assertions ride along —
-   every replayed loss and theta gradient must be bitwise equal to the
+   allocation for each executor. Hard assertions ride along — every
+   replayed loss and theta gradient must be bitwise equal to the
    interpreter's, and steady-state replayed iterations must allocate
-   zero tensor bytes. Rows run sequentially on purpose: fanning the
-   cases over the pool would contend for cores and skew the very
-   per-iteration wall clocks the table exists to compare. *)
+   zero tensor bytes and at most [Plan.replay_words_per_step] minor
+   heap words per plan step (closures and counters only: a kernel that
+   boxes a float per element reads thousands). Rows run sequentially
+   on purpose: fanning the cases over the pool would contend for cores
+   and skew the very per-iteration wall clocks the table exists to
+   compare. *)
 let replay bank =
   Report.heading "Plan replay: interpreted vs compiled iterations (bit-identical)";
   let budget = Runbank.budget bank in
@@ -950,7 +953,7 @@ let replay bank =
       d.(i) <- d.(i) +. (0.02 *. Rng.gaussian rng)
     done
   in
-  Report.set_columns [ 18; 6; 11; 11; 9; 13; 13; 10 ];
+  Report.set_columns [ 18; 6; 11; 11; 9; 13; 13; 16; 10 ];
   Report.row
     [
       "instance";
@@ -960,6 +963,7 @@ let replay bank =
       "speedup";
       "interp KiB/it";
       "replay KiB/it";
+      "replay words/it";
       "identical";
     ];
   Report.rule ();
@@ -1041,16 +1045,20 @@ let replay bank =
               interp_bytes := Metrics.counter_value "tensor.bytes_allocated"))
     in
     (* timed replay loop: the identical theta trajectory through the
-       compiled schedule; the allocation counter must not move at all *)
+       compiled schedule; the allocation counter must not move at all,
+       and the minor heap only by the replay's closures and counters
+       (the nudge's own allocation is left out of the window) *)
     Tensor.copy_into ~out:theta theta0;
     let rng_r = Rng.create 101 in
-    let replay_bytes = ref 0.0 in
+    let replay_bytes = ref 0.0 and replay_words = ref 0.0 in
     let (), replay_s =
       Timer.time (fun () ->
           Metrics.scoped (fun () ->
               for _ = 1 to iters do
+                let w0 = Gc.minor_words () in
                 Plan.run_forward plan;
                 Plan.run_backward plan;
+                replay_words := !replay_words +. (Gc.minor_words () -. w0);
                 nudge rng_r theta
               done;
               replay_bytes := Metrics.counter_value "tensor.bytes_allocated"))
@@ -1061,6 +1069,15 @@ let replay bank =
            !replay_bytes);
     let per_it s = s *. 1e3 /. float_of_int iters in
     let st = Plan.stats plan in
+    let words_per_it = !replay_words /. float_of_int iters in
+    let words_per_step =
+      words_per_it /. float_of_int (Stdlib.max 1 (st.Plan.steps_forward + st.Plan.steps_backward))
+    in
+    if words_per_step > Plan.replay_words_per_step then
+      failwith
+        (Printf.sprintf
+           "replay bench: %s replay allocated %.1f minor words per plan step (limit %.0f)" name
+           words_per_step Plan.replay_words_per_step);
     Report.row
       [
         name;
@@ -1070,6 +1087,7 @@ let replay bank =
         Printf.sprintf "%.2fx" (interp_s /. replay_s);
         Printf.sprintf "%.1f" (!interp_bytes /. 1024.0 /. float_of_int iters);
         Printf.sprintf "%.1f" (!replay_bytes /. 1024.0 /. float_of_int iters);
+        Printf.sprintf "%.0f" words_per_it;
         (if !identical then "yes" else "NO");
       ];
     (name, st)
@@ -1078,14 +1096,17 @@ let replay bank =
     Obs.with_enabled (fun () ->
         List.map run_case [ "box_3"; "mcm_8"; "set_cover_small"; "fir_5" ])
   in
-  print_endline
-    "Replayed iterations must allocate zero tensor bytes and agree bitwise with\n\
-     the interpreter on every loss and theta gradient (both enforced above).";
+  Printf.printf
+    "Replayed iterations must allocate zero tensor bytes, at most %.0f minor heap\n\
+     words per plan step, and agree bitwise with the interpreter on every loss\n\
+     and theta gradient (all enforced above).\n"
+    Plan.replay_words_per_step;
   List.iter
     (fun (name, st) ->
       Printf.printf
-        "%s: %d nodes, %d KiB arena + %d KiB pinned, %d ops fused into %d chains\n" name
-        st.Plan.nodes
+        "%s: %d nodes, %d plan steps, %d KiB arena + %d KiB pinned, %d ops fused into %d chains\n"
+        name st.Plan.nodes
+        (st.Plan.steps_forward + st.Plan.steps_backward)
         ((st.Plan.arena_bytes + 1023) / 1024)
         ((st.Plan.dedicated_bytes + 1023) / 1024)
         st.Plan.fused_nodes st.Plan.chains)

@@ -8,15 +8,12 @@
     by child e-class — and every kernel below applies per batch row and
     per segment.
 
-    All kernels honour {!Tensor.Backend}: the [Scalar] mode runs an
-    element-at-a-time reference path. *)
+    All kernels honour {!Tensor.Backend}: the Vectorized mode reads the
+    flat arrays directly (no float is boxed), the [Scalar] mode runs an
+    element-at-a-time reference path through
+    {!Tensor.Backend.scalar_read}; both compute identical bits. *)
 
-type t = private {
-  starts : int array;
-  lens : int array;
-  width : int;
-  mutable owners : int array option;  (** memoised {!seg_of_index} *)
-}
+type t = private { starts : int array; lens : int array; width : int }
 (** [width] is the total element count; segment [s] covers
     [starts.(s) .. starts.(s) + lens.(s) - 1]. Segments tile the width
     exactly and in order. *)
@@ -26,8 +23,6 @@ val of_lens : int array -> t
 
 val count : t -> int
 val seg_len : t -> int -> int
-val seg_of_index : t -> int array
-(** For each element position, the segment that owns it. *)
 
 (** {1 Kernels}
 
@@ -86,3 +81,27 @@ val max_into : out:Tensor.t -> arg:int array -> Tensor.t -> t -> unit
     and -1 in [arg]. *)
 
 val gather_into : out:Tensor.t -> Tensor.t -> int array -> unit
+
+(** {1 Gradient kernels}
+
+    The fused adjoints of the kernels above: each adds the operand's
+    gradient contribution into [into] given the output adjoint [g] —
+    the one definition both [Ad]'s pulls and [Plan]'s backward steps
+    call. Each reproduces the rounding of the composite it stands for
+    (segment sum, gather, elementwise multiply, add). *)
+
+val softmax_grad : into:Tensor.t -> g:Tensor.t -> y:Tensor.t -> t -> unit
+(** [into_i += y_i (g_i - Σ_{j in seg(i)} g_j y_j)], where [y] is the
+    forward {!softmax} output. *)
+
+val sum_grad : into:Tensor.t -> g:Tensor.t -> t -> unit
+(** [into_i += g_{seg(i)}]; [g] is (B, count). *)
+
+val prod_grad : into:Tensor.t -> g:Tensor.t -> scratch:Tensor.t -> Tensor.t -> t -> unit
+(** [prod_grad ~into ~g ~scratch x seg]: [into_i += g_{seg(i)} *
+    others_i], staging the product of the others
+    ({!prod_grad_scratch}) in [scratch], shaped like [x]. *)
+
+val max_grad : into:Tensor.t -> g:Tensor.t -> arg:int array -> unit
+(** [into_{arg.(c)} += g_c] for every cell [c] with [arg.(c) >= 0] —
+    the argmax array {!max_into} filled. *)

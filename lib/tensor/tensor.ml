@@ -32,11 +32,6 @@ module Backend = struct
         Sys.opaque_identity !r)
 
   let scalar_read a i = (Sys.opaque_identity !scalar_read_cell) a i
-
-  let reader () =
-    match current () with
-    | Vectorized -> fun (a : float array) i -> Array.unsafe_get a i
-    | Scalar -> scalar_read
 end
 
 (* Allocation accounting (8 bytes per float element). One branch when
@@ -98,113 +93,445 @@ let check_same_shape name a b =
       (Printf.sprintf "Tensor.%s: shape mismatch (%d,%d) vs (%d,%d)" name a.batch a.width b.batch
          b.width)
 
-(* The Scalar backend goes element-by-element through a closure, with
-   checked accesses and a boxed accumulator — an honest model of the
-   paper's unvectorised CPU baseline, computing identical results; it
-   stays sequential for the same reason. The Vectorized branches run
-   under [Parallel.chunks]: elementwise bodies write disjoint indices,
-   so any chunk schedule is bit-identical to the sequential loop. *)
-let map2_named name f a b =
+(* ---- Elementwise kernels -------------------------------------------
+
+   Every kernel is one function holding two loops, picked by one
+   [Backend.current ()] read at entry. The Vectorized loop is
+   monomorphic: it reads and writes the flat arrays directly under
+   [Parallel.chunks], with no closure call per element, so no float is
+   boxed; elementwise bodies write disjoint indices, so any chunk
+   schedule is bit-identical to the sequential loop. The Scalar loop
+   ([scalar_map] and friends) goes element by element, sequentially,
+   reading through [Backend.scalar_read] and applying the op through an
+   opaque closure call — the paper's unvectorised CPU baseline,
+   computing identical bits.
+
+   The [_into] form writes a caller-owned output (which may alias an
+   input) and never allocates; the allocating form is [create] plus
+   the [_into] form, so the tape interpreter (lib/autodiff/ad) and
+   the plan replay engine (lib/autodiff/plan) run one definition of
+   every op. *)
+
+let scalar_map ~out a f =
+  let f = Sys.opaque_identity f in
+  for i = 0 to numel a - 1 do
+    Array.set out.data i (f (Backend.scalar_read a.data i))
+  done
+
+let scalar_map2 ~out a b f =
+  let f = Sys.opaque_identity f in
+  for i = 0 to numel a - 1 do
+    let x = Backend.scalar_read a.data i and y = Backend.scalar_read b.data i in
+    Array.set out.data i (f x y)
+  done
+
+(* [into_i <- f into_i g_i x_i], the Scalar loop of the adjoints *)
+let scalar_acc ~into g x f =
+  let f = Sys.opaque_identity f in
+  for i = 0 to numel g - 1 do
+    let acc = Backend.scalar_read into.data i in
+    let gv = Backend.scalar_read g.data i and xv = Backend.scalar_read x.data i in
+    Array.set into.data i (f acc gv xv)
+  done
+
+let check_into name ~out a b =
   check_same_shape name a b;
-  let n = numel a in
-  count_alloc n;
-  let out = { data = Array.make n 0.0; batch = a.batch; width = a.width } in
-  (match Backend.current () with
+  check_same_shape name out a
+
+let add_into ~out a b =
+  check_into "add_into" ~out a b;
+  match Backend.current () with
   | Backend.Vectorized ->
       let da = a.data and db = b.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
+      Parallel.chunks (numel a) (fun lo hi ->
           for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i) (Array.unsafe_get db i))
+            Array.unsafe_set dd i (Array.unsafe_get da i +. Array.unsafe_get db i)
           done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        let y = Backend.scalar_read b.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x y)
-      done);
-  out
+  | Backend.Scalar -> scalar_map2 ~out a b ( +. )
 
-let map f a =
-  let n = numel a in
-  count_alloc n;
-  let out = { data = Array.make n 0.0; batch = a.batch; width = a.width } in
-  (match Backend.current () with
+let sub_into ~out a b =
+  check_into "sub_into" ~out a b;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and db = b.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (Array.unsafe_get da i -. Array.unsafe_get db i)
+          done)
+  | Backend.Scalar -> scalar_map2 ~out a b ( -. )
+
+let mul_into ~out a b =
+  check_into "mul_into" ~out a b;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and db = b.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (Array.unsafe_get da i *. Array.unsafe_get db i)
+          done)
+  | Backend.Scalar -> scalar_map2 ~out a b ( *. )
+
+let neg_into ~out a =
+  check_same_shape "neg_into" out a;
+  match Backend.current () with
   | Backend.Vectorized ->
       let da = a.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
+      Parallel.chunks (numel a) (fun lo hi ->
           for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i))
+            Array.unsafe_set dd i (-.Array.unsafe_get da i)
           done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x)
-      done);
+  | Backend.Scalar -> scalar_map ~out a (fun x -> -.x)
+
+let scale_into ~out k a =
+  check_same_shape "scale_into" out a;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (k *. Array.unsafe_get da i)
+          done)
+  | Backend.Scalar -> scalar_map ~out a (fun x -> k *. x)
+
+let add_scalar_into ~out k a =
+  check_same_shape "add_scalar_into" out a;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (k +. Array.unsafe_get da i)
+          done)
+  | Backend.Scalar -> scalar_map ~out a (fun x -> k +. x)
+
+let relu_into ~out a =
+  check_same_shape "relu_into" out a;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            let x = Array.unsafe_get da i in
+            Array.unsafe_set dd i (if x > 0.0 then x else 0.0)
+          done)
+  | Backend.Scalar -> scalar_map ~out a (fun x -> if x > 0.0 then x else 0.0)
+
+let exp_into ~out a =
+  check_same_shape "exp_into" out a;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (Stdlib.exp (Array.unsafe_get da i))
+          done)
+  | Backend.Scalar -> scalar_map ~out a Stdlib.exp
+
+let log_floor = 1e-12
+
+let log_safe_into ~out a =
+  check_same_shape "log_safe_into" out a;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let da = a.data and dd = out.data in
+      Parallel.chunks (numel a) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i (Stdlib.log (Float.max (Array.unsafe_get da i) log_floor))
+          done)
+  | Backend.Scalar -> scalar_map ~out a (fun x -> Stdlib.log (Float.max x log_floor))
+
+let copy_into ~out src =
+  check_same_shape "copy_into" out src;
+  Array.blit src.data 0 out.data 0 (numel src)
+
+let override_columns_into ~out pins a =
+  copy_into ~out a;
+  for k = 0 to Array.length pins - 1 do
+    let col, c = pins.(k) in
+    if col < 0 || col >= a.width then
+      invalid_arg (Printf.sprintf "Tensor.override_columns_into: column %d of %d" col a.width);
+    for b = 0 to a.batch - 1 do
+      out.data.((b * a.width) + col) <- c
+    done
+  done
+
+let fresh a f =
+  let out = create ~batch:a.batch ~width:a.width in
+  f out;
   out
 
-let map2 f a b = map2_named "map2" f a b
-let add a b = map2_named "add" ( +. ) a b
-let sub a b = map2_named "sub" ( -. ) a b
-let mul a b = map2_named "mul" ( *. ) a b
-let div a b = map2_named "div" ( /. ) a b
-let neg a = map (fun x -> -.x) a
-let scale k a = map (fun x -> k *. x) a
-let add_scalar k a = map (fun x -> k +. x) a
-let relu a = map (fun x -> if x > 0.0 then x else 0.0) a
-let exp a = map Stdlib.exp a
+let add a b = fresh a (fun out -> add_into ~out a b)
+let sub a b = fresh a (fun out -> sub_into ~out a b)
+let mul a b = fresh a (fun out -> mul_into ~out a b)
+let neg a = fresh a (fun out -> neg_into ~out a)
+let scale k a = fresh a (fun out -> scale_into ~out k a)
+let add_scalar k a = fresh a (fun out -> add_scalar_into ~out k a)
+let relu a = fresh a (fun out -> relu_into ~out a)
+let exp a = fresh a (fun out -> exp_into ~out a)
 
-let log_floor = 1e-30
+(* ---- In-place and gradient kernels ---------------------------------
 
-let log_safe a = map (fun x -> Stdlib.log (Float.max x log_floor)) a
-
-let clamp ~lo ~hi a = map (fun x -> Float.min hi (Float.max lo x)) a
+   Accumulating kernels: each adds into its first tensor. The [_grad]
+   kernels are the fused adjoints of the ops above — the one
+   definition both Ad's pulls and Plan's backward steps call. Each
+   keeps the rounding steps of the tensor-at-a-time composite it stands
+   for (the mask multiply in [relu_grad], the reciprocal in
+   [log_safe_grad]), so the bits match it exactly. *)
 
 let add_inplace dst src =
   check_same_shape "add_inplace" dst src;
-  let n = numel dst in
   match Backend.current () with
   | Backend.Vectorized ->
-      Parallel.chunks n (fun lo hi ->
+      Parallel.chunks (numel dst) (fun lo hi ->
           for i = lo to hi - 1 do
             Array.unsafe_set dst.data i
               (Array.unsafe_get dst.data i +. Array.unsafe_get src.data i)
           done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read dst.data i and y = Backend.scalar_read src.data i in
-        Array.set dst.data i (x +. y)
-      done
+  | Backend.Scalar -> scalar_map2 ~out:dst dst src ( +. )
 
 let axpy a x y =
   check_same_shape "axpy" x y;
-  let n = numel x in
   match Backend.current () with
   | Backend.Vectorized ->
-      Parallel.chunks n (fun lo hi ->
+      Parallel.chunks (numel x) (fun lo hi ->
           for i = lo to hi - 1 do
             Array.unsafe_set y.data i
               ((a *. Array.unsafe_get x.data i) +. Array.unsafe_get y.data i)
           done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let xv = Backend.scalar_read x.data i and yv = Backend.scalar_read y.data i in
-        Array.set y.data i ((a *. xv) +. yv)
-      done
+  | Backend.Scalar -> scalar_map2 ~out:y x y (fun xv yv -> (a *. xv) +. yv)
 
 let scale_inplace k t =
-  let n = numel t in
-  Parallel.chunks n (fun lo hi ->
+  Parallel.chunks (numel t) (fun lo hi ->
       for i = lo to hi - 1 do
         Array.unsafe_set t.data i (k *. Array.unsafe_get t.data i)
       done)
 
-let sum t = Array.fold_left ( +. ) 0.0 t.data
+let mul_grad ~into ~g y =
+  check_into "mul_grad" ~out:into g y;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let dd = into.data and gd = g.data and yd = y.data in
+      Parallel.chunks (numel g) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i
+              (Array.unsafe_get dd i +. (Array.unsafe_get gd i *. Array.unsafe_get yd i))
+          done)
+  | Backend.Scalar -> scalar_acc ~into g y (fun acc gv yv -> acc +. (gv *. yv))
 
-let mean t =
-  let n = numel t in
-  if n = 0 then 0.0 else sum t /. float_of_int n
+let log_safe_grad ~into ~g x =
+  check_into "log_safe_grad" ~out:into g x;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let dd = into.data and gd = g.data and xd = x.data in
+      Parallel.chunks (numel g) (fun lo hi ->
+          for i = lo to hi - 1 do
+            Array.unsafe_set dd i
+              (Array.unsafe_get dd i
+              +. (Array.unsafe_get gd i *. (1.0 /. Float.max (Array.unsafe_get xd i) log_floor)))
+          done)
+  | Backend.Scalar ->
+      scalar_acc ~into g x (fun acc gv xv -> acc +. (gv *. (1.0 /. Float.max xv log_floor)))
 
-let max_value t = Array.fold_left Float.max neg_infinity t.data
+let relu_grad ~into ~g x =
+  check_into "relu_grad" ~out:into g x;
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let dd = into.data and gd = g.data and xd = x.data in
+      Parallel.chunks (numel g) (fun lo hi ->
+          for i = lo to hi - 1 do
+            let m = if Array.unsafe_get xd i > 0.0 then 1.0 else 0.0 in
+            Array.unsafe_set dd i (Array.unsafe_get dd i +. (Array.unsafe_get gd i *. m))
+          done)
+  | Backend.Scalar ->
+      scalar_acc ~into g x (fun acc gv xv -> acc +. (gv *. if xv > 0.0 then 1.0 else 0.0))
+
+(* Pinned columns gain a literal [+. 0.0] rather than being skipped:
+   it turns a -0 into +0 exactly as adding a copy of [g] with those
+   columns zeroed does. Pins are few (the root e-class), so each
+   element scans them. *)
+let override_columns_grad ~into ~g pins =
+  check_same_shape "override_columns_grad" into g;
+  let w = g.width and npins = Array.length pins in
+  let pinned p =
+    let hit = ref false in
+    for k = 0 to npins - 1 do
+      if fst (Array.unsafe_get pins k) = p then hit := true
+    done;
+    !hit
+  in
+  match Backend.current () with
+  | Backend.Vectorized ->
+      let dd = into.data and gd = g.data in
+      Parallel.chunks ~grain:(Stdlib.max 1 (Parallel.default_grain / Stdlib.max 1 w))
+        ~cost:(Stdlib.max 1 w) g.batch (fun blo bhi ->
+          for b = blo to bhi - 1 do
+            let base = b * w in
+            for p = 0 to w - 1 do
+              let gv = if pinned p then 0.0 else Array.unsafe_get gd (base + p) in
+              Array.unsafe_set dd (base + p) (Array.unsafe_get dd (base + p) +. gv)
+            done
+          done)
+  | Backend.Scalar ->
+      for i = 0 to numel g - 1 do
+        let acc = Backend.scalar_read into.data i in
+        let gv = if pinned (i mod w) then 0.0 else Backend.scalar_read g.data i in
+        Array.set into.data i (acc +. gv)
+      done
+
+(* ---- Row, reduction and assembly ops ------------------------------
+
+   The remaining tape ops' forward kernels and fused adjoints, shared
+   by Ad and Plan like the kernels above. They have no Scalar branch:
+   they are cheap next to the relaxation's elementwise and segment
+   work, which is what the Fig. 6 ablation times. *)
+
+let check_shape name t ~batch ~width =
+  if t.batch <> batch || t.width <> width then
+    invalid_arg
+      (Printf.sprintf "Tensor.%s: (%d,%d), expected (%d,%d)" name t.batch t.width batch width)
+
+let sum t =
+  let acc = ref 0.0 in
+  for i = 0 to numel t - 1 do
+    acc := !acc +. Array.unsafe_get t.data i
+  done;
+  !acc
+
+let sum_all_into ~out t =
+  check_shape "sum_all_into" out ~batch:1 ~width:1;
+  out.data.(0) <- sum t
+
+let sum_all_grad ~into ~g =
+  check_shape "sum_all_grad" g ~batch:1 ~width:1;
+  let gv = g.data.(0) in
+  for i = 0 to numel into - 1 do
+    Array.unsafe_set into.data i (Array.unsafe_get into.data i +. gv)
+  done
+
+let sum_rows_into ~out t =
+  check_shape "sum_rows_into" out ~batch:t.batch ~width:1;
+  for b = 0 to t.batch - 1 do
+    let acc = ref 0.0 in
+    let base = b * t.width in
+    for i = 0 to t.width - 1 do
+      acc := !acc +. Array.unsafe_get t.data (base + i)
+    done;
+    out.data.(b) <- !acc
+  done
+
+let sum_rows_grad ~into ~g =
+  check_shape "sum_rows_grad" g ~batch:into.batch ~width:1;
+  let w = into.width in
+  for b = 0 to into.batch - 1 do
+    let gv = g.data.(b) and base = b * w in
+    for i = 0 to w - 1 do
+      Array.unsafe_set into.data (base + i) (Array.unsafe_get into.data (base + i) +. gv)
+    done
+  done
+
+let dot_const_into ~out t u =
+  if Array.length u <> t.width then invalid_arg "Tensor.dot_const_into: width mismatch";
+  check_shape "dot_const_into" out ~batch:t.batch ~width:1;
+  let w = t.width in
+  for b = 0 to t.batch - 1 do
+    let acc = ref 0.0 in
+    let base = b * w in
+    for i = 0 to w - 1 do
+      acc := !acc +. (Array.unsafe_get t.data (base + i) *. Array.unsafe_get u i)
+    done;
+    out.data.(b) <- !acc
+  done
+
+let dot_const_grad ~into ~g u =
+  if Array.length u <> into.width then invalid_arg "Tensor.dot_const_grad: width mismatch";
+  check_shape "dot_const_grad" g ~batch:into.batch ~width:1;
+  let w = into.width in
+  for b = 0 to into.batch - 1 do
+    let gv = g.data.(b) and base = b * w in
+    for i = 0 to w - 1 do
+      Array.unsafe_set into.data (base + i)
+        (Array.unsafe_get into.data (base + i) +. (gv *. Array.unsafe_get u i))
+    done
+  done
+
+let mean_rows_into ~out t =
+  check_shape "mean_rows_into" out ~batch:1 ~width:t.width;
+  let w = t.width in
+  let inv = 1.0 /. float_of_int (max 1 t.batch) in
+  Array.fill out.data 0 w 0.0;
+  for b = 0 to t.batch - 1 do
+    let base = b * w in
+    for i = 0 to w - 1 do
+      out.data.(i) <- out.data.(i) +. t.data.(base + i)
+    done
+  done;
+  for i = 0 to w - 1 do
+    out.data.(i) <- out.data.(i) *. inv
+  done
+
+let mean_rows t =
+  let out = create ~batch:1 ~width:t.width in
+  mean_rows_into ~out t;
+  out
+
+let mean_rows_grad ~into ~g =
+  check_shape "mean_rows_grad" g ~batch:1 ~width:into.width;
+  let w = into.width in
+  let inv = 1.0 /. float_of_int (max 1 into.batch) in
+  for b = 0 to into.batch - 1 do
+    for i = 0 to w - 1 do
+      into.data.((b * w) + i) <- into.data.((b * w) + i) +. (g.data.(i) *. inv)
+    done
+  done
+
+let slice_row_into ~out t r =
+  check_shape "slice_row_into" out ~batch:1 ~width:t.width;
+  Array.blit t.data (r * t.width) out.data 0 t.width
+
+let slice_row_grad ~into ~g r =
+  check_shape "slice_row_grad" g ~batch:1 ~width:into.width;
+  let w = into.width in
+  for i = 0 to w - 1 do
+    into.data.((r * w) + i) <- into.data.((r * w) + i) +. g.data.(i)
+  done
+
+(* [entries] are (col, i, j): A[i,j] += cp[col], in array order *)
+let matrix_of_entries_into ~out ~dim entries cp =
+  check_shape "matrix_of_entries_into" out ~batch:dim ~width:dim;
+  Array.fill out.data 0 (dim * dim) 0.0;
+  for k = 0 to Array.length entries - 1 do
+    let col, i, j = entries.(k) in
+    out.data.((i * dim) + j) <- out.data.((i * dim) + j) +. cp.data.(col)
+  done
+
+let matrix_of_entries_grad ~into ~g ~dim entries =
+  check_shape "matrix_of_entries_grad" g ~batch:dim ~width:dim;
+  for k = 0 to Array.length entries - 1 do
+    let col, i, j = entries.(k) in
+    into.data.(col) <- into.data.(col) +. g.data.((i * dim) + j)
+  done
+
+(* y = x wᵀ + bias (bias broadcast over rows); [linear_bias_grad] adds
+   the column sums of the output adjoint into the bias gradient *)
+let add_bias_rows ~out bias =
+  check_shape "add_bias_rows" bias ~batch:1 ~width:out.width;
+  let h = out.width in
+  for r = 0 to out.batch - 1 do
+    for j = 0 to h - 1 do
+      out.data.((r * h) + j) <- out.data.((r * h) + j) +. bias.data.(j)
+    done
+  done
+
+let linear_bias_grad ~into ~g =
+  check_shape "linear_bias_grad" into ~batch:1 ~width:g.width;
+  let h = g.width in
+  for r = 0 to g.batch - 1 do
+    for j = 0 to h - 1 do
+      into.data.(j) <- into.data.(j) +. g.data.((r * h) + j)
+    done
+  done
+
+(* ---- Reductions ---------------------------------------------------- *)
 
 let dot a b =
   check_same_shape "dot" a b;
@@ -213,20 +540,6 @@ let dot a b =
     acc := !acc +. (Array.unsafe_get a.data i *. Array.unsafe_get b.data i)
   done;
   !acc
-
-let sum_rows t =
-  let out = Array.make t.batch 0.0 in
-  for b = 0 to t.batch - 1 do
-    let acc = ref 0.0 in
-    let base = b * t.width in
-    for i = 0 to t.width - 1 do
-      acc := !acc +. Array.unsafe_get t.data (base + i)
-    done;
-    out.(b) <- !acc
-  done;
-  out
-
-let abs_max t = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 t.data
 
 let all_finite t =
   let n = numel t in
@@ -251,27 +564,53 @@ let norm1_matrix t =
   done;
   !best
 
-let mean_rows t =
-  let out = create ~batch:1 ~width:t.width in
-  let inv = 1.0 /. float_of_int (max 1 t.batch) in
+let bits_equal a b =
+  a.batch = b.batch && a.width = b.width
+  &&
+  let n = numel a in
+  let ok = ref true in
+  let i = ref 0 in
+  while !ok && !i < n do
+    if
+      Int64.bits_of_float (Array.unsafe_get a.data !i)
+      <> Int64.bits_of_float (Array.unsafe_get b.data !i)
+    then ok := false;
+    incr i
+  done;
+  !ok
+
+(* ---- Linear algebra ------------------------------------------------ *)
+
+let transpose_into ~out t =
+  if out.batch <> t.width || out.width <> t.batch then
+    invalid_arg
+      (Printf.sprintf "Tensor.transpose_into: out (%d,%d) for input (%d,%d)" out.batch out.width
+         t.batch t.width);
+  if numel out > 0 && out.data == t.data then
+    invalid_arg "Tensor.transpose_into: out aliases input";
   for b = 0 to t.batch - 1 do
-    let base = b * t.width in
     for i = 0 to t.width - 1 do
-      out.data.(i) <- out.data.(i) +. t.data.(base + i)
+      out.data.((i * t.batch) + b) <- t.data.((b * t.width) + i)
     done
-  done;
-  for i = 0 to t.width - 1 do
-    out.data.(i) <- out.data.(i) *. inv
-  done;
+  done
+
+let transpose t =
+  let out = create ~batch:t.width ~width:t.batch in
+  transpose_into ~out t;
   out
 
-let matmul_nt a b =
+let matmul_nt_into ~out a b =
   if a.width <> b.width then
     invalid_arg
-      (Printf.sprintf "Tensor.matmul_nt: inner dims differ (%d vs %d)" a.width b.width);
+      (Printf.sprintf "Tensor.matmul_nt_into: inner dims differ (%d vs %d)" a.width b.width);
+  if out.batch <> a.batch || out.width <> b.batch then
+    invalid_arg
+      (Printf.sprintf "Tensor.matmul_nt_into: out (%d,%d) for result (%d,%d)" out.batch out.width
+         a.batch b.batch);
+  if numel out > 0 && (out.data == a.data || out.data == b.data) then
+    invalid_arg "Tensor.matmul_nt_into: out aliases an input";
   let p = a.batch and q = b.batch and n = a.width in
-  let out = create ~batch:p ~width:q in
-  (match Backend.current () with
+  match Backend.current () with
   | Backend.Vectorized ->
       (* chunk over output rows: each writes its own slice, and the
          per-row accumulation order never changes *)
@@ -306,148 +645,17 @@ let matmul_nt a b =
         for j = 0 to q - 1 do
           Array.set out.data ((i * q) + j) (dot_row i j)
         done
-      done);
-  out
+      done
 
-let transpose t =
-  let out = create ~batch:t.width ~width:t.batch in
-  for b = 0 to t.batch - 1 do
-    for i = 0 to t.width - 1 do
-      out.data.((i * t.batch) + b) <- t.data.((b * t.width) + i)
-    done
-  done;
+let matmul_nt a b =
+  if a.width <> b.width then
+    invalid_arg
+      (Printf.sprintf "Tensor.matmul_nt: inner dims differ (%d vs %d)" a.width b.width);
+  let out = create ~batch:a.batch ~width:b.batch in
+  matmul_nt_into ~out a b;
   out
 
 let matmul a b = matmul_nt a (transpose b)
-
-(* ---- Preallocated (_into) kernels ---------------------------------
-
-   The plan replay engine (lib/autodiff/plan) re-runs a captured op
-   graph with zero per-iteration tensor allocation. These kernels
-   write into caller-owned output tensors and reproduce the allocating
-   kernels' arithmetic exactly — same expression trees, same
-   accumulation order, both backends — so a replayed iteration is
-   bit-identical to the interpreted one. None of them bump
-   [tensor.bytes_allocated]. *)
-
-let map_into_named name f ~out a =
-  check_same_shape name out a;
-  let n = numel a in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i))
-          done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x)
-      done
-
-let map2_into_named name f ~out a b =
-  check_same_shape name a b;
-  check_same_shape name out a;
-  let n = numel a in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and db = b.data and dd = out.data in
-      Parallel.chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (f (Array.unsafe_get da i) (Array.unsafe_get db i))
-          done)
-  | Backend.Scalar ->
-      for i = 0 to n - 1 do
-        let x = Backend.scalar_read a.data i in
-        let y = Backend.scalar_read b.data i in
-        Array.set out.data i ((Sys.opaque_identity f) x y)
-      done
-
-let copy_into ~out src =
-  check_same_shape "copy_into" out src;
-  Array.blit src.data 0 out.data 0 (numel src)
-
-let add_into ~out a b = map2_into_named "add_into" ( +. ) ~out a b
-let sub_into ~out a b = map2_into_named "sub_into" ( -. ) ~out a b
-let mul_into ~out a b = map2_into_named "mul_into" ( *. ) ~out a b
-let neg_into ~out a = map_into_named "neg_into" (fun x -> -.x) ~out a
-let scale_into ~out k a = map_into_named "scale_into" (fun x -> k *. x) ~out a
-let add_scalar_into ~out k a = map_into_named "add_scalar_into" (fun x -> k +. x) ~out a
-let relu_into ~out a = map_into_named "relu_into" (fun x -> if x > 0.0 then x else 0.0) ~out a
-
-let transpose_into ~out t =
-  if out.batch <> t.width || out.width <> t.batch then
-    invalid_arg
-      (Printf.sprintf "Tensor.transpose_into: out (%d,%d) for input (%d,%d)" out.batch out.width
-         t.batch t.width);
-  if out.data == t.data then invalid_arg "Tensor.transpose_into: out aliases input";
-  for b = 0 to t.batch - 1 do
-    for i = 0 to t.width - 1 do
-      out.data.((i * t.batch) + b) <- t.data.((b * t.width) + i)
-    done
-  done
-
-let matmul_nt_into ~out a b =
-  if a.width <> b.width then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_nt_into: inner dims differ (%d vs %d)" a.width b.width);
-  if out.batch <> a.batch || out.width <> b.batch then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_nt_into: out (%d,%d) for result (%d,%d)" out.batch out.width
-         a.batch b.batch);
-  if out.data == a.data || out.data == b.data then
-    invalid_arg "Tensor.matmul_nt_into: out aliases an input";
-  let p = a.batch and q = b.batch and n = a.width in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let row_cost = Stdlib.max 1 (q * n) in
-      Parallel.chunks
-        ~grain:(Stdlib.max 1 (Parallel.default_grain / row_cost))
-        ~cost:row_cost p
-        (fun ilo ihi ->
-          for i = ilo to ihi - 1 do
-            let abase = i * n in
-            for j = 0 to q - 1 do
-              let bbase = j * n in
-              let acc = ref 0.0 in
-              for k = 0 to n - 1 do
-                acc :=
-                  !acc
-                  +. (Array.unsafe_get a.data (abase + k) *. Array.unsafe_get b.data (bbase + k))
-              done;
-              out.data.((i * q) + j) <- !acc
-            done
-          done)
-  | Backend.Scalar ->
-      let read = Backend.scalar_read in
-      let dot_row i j =
-        let acc = ref 0.0 in
-        for k = 0 to n - 1 do
-          acc := !acc +. (read a.data ((i * n) + k) *. read b.data ((j * n) + k))
-        done;
-        !acc
-      in
-      for i = 0 to p - 1 do
-        for j = 0 to q - 1 do
-          Array.set out.data ((i * q) + j) (dot_row i j)
-        done
-      done
-
-let bits_equal a b =
-  a.batch = b.batch && a.width = b.width
-  &&
-  let n = numel a in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    if
-      Int64.bits_of_float (Array.unsafe_get a.data !i)
-      <> Int64.bits_of_float (Array.unsafe_get b.data !i)
-    then ok := false;
-    incr i
-  done;
-  !ok
 
 module Lu = struct
   type factors = { lu : t; perm : int array }
@@ -500,14 +708,6 @@ module Lu = struct
           done)
     done
 
-  let decompose a =
-    if a.batch <> a.width then invalid_arg "Lu.decompose: not square";
-    let d = a.width in
-    let lu = copy a in
-    let perm = Array.init d (fun i -> i) in
-    factorize lu.data perm d;
-    { lu; perm }
-
   let preallocate d =
     if d < 1 then invalid_arg "Lu.preallocate: dimension must be positive";
     { lu = create ~batch:d ~width:d; perm = Array.init d (fun i -> i) }
@@ -522,40 +722,70 @@ module Lu = struct
     done;
     factorize f.lu.data f.perm d
 
+  let decompose a =
+    if a.batch <> a.width then invalid_arg "Lu.decompose: not square";
+    let f = preallocate a.width in
+    decompose_into f a;
+    f
+
   let solve_into ~out f b =
     let d = f.lu.width in
     if b.batch <> d then invalid_arg "Lu.solve_into: rhs row count mismatch";
     check_same_shape "Lu.solve_into" out b;
     let cols = b.width in
-    let m = f.lu.data in
-    let x = out in
+    let m = f.lu.data and x = out.data in
     (* Apply the row permutation, then forward- and back-substitute. *)
     for i = 0 to d - 1 do
-      Array.blit b.data (f.perm.(i) * cols) x.data (i * cols) cols
+      Array.blit b.data (f.perm.(i) * cols) x (i * cols) cols
     done;
-    let read = Backend.reader () in
-    for i = 1 to d - 1 do
-      for k = 0 to i - 1 do
-        let lik = m.((i * d) + k) in
-        if lik <> 0.0 then
-          for c = 0 to cols - 1 do
-            x.data.((i * cols) + c) <- read x.data ((i * cols) + c) -. (lik *. read x.data ((k * cols) + c))
+    match Backend.current () with
+    | Backend.Vectorized ->
+        for i = 1 to d - 1 do
+          for k = 0 to i - 1 do
+            let lik = m.((i * d) + k) in
+            if lik <> 0.0 then
+              for c = 0 to cols - 1 do
+                x.((i * cols) + c) <- x.((i * cols) + c) -. (lik *. x.((k * cols) + c))
+              done
           done
-      done
-    done;
-    for i = d - 1 downto 0 do
-      for k = i + 1 to d - 1 do
-        let uik = m.((i * d) + k) in
-        if uik <> 0.0 then
+        done;
+        for i = d - 1 downto 0 do
+          for k = i + 1 to d - 1 do
+            let uik = m.((i * d) + k) in
+            if uik <> 0.0 then
+              for c = 0 to cols - 1 do
+                x.((i * cols) + c) <- x.((i * cols) + c) -. (uik *. x.((k * cols) + c))
+              done
+          done;
+          let uii = m.((i * d) + i) in
           for c = 0 to cols - 1 do
-            x.data.((i * cols) + c) <- read x.data ((i * cols) + c) -. (uik *. read x.data ((k * cols) + c))
+            x.((i * cols) + c) <- x.((i * cols) + c) /. uii
           done
-      done;
-      let uii = m.((i * d) + i) in
-      for c = 0 to cols - 1 do
-        x.data.((i * cols) + c) <- read x.data ((i * cols) + c) /. uii
-      done
-    done
+        done
+    | Backend.Scalar ->
+        let read = Backend.scalar_read in
+        for i = 1 to d - 1 do
+          for k = 0 to i - 1 do
+            let lik = m.((i * d) + k) in
+            if lik <> 0.0 then
+              for c = 0 to cols - 1 do
+                x.((i * cols) + c) <- read x ((i * cols) + c) -. (lik *. read x ((k * cols) + c))
+              done
+          done
+        done;
+        for i = d - 1 downto 0 do
+          for k = i + 1 to d - 1 do
+            let uik = m.((i * d) + k) in
+            if uik <> 0.0 then
+              for c = 0 to cols - 1 do
+                x.((i * cols) + c) <- read x ((i * cols) + c) -. (uik *. read x ((k * cols) + c))
+              done
+          done;
+          let uii = m.((i * d) + i) in
+          for c = 0 to cols - 1 do
+            x.((i * cols) + c) <- read x ((i * cols) + c) /. uii
+          done
+        done
 
   let solve f b =
     let x = create ~batch:f.lu.width ~width:b.width in
@@ -595,66 +825,9 @@ module Matfun = struct
 
   let theta13 = 5.371920351148152
 
-  let expm a =
-    if a.batch <> a.width then invalid_arg "Matfun.expm: not square";
-    let d = a.width in
-    if d = 0 then create ~batch:0 ~width:0
-    else if d = 1 then of_array ~batch:1 ~width:1 [| Stdlib.exp a.data.(0) |]
-    else begin
-      let norm = norm1_matrix a in
-      let s =
-        if norm <= theta13 then 0
-        else int_of_float (Float.ceil (Float.log (norm /. theta13) /. Float.log 2.0))
-      in
-      if !Obs.on then begin
-        Metrics.incr "tensor.matexp_calls";
-        Metrics.incr ~by:(float_of_int s) "tensor.matexp_squarings";
-        Metrics.observe "tensor.matexp_dim" (float_of_int d)
-      end;
-      let x = if s = 0 then copy a else scale (1.0 /. (2.0 ** float_of_int s)) a in
-      let b = pade13 in
-      let eye = identity d in
-      let x2 = matmul x x in
-      let x4 = matmul x2 x2 in
-      let x6 = matmul x2 x4 in
-      (* U = X (X6 (b13 X6 + b11 X4 + b9 X2) + b7 X6 + b5 X4 + b3 X2 + b1 I) *)
-      let inner_u =
-        let acc = scale b.(13) x6 in
-        axpy b.(11) x4 acc;
-        axpy b.(9) x2 acc;
-        acc
-      in
-      let u_body = matmul x6 inner_u in
-      axpy b.(7) x6 u_body;
-      axpy b.(5) x4 u_body;
-      axpy b.(3) x2 u_body;
-      axpy b.(1) eye u_body;
-      let u = matmul x u_body in
-      (* V = X6 (b12 X6 + b10 X4 + b8 X2) + b6 X6 + b4 X4 + b2 X2 + b0 I *)
-      let inner_v =
-        let acc = scale b.(12) x6 in
-        axpy b.(10) x4 acc;
-        axpy b.(8) x2 acc;
-        acc
-      in
-      let v = matmul x6 inner_v in
-      axpy b.(6) x6 v;
-      axpy b.(4) x4 v;
-      axpy b.(2) x2 v;
-      axpy b.(0) eye v;
-      (* r = (V - U)^{-1} (V + U), then repeated squaring undoes the scaling. *)
-      let vmu = sub v u in
-      let vpu = add v u in
-      let r = ref (Lu.solve (Lu.decompose vmu) vpu) in
-      for _ = 1 to s do
-        r := matmul !r !r
-      done;
-      !r
-    end
-
-  (* Preallocated workspace for [expm_into]: every intermediate the
-     allocating [expm] creates, owned by the caller and reused across
-     iterations. [w_tt] is the shared transpose scratch behind the
+  (* Preallocated workspace for [expm_into]: every intermediate of the
+     algorithm, owned by the caller and reused across iterations.
+     [w_tt] is the shared transpose scratch behind the
      matmul-via-[matmul_nt] steps; [w_r0]/[w_r1] alternate through the
      squaring phase, so the result lands in one of them — valid until
      the next [expm_into] call on this workspace. *)
@@ -771,6 +944,10 @@ module Matfun = struct
       done;
       !cur
     end
+
+  let expm a =
+    if a.batch <> a.width then invalid_arg "Matfun.expm: not square";
+    if a.width = 0 then create ~batch:0 ~width:0 else copy (expm_into (workspace a.width) a)
 end
 
 let pp fmt t =

@@ -128,6 +128,34 @@ let test_replay_allocates_nothing () =
   let after = Metrics.counter_value "tensor.bytes_allocated" in
   Alcotest.(check (float 0.0)) "zero bytes allocated across 5 replays" before after
 
+(* The replay allocates no tensors, and its kernels box no floats: the
+   minor heap grows only by per-step closures and metric updates, well
+   under [Plan.replay_words_per_step] per step. A kernel that reads its
+   elements through a closure boxes each one — thousands of words per
+   step on a bundled instance. *)
+let test_replay_minor_words_bounded () =
+  let g = (Registry.find_instance "mcm_8").Registry.build () in
+  let plan, _, _, _, _, _ = compile_plan ~config:{ default_cfg with Smoothe_config.batch = 8 } g in
+  let st = Plan.stats plan in
+  let steps = float_of_int (st.Plan.steps_forward + st.Plan.steps_backward) in
+  let words_per_step () =
+    Plan.run_forward plan;
+    Plan.run_backward plan;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 5 do
+      Plan.run_forward plan;
+      Plan.run_backward plan
+    done;
+    (Gc.minor_words () -. w0) /. 5.0 /. steps
+  in
+  (* with the observability sink both off and on (its counters allocate) *)
+  List.iter
+    (fun (label, w) ->
+      if w > Plan.replay_words_per_step then
+        Alcotest.failf "mcm_8 replay %s: %.1f minor words per plan step (limit %.0f)" label w
+          Plan.replay_words_per_step)
+    [ ("obs off", words_per_step ()); ("obs on", Obs.with_enabled words_per_step) ]
+
 let test_scalar_backend_refuses () =
   let rng = Rng.create 3 in
   let g = Test_util.random_egraph rng ~classes:6 in
@@ -362,6 +390,8 @@ let () =
         [
           Alcotest.test_case "bit-identical across rounds" `Quick test_replay_bit_identical;
           Alcotest.test_case "allocates nothing" `Quick test_replay_allocates_nothing;
+          Alcotest.test_case "minor words per step bounded" `Quick
+            test_replay_minor_words_bounded;
           Alcotest.test_case "scalar backend refused" `Quick test_scalar_backend_refuses;
         ] );
       ( "extraction",

@@ -32,7 +32,6 @@ let test_elementwise () =
   Test_util.check_close ~msg:"add" 9.0 (Tensor.get (Tensor.add a b) 0 2);
   Test_util.check_close ~msg:"sub" (-3.0) (Tensor.get (Tensor.sub a b) 0 0);
   Test_util.check_close ~msg:"mul" 10.0 (Tensor.get (Tensor.mul a b) 0 1);
-  Test_util.check_close ~msg:"div" 0.25 (Tensor.get (Tensor.div a b) 0 0);
   Test_util.check_close ~msg:"scale" 6.0 (Tensor.get (Tensor.scale 2.0 a) 0 2);
   Test_util.check_close ~msg:"sum" 6.0 (Tensor.sum a);
   Test_util.check_close ~msg:"dot" 32.0 (Tensor.dot a b);
@@ -40,41 +39,139 @@ let test_elementwise () =
 
 let test_reductions () =
   let t = Tensor.of_array ~batch:2 ~width:2 [| 1.0; 2.0; 3.0; 4.0 |] in
-  let rows = Tensor.sum_rows t in
-  Test_util.check_close ~msg:"row0" 3.0 rows.(0);
-  Test_util.check_close ~msg:"row1" 7.0 rows.(1);
+  let rows = Tensor.create ~batch:2 ~width:1 in
+  Tensor.sum_rows_into ~out:rows t;
+  Test_util.check_close ~msg:"row0" 3.0 (Tensor.get rows 0 0);
+  Test_util.check_close ~msg:"row1" 7.0 (Tensor.get rows 1 0);
   let m = Tensor.mean_rows t in
   Test_util.check_close ~msg:"col mean" 2.0 (Tensor.get m 0 0);
-  Test_util.check_close ~msg:"col mean" 3.0 (Tensor.get m 0 1);
-  Test_util.check_close ~msg:"max" 4.0 (Tensor.max_value t);
-  Test_util.check_close ~msg:"abs_max" 4.0 (Tensor.abs_max (Tensor.neg t))
+  Test_util.check_close ~msg:"col mean" 3.0 (Tensor.get m 0 1)
 
-let backends_agree op =
+(* ------------------------------------------------------ backend parity *)
+
+(* Values that stress bit-exactness: signed zeros, values below the
+   1e-12 log floor (including a denormal), the floor itself, and a
+   small set of repeats so segments hold ties. *)
+let special = [| 0.0; -0.0; 1e-13; -1e-13; 5e-324; 1e-12; 0.5; -0.5; 1.0; -2.0 |]
+
+let hard_value rng =
+  if Rng.int rng 2 = 0 then special.(Rng.int rng (Array.length special))
+  else Rng.float rng 4.0 -. 2.0
+
+let hard_tensor rng ~batch ~width = Tensor.init ~batch ~width (fun _ _ -> hard_value rng)
+
+(* Run [f] under each backend; every tensor either run returns must
+   carry the same bits as the first. [f] returns each form of one
+   kernel (allocating and [_into]), so forms are compared too. *)
+let same_bits_on_both_backends f =
+  let fast = Tensor.Backend.with_mode Tensor.Backend.Vectorized f in
+  let slow = Tensor.Backend.with_mode Tensor.Backend.Scalar f in
+  match fast @ slow with
+  | [] -> true
+  | first :: rest -> List.for_all (Tensor.bits_equal first) rest
+
+let into_of f (a : Tensor.t) =
+  let out = Tensor.create ~batch:a.Tensor.batch ~width:a.Tensor.width in
+  f ~out;
+  out
+
+(* accumulating kernels start from a copy of [acc], fresh per run *)
+let accumulated acc f =
+  let d = Tensor.copy acc in
+  f d;
+  d
+
+let pins_of (a : Tensor.t) = [| (0, 1.0); (a.Tensor.width - 1, -0.0) |]
+
+let dense_cases =
+  [
+    ("add", fun a b _ -> [ Tensor.add a b; into_of (fun ~out -> Tensor.add_into ~out a b) a ]);
+    ("sub", fun a b _ -> [ Tensor.sub a b; into_of (fun ~out -> Tensor.sub_into ~out a b) a ]);
+    ("mul", fun a b _ -> [ Tensor.mul a b; into_of (fun ~out -> Tensor.mul_into ~out a b) a ]);
+    ("neg", fun a _ _ -> [ Tensor.neg a; into_of (fun ~out -> Tensor.neg_into ~out a) a ]);
+    ( "scale",
+      fun a _ _ ->
+        [ Tensor.scale 0.37 a; into_of (fun ~out -> Tensor.scale_into ~out 0.37 a) a ] );
+    ( "add_scalar",
+      fun a _ _ ->
+        [
+          Tensor.add_scalar (-1.5) a;
+          into_of (fun ~out -> Tensor.add_scalar_into ~out (-1.5) a) a;
+        ] );
+    ("relu", fun a _ _ -> [ Tensor.relu a; into_of (fun ~out -> Tensor.relu_into ~out a) a ]);
+    ("exp", fun a _ _ -> [ Tensor.exp a; into_of (fun ~out -> Tensor.exp_into ~out a) a ]);
+    ("log_safe_into", fun a _ _ -> [ into_of (fun ~out -> Tensor.log_safe_into ~out a) a ]);
+    ( "override_columns_into",
+      fun a _ _ -> [ into_of (fun ~out -> Tensor.override_columns_into ~out (pins_of a) a) a ] );
+    ( "copy_into",
+      fun a _ _ -> [ Tensor.copy a; into_of (fun ~out -> Tensor.copy_into ~out a) a ] );
+    ("add_inplace", fun a _ acc -> [ accumulated acc (fun d -> Tensor.add_inplace d a) ]);
+    ("axpy", fun a b _ -> [ accumulated b (fun d -> Tensor.axpy (-0.75) a d) ]);
+    ("matmul_nt", fun a b _ -> [ Tensor.matmul_nt a b ]);
+    ("mul_grad", fun a b acc -> [ accumulated acc (fun d -> Tensor.mul_grad ~into:d ~g:a b) ]);
+    ( "log_safe_grad",
+      fun a b acc -> [ accumulated acc (fun d -> Tensor.log_safe_grad ~into:d ~g:a b) ] );
+    ("relu_grad", fun a b acc -> [ accumulated acc (fun d -> Tensor.relu_grad ~into:d ~g:a b) ]);
+    ( "override_columns_grad",
+      fun a _ acc ->
+        [ accumulated acc (fun d -> Tensor.override_columns_grad ~into:d ~g:a (pins_of a)) ] );
+  ]
+
+let hard_triple_gen =
+  QCheck2.Gen.(
+    map
+      (fun (b, w, seed) ->
+        let rng = Rng.create seed in
+        let mk () = hard_tensor rng ~batch:b ~width:w in
+        let a = mk () in
+        let b = mk () in
+        (a, b, mk ()))
+      (triple (int_range 1 4) (int_range 1 8) (int_bound 1_000_000)))
+
+let backends_agree (op, run) =
   qtest
     (Printf.sprintf "backends agree on %s" op)
-    QCheck2.Gen.(pair (tensor_gen ()) (int_bound 1_000_000))
-    (fun (a, seed) ->
-      let rng = Rng.create seed in
-      let b =
-        Tensor.init ~batch:a.Tensor.batch ~width:a.Tensor.width (fun _ _ -> Rng.float rng 2.0)
+    hard_triple_gen
+    (fun (a, b, acc) -> same_bits_on_both_backends (fun () -> run a b acc))
+
+(* The fused gradient kernels against the tensor-at-a-time composites
+   they stand for, on both backends: the same rounding, bit for bit. *)
+let map_tensor f (t : Tensor.t) =
+  Tensor.init ~batch:t.Tensor.batch ~width:t.Tensor.width (fun b i -> f (Tensor.get t b i))
+
+let dense_grads_match_composites =
+  qtest "gradient kernels match their composites bitwise" hard_triple_gen (fun (g, x, acc) ->
+      let composite delta = accumulated acc (fun d -> Tensor.add_inplace d delta) in
+      let pinned_g =
+        let c = Tensor.copy g in
+        Array.iter
+          (fun (col, _) ->
+            for b = 0 to c.Tensor.batch - 1 do
+              Tensor.set c b col 0.0
+            done)
+          (pins_of g);
+        c
       in
-      let f =
-        match op with
-        | "add" -> Tensor.add
-        | "mul" -> Tensor.mul
-        | "matmul_nt" -> Tensor.matmul_nt
-        | _ -> assert false
-      in
-      let fast = Tensor.Backend.with_mode Tensor.Backend.Vectorized (fun () -> f a b) in
-      let slow = Tensor.Backend.with_mode Tensor.Backend.Scalar (fun () -> f a b) in
-      let ok = ref true in
-      for i = 0 to Tensor.numel fast - 1 do
-        if
-          not
-            (Test_util.float_close (Tensor.unsafe_data fast).(i) (Tensor.unsafe_data slow).(i))
-        then ok := false
-      done;
-      !ok)
+      List.for_all
+        (fun mode ->
+          Tensor.Backend.with_mode mode @@ fun () ->
+          Tensor.bits_equal
+            (accumulated acc (fun d -> Tensor.mul_grad ~into:d ~g x))
+            (composite (Tensor.mul g x))
+          && Tensor.bits_equal
+               (accumulated acc (fun d -> Tensor.log_safe_grad ~into:d ~g x))
+               (composite
+                  (Tensor.mul g (map_tensor (fun v -> 1.0 /. Float.max v Tensor.log_floor) x)))
+          && Tensor.bits_equal
+               (accumulated acc (fun d -> Tensor.relu_grad ~into:d ~g x))
+               (composite (Tensor.mul g (map_tensor (fun v -> if v > 0.0 then 1.0 else 0.0) x)))
+          && Tensor.bits_equal
+               (accumulated acc (fun d -> Tensor.override_columns_grad ~into:d ~g (pins_of g)))
+               (composite pinned_g)
+          && Tensor.bits_equal
+               (into_of (fun ~out -> Tensor.log_safe_into ~out x) x)
+               (map_tensor (fun v -> Stdlib.log (Float.max v 1e-12)) x))
+        [ Tensor.Backend.Vectorized; Tensor.Backend.Scalar ])
 
 (* -------------------------------------------------------------- matmul *)
 
@@ -206,12 +303,23 @@ let test_notears_criterion () =
 
 (* -------------------------------------------------------------- segments *)
 
+(* the segment owning each element position *)
+let owners (seg : Segments.t) =
+  let o = Array.make seg.Segments.width (-1) in
+  Array.iteri
+    (fun s start ->
+      for i = start to start + seg.Segments.lens.(s) - 1 do
+        o.(i) <- s
+      done)
+    seg.Segments.starts;
+  o
+
 let test_segments_structure () =
   let seg = Segments.of_lens [| 2; 0; 3 |] in
   Alcotest.(check int) "count" 3 (Segments.count seg);
   Alcotest.(check int) "len" 3 (Segments.seg_len seg 2);
   Alcotest.(check (list int)) "owners" [ 0; 0; 2; 2; 2 ]
-    (Array.to_list (Segments.seg_of_index seg))
+    (Array.to_list (owners seg))
 
 let seg_gen =
   (* segments + a matching tensor *)
@@ -229,7 +337,7 @@ let seg_gen =
 let seg_sum_matches_naive =
   qtest "segment sum matches naive" seg_gen (fun (seg, t) ->
       let out = Segments.sum t seg in
-      let owners = Segments.seg_of_index seg in
+      let owners = owners seg in
       let ok = ref true in
       for b = 0 to t.Tensor.batch - 1 do
         for s = 0 to Segments.count seg - 1 do
@@ -243,7 +351,7 @@ let seg_sum_matches_naive =
 let seg_prod_matches_naive =
   qtest "segment prod matches naive" seg_gen (fun (seg, t) ->
       let out = Segments.prod t seg in
-      let owners = Segments.seg_of_index seg in
+      let owners = owners seg in
       let ok = ref true in
       for b = 0 to t.Tensor.batch - 1 do
         for s = 0 to Segments.count seg - 1 do
@@ -288,7 +396,7 @@ let seg_max_argmax_consistent =
 let seg_prod_grad_scratch_correct =
   qtest "product-of-others matches per-element recompute" seg_gen (fun (seg, t) ->
       let others = Segments.prod_grad_scratch t seg in
-      let owners = Segments.seg_of_index seg in
+      let owners = owners seg in
       let ok = ref true in
       for b = 0 to t.Tensor.batch - 1 do
         Array.iteri
@@ -300,39 +408,154 @@ let seg_prod_grad_scratch_correct =
       done;
       !ok)
 
+(* segments with hard values (ties, signed zeros, sub-floor values),
+   plus a seed for the operands the gradient kernels need *)
+let hard_seg_gen =
+  QCheck2.Gen.(
+    bind (pair (int_range 1 3) (list_size (int_range 1 6) (int_range 0 4))) (fun (b, lens) ->
+        map
+          (fun seed ->
+            let seg = Segments.of_lens (Array.of_list lens) in
+            let rng = Rng.create seed in
+            let width = List.fold_left ( + ) 0 lens in
+            (seg, hard_tensor rng ~batch:b ~width, seed))
+          (int_bound 1_000_000)))
+
+let argmax_tensor arg =
+  Tensor.of_array ~batch:1 ~width:(Array.length arg) (Array.map float_of_int arg)
+
+(* every kernel run on one (segments, x, rng) triple; returns each form *)
+let seg_cases =
+  let same_as (x : Tensor.t) = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
+  let per_seg (x : Tensor.t) seg =
+    Tensor.create ~batch:x.Tensor.batch ~width:(Segments.count seg)
+  in
+  [
+    ( "segment softmax",
+      fun x seg _ ->
+        let out = same_as x in
+        Segments.softmax_into ~out x seg;
+        [ Segments.softmax x seg; out ] );
+    ( "segment sum",
+      fun x seg _ ->
+        let out = per_seg x seg in
+        Segments.sum_into ~out x seg;
+        [ Segments.sum x seg; out ] );
+    ( "segment prod",
+      fun x seg _ ->
+        let out = per_seg x seg in
+        Segments.prod_into ~out x seg;
+        [ Segments.prod x seg; out ] );
+    ( "segment prod_grad_scratch",
+      fun x seg _ ->
+        let out = same_as x in
+        Segments.prod_grad_scratch_into ~out x seg;
+        [ Segments.prod_grad_scratch x seg; out ] );
+    ( "segment max",
+      fun x seg _ ->
+        let out, arg = Segments.max x seg in
+        let out' = per_seg x seg and arg' = Array.make (Array.length arg) 7 in
+        Segments.max_into ~out:out' ~arg:arg' x seg;
+        [ out; out' ] );
+    ( "segment argmax",
+      fun x seg _ ->
+        let _, arg = Segments.max x seg in
+        [ argmax_tensor arg ] );
+    ( "segment gather",
+      fun x _ rng ->
+        let w = x.Tensor.width in
+        let idx = Array.init (if w = 0 then 0 else 2 * w) (fun _ -> Rng.int rng w) in
+        let out = Tensor.create ~batch:x.Tensor.batch ~width:(Array.length idx) in
+        Segments.gather_into ~out x idx;
+        [ Segments.gather x idx; out ] );
+    ( "segment scatter_add",
+      fun x _ rng ->
+        let w = x.Tensor.width in
+        let idx = Array.init w (fun _ -> Rng.int rng w) in
+        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:w in
+        Segments.scatter_add ~into idx x;
+        [ into ] );
+    ( "segment softmax_grad",
+      fun x seg rng ->
+        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
+        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
+        Segments.softmax_grad ~into ~g ~y:(Segments.softmax x seg) seg;
+        [ into ] );
+    ( "segment sum_grad",
+      fun x seg rng ->
+        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
+        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:(Segments.count seg) in
+        Segments.sum_grad ~into ~g seg;
+        [ into ] );
+    ( "segment prod_grad",
+      fun x seg rng ->
+        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
+        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:(Segments.count seg) in
+        Segments.prod_grad ~into ~g ~scratch:(same_as x) x seg;
+        [ into ] );
+    ( "segment max_grad",
+      fun x seg rng ->
+        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
+        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:(Segments.count seg) in
+        let _, arg = Segments.max x seg in
+        Segments.max_grad ~into ~g ~arg;
+        [ into ] );
+  ]
+
 let seg_backends_agree =
   List.map
     (fun (name, run) ->
       qtest
-        (Printf.sprintf "backends agree on segment %s" name)
-        seg_gen
-        (fun (seg, t) ->
-          let fast = Tensor.Backend.with_mode Tensor.Backend.Vectorized (fun () -> run t seg) in
-          let slow = Tensor.Backend.with_mode Tensor.Backend.Scalar (fun () -> run t seg) in
-          let ok = ref true in
-          for i = 0 to Tensor.numel fast - 1 do
-            if
-              not
-                (Test_util.float_close (Tensor.unsafe_data fast).(i)
-                   (Tensor.unsafe_data slow).(i))
-            then ok := false
-          done;
-          !ok))
-    [
-      ("softmax", Segments.softmax);
-      ("sum", Segments.sum);
-      ("prod", Segments.prod);
-      ("prod_grad_scratch", Segments.prod_grad_scratch);
-      ("max", fun t seg -> fst (Segments.max t seg));
-    ]
+        (Printf.sprintf "backends agree on %s" name)
+        hard_seg_gen
+        (fun (seg, x, seed) ->
+          (* each backend's run draws the same operands from its own rng *)
+          same_bits_on_both_backends (fun () -> run x seg (Rng.create seed))))
+    seg_cases
 
-let test_backend_reader () =
-  let a = [| 1.5; 2.5 |] in
-  Tensor.Backend.with_mode Tensor.Backend.Scalar (fun () ->
-      Test_util.check_close ~msg:"scalar read" 2.5 (Tensor.Backend.reader () a 1));
-  Tensor.Backend.with_mode Tensor.Backend.Vectorized (fun () ->
-      Test_util.check_close ~msg:"vectorized read" 1.5 (Tensor.Backend.reader () a 0));
-  Test_util.check_close ~msg:"scalar_read direct" 1.5 (Tensor.Backend.scalar_read a 0)
+(* The segment gradient kernels against the composites the tape used
+   to build from forward kernels (segment sum, gather, elementwise
+   multiply and add), on both backends. *)
+let seg_grads_match_composites =
+  qtest "segment gradient kernels match their composites bitwise" hard_seg_gen
+    (fun (seg, x, seed) ->
+      let rng = Rng.create seed in
+      let b = x.Tensor.batch and w = x.Tensor.width and n = Segments.count seg in
+      let acc = hard_tensor rng ~batch:b ~width:w in
+      let g_full = hard_tensor rng ~batch:b ~width:w in
+      let g_seg = hard_tensor rng ~batch:b ~width:n in
+      let owner = owners seg in
+      let composite delta = accumulated acc (fun d -> Tensor.add_inplace d delta) in
+      List.for_all
+        (fun mode ->
+          Tensor.Backend.with_mode mode @@ fun () ->
+          let y = Segments.softmax x seg in
+          let spread = Segments.gather g_seg owner in
+          let _, arg = Segments.max x seg in
+          let max_expected =
+            accumulated acc (fun d ->
+                let dd = Tensor.unsafe_data d and gd = Tensor.unsafe_data g_seg in
+                Array.iteri (fun c p -> if p >= 0 then dd.(p) <- dd.(p) +. gd.(c)) arg)
+          in
+          Tensor.bits_equal
+            (accumulated acc (fun into -> Segments.softmax_grad ~into ~g:g_full ~y seg))
+            (composite
+               (Tensor.mul y
+                  (Tensor.sub g_full
+                     (Segments.gather (Segments.sum (Tensor.mul g_full y) seg) owner))))
+          && Tensor.bits_equal
+               (accumulated acc (fun into -> Segments.sum_grad ~into ~g:g_seg seg))
+               (composite spread)
+          && Tensor.bits_equal
+               (accumulated acc (fun into ->
+                    Segments.prod_grad ~into ~g:g_seg
+                      ~scratch:(Tensor.create ~batch:b ~width:w)
+                      x seg))
+               (composite (Tensor.mul spread (Segments.prod_grad_scratch x seg)))
+          && Tensor.bits_equal
+               (accumulated acc (fun into -> Segments.max_grad ~into ~g:g_seg ~arg))
+               max_expected)
+        [ Tensor.Backend.Vectorized; Tensor.Backend.Scalar ])
 
 let test_gather_scatter () =
   let src = Tensor.of_array ~batch:2 ~width:3 [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
@@ -415,10 +638,9 @@ let () =
           Alcotest.test_case "shapes" `Quick test_shapes;
           Alcotest.test_case "elementwise" `Quick test_elementwise;
           Alcotest.test_case "reductions" `Quick test_reductions;
-          backends_agree "add";
-          backends_agree "mul";
-          backends_agree "matmul_nt";
-        ] );
+          dense_grads_match_composites;
+        ]
+        @ List.map backends_agree dense_cases );
       ( "matmul",
         [
           Alcotest.test_case "known product" `Quick test_matmul_known;
@@ -444,7 +666,7 @@ let () =
           seg_max_argmax_consistent;
           seg_prod_grad_scratch_correct;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
-          Alcotest.test_case "backend reader" `Quick test_backend_reader;
+          seg_grads_match_composites;
         ]
         @ seg_backends_agree );
       ( "csr",
