@@ -648,7 +648,7 @@ let analyze_cmd =
           ~doc:
             "Also run the plan-level dataflow analysis: capture the iteration IR twice, \
              check iteration-stability (PL006/PL007), compute liveness, fusion chains and \
-             the buffer arena, and verify the assignment (PL001–PL005, PL008).")
+             the buffer arena, and verify the assignment (PL001–PL005).")
   in
   Cmd.v
     (Cmd.info "analyze"

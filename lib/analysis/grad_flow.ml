@@ -42,7 +42,7 @@ let check ?root (ir : Ir.t) =
     let has_param = Array.make n false in
     for i = 0 to n - 1 do
       has_param.(i) <-
-        ir.(i).Ir.op = "param"
+        ir.(i).Ir.op = Op.Param
         || Array.exists (fun a -> a >= 0 && a < i && has_param.(a)) ir.(i).Ir.args
     done;
     (* backward: which nodes the loss depends on *)
@@ -54,7 +54,7 @@ let check ?root (ir : Ir.t) =
     done;
     (* GF001 / GF002: parameter-to-loss connectivity *)
     let params = ref [] in
-    Array.iteri (fun i nd -> if nd.Ir.op = "param" then params := i :: !params) ir;
+    Array.iteri (fun i nd -> if nd.Ir.op = Op.Param then params := i :: !params) ir;
     let params = List.rev !params in
     let connected = List.filter (fun p -> feeds_root.(p)) params in
     List.iter
@@ -74,9 +74,7 @@ let check ?root (ir : Ir.t) =
     (* GF003: const-blocked region feeding the loss *)
     let blocked = ref 0 in
     for i = 0 to n - 1 do
-      match ir.(i).Ir.op with
-      | "const" | "param" -> ()
-      | _ -> if feeds_root.(i) && not has_param.(i) then incr blocked
+      if (not (Op.is_leaf ir.(i).Ir.op)) && feeds_root.(i) && not has_param.(i) then incr blocked
     done;
     if !blocked > 0 then
       add
@@ -90,99 +88,79 @@ let check ?root (ir : Ir.t) =
     let itv = Array.make n top in
     for i = 0 to n - 1 do
       let nd = ir.(i) in
+      let name = Op.name nd.Ir.op in
       let arg k =
         let a = nd.Ir.args.(k) in
         if a >= 0 && a < i then itv.(a) else top
       in
-      let out =
-        match (nd.Ir.op, Array.length nd.Ir.args) with
-        | ("const" | "param"), _ -> top
-        | "add", 2 -> iadd (arg 0) (arg 1)
-        | "sub", 2 -> isub (arg 0) (arg 1)
-        | "mul", 2 -> imul (arg 0) (arg 1)
-        | "neg", 1 -> ineg (arg 0)
-        | "scale", 1 -> (
-            match nd.Ir.meta with Ir.M_scalar k -> iscale k (arg 0) | _ -> top)
-        | "add_scalar", 1 -> (
-            match nd.Ir.meta with Ir.M_scalar k -> ishift k (arg 0) | _ -> top)
-        | "relu", 1 ->
-            let a = arg 0 in
-            { lo = Float.max 0.0 a.lo; hi = Float.max 0.0 a.hi }
-        | "log_safe", 1 ->
-            let a = arg 0 in
-            if a.lo <= 0.0 then
+      let empty_segments seg =
+        let empty = Array.fold_left (fun c l -> if l = 0 then c + 1 else c) 0 seg.Segments.lens in
+        if empty > 0 then
+          let count = Segments.count seg in
+          match nd.Ir.op with
+          | Op.Segment_softmax _ ->
               add
-                (D.warning ~code:"GF004" (D.Tape_node i)
-                   "`%s` at node %d (built in %s): operand interval %s admits values ≤ 0 — the \
-                    value is clamped at the floor but the gradient can reach 1/%g there"
-                   nd.Ir.op i nd.Ir.context (itv_to_string a) 1e-12);
-            mk (Stdlib.log (Float.max a.lo 1e-12)) (Stdlib.log (Float.max a.hi 1e-12))
-        | ("div" | "sqrt" | "rsqrt" | "log"), _ ->
-            (* not emitted by Ad today; future-proof the boundary check *)
-            let a = arg (Array.length nd.Ir.args - 1) in
-            if a.lo <= 0.0 then
+                (D.warning ~code:"GF005" (D.Tape_node i)
+                   "`segment_softmax` at node %d (built in %s): %d of %d segments are empty — \
+                    an e-class with no candidate e-nodes has no probability distribution"
+                   i nd.Ir.context empty count)
+          | _ ->
               add
-                (D.warning ~code:"GF004" (D.Tape_node i)
-                   "`%s` at node %d (built in %s): operand interval %s admits values ≤ 0 at a \
-                    domain boundary"
-                   nd.Ir.op i nd.Ir.context (itv_to_string a));
-            top
-        | "segment_softmax", 1 ->
-            (* outputs are mathematically in (0,1]: strictly positive *)
-            { lo = Float.min_float; hi = 1.0 }
-        | "segment_sum", 1 -> (
-            let a = arg 0 in
-            match nd.Ir.meta with
-            | Ir.M_segments { max_len; _ } ->
-                let l = float_of_int max_len in
-                mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi))
-            | _ -> top)
-        | "segment_prod", 1 ->
-            let a = arg 0 in
-            if a.lo >= 0.0 && a.hi <= 1.0 then { lo = 0.0; hi = 1.0 }
-            else if a.lo >= 0.0 then { lo = 0.0; hi = Float.infinity }
-            else top
-        | "segment_max", 1 ->
-            let a = arg 0 in
-            (* empty segments contribute 0 *)
-            { lo = min a.lo 0.0; hi = max a.hi 0.0 }
-        | "gather", 1 -> arg 0
-        | "override_columns", 1 -> (
-            let a = arg 0 in
-            match nd.Ir.meta with
-            | Ir.M_columns pins ->
-                Array.fold_left (fun acc (_, v) -> ihull acc { lo = v; hi = v }) a pins
-            | _ -> a)
-        | ("mean_rows" | "slice_row"), 1 -> arg 0
-        | ("sum_width" | "sum_all"), 1 -> (
-            let a = arg 0 in
-            let w = ir.(nd.Ir.args.(0)).Ir.shape.Ir.width in
-            let w =
-              if nd.Ir.op = "sum_all" then w * ir.(nd.Ir.args.(0)).Ir.shape.Ir.batch else w
-            in
-            let l = float_of_int w in
-            mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi)))
-        | _ -> top
+                (D.info ~code:"GF005" (D.Tape_node i)
+                   "`%s` at node %d (built in %s): %d of %d segments are empty (reduces to the \
+                    neutral element; expected for the root's parent list)"
+                   name i nd.Ir.context empty count)
       in
-      itv.(i) <- out;
-      (* GF005: reductions over provably empty segments *)
-      (match (nd.Ir.op, nd.Ir.meta) with
-      | ( ("segment_softmax" | "segment_sum" | "segment_prod" | "segment_max"),
-          Ir.M_segments { empty_segments; seg_count; _ } )
-        when empty_segments > 0 ->
-          if nd.Ir.op = "segment_softmax" then
-            add
-              (D.warning ~code:"GF005" (D.Tape_node i)
-                 "`segment_softmax` at node %d (built in %s): %d of %d segments are empty — an \
-                  e-class with no candidate e-nodes has no probability distribution"
-                 i nd.Ir.context empty_segments seg_count)
-          else
-            add
-              (D.info ~code:"GF005" (D.Tape_node i)
-                 "`%s` at node %d (built in %s): %d of %d segments are empty (reduces to the \
-                  neutral element; expected for the root's parent list)"
-                 nd.Ir.op i nd.Ir.context empty_segments seg_count)
-      | _ -> ())
+      let out =
+        if Array.length nd.Ir.args <> Op.arity nd.Ir.op then top
+        else
+          match nd.Ir.op with
+          | Op.Const | Op.Param -> top
+          | Op.Add -> iadd (arg 0) (arg 1)
+          | Op.Sub -> isub (arg 0) (arg 1)
+          | Op.Mul -> imul (arg 0) (arg 1)
+          | Op.Neg -> ineg (arg 0)
+          | Op.Scale k -> iscale k (arg 0)
+          | Op.Add_scalar k -> ishift k (arg 0)
+          | Op.Relu ->
+              let a = arg 0 in
+              { lo = Float.max 0.0 a.lo; hi = Float.max 0.0 a.hi }
+          | Op.Log_safe ->
+              let a = arg 0 in
+              if a.lo <= 0.0 then
+                add
+                  (D.warning ~code:"GF004" (D.Tape_node i)
+                     "`%s` at node %d (built in %s): operand interval %s admits values ≤ 0 — \
+                      the value is clamped at the floor but the gradient can reach 1/%g there"
+                     name i nd.Ir.context (itv_to_string a) Tensor.log_floor);
+              mk
+                (Stdlib.log (Float.max a.lo Tensor.log_floor))
+                (Stdlib.log (Float.max a.hi Tensor.log_floor))
+          | Op.Segment_softmax seg ->
+              empty_segments seg;
+              (* outputs are mathematically in (0,1]: strictly positive *)
+              { lo = Float.min_float; hi = 1.0 }
+          | Op.Segment_prod seg ->
+              empty_segments seg;
+              let a = arg 0 in
+              if a.lo >= 0.0 && a.hi <= 1.0 then { lo = 0.0; hi = 1.0 }
+              else if a.lo >= 0.0 then { lo = 0.0; hi = Float.infinity }
+              else top
+          | Op.Segment_max seg ->
+              empty_segments seg;
+              let a = arg 0 in
+              (* empty segments contribute 0 *)
+              { lo = min a.lo 0.0; hi = max a.hi 0.0 }
+          | Op.Gather _ | Op.Mean_rows | Op.Slice_row _ -> arg 0
+          | Op.Override_columns pins ->
+              Array.fold_left (fun acc (_, v) -> ihull acc { lo = v; hi = v }) (arg 0) pins
+          | Op.Sum_all ->
+              let a = arg 0 and s = ir.(nd.Ir.args.(0)).Ir.shape in
+              let l = float_of_int (s.Op.batch * s.Op.width) in
+              mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi))
+          | Op.Dot_const _ | Op.Linear | Op.Matrix_of_entries _ | Op.Expm_trace -> top
+      in
+      itv.(i) <- out
     done;
     D.sort !ds
   end

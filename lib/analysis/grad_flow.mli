@@ -2,10 +2,10 @@
 
     Answers "will gradient actually flow where the builder expects?"
     statically: reachability between [param] leaves and the loss node,
-    plus a simple interval abstraction (seeded from known op ranges —
-    softmax outputs are in (0,1], relu is non-negative, …) to flag
-    domain-boundary ops whose operand may touch the non-differentiable
-    region.
+    plus a simple interval abstraction over every {!Op.t} (seeded from
+    known op ranges — softmax outputs are in (0,1], relu is
+    non-negative, …) to flag domain-boundary ops whose operand may touch
+    the non-differentiable region.
 
     Codes (full table in DESIGN.md):
     - [GF001] error: a parameter has no path to the loss — detached θ,
@@ -14,9 +14,9 @@
     - [GF003] info: op nodes feeding the loss through constants only
       (a const-blocked subgraph; expected for cost vectors and the
       propagation seed, worth surfacing when unexpected)
-    - [GF004] warning: a domain-boundary op ([log]/[div]/[sqrt] family)
-      whose operand interval admits values ≤ 0 — the value is clamped
-      but the gradient can explode or go non-finite at the boundary
+    - [GF004] warning: a [log_safe] whose operand interval admits
+      values ≤ 0 — the value is clamped but the gradient reaches
+      [1/floor] there
     - [GF005] warning ([segment_softmax]) / info (other segment
       reductions): reduction over provably empty segments *)
 

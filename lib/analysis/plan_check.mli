@@ -5,10 +5,10 @@
     the arena itself. It builds def-use chains for every value and
     adjoint buffer, runs forward+backward liveness over the combined
     timeline (forward of node [i] at step [i], its backward pull at step
-    [2n-1-i], using each op's known gradient reads from the {!Plan} op
-    facts), derives fusion chains of adjacent unary elementwise ops, and
-    assigns buffers to arena slots by greedy interval-graph colouring
-    within exact-size classes. The assignment is then re-verified
+    [2n-1-i], using the values each op's backward reads per {!Op} and
+    the adjoints {!Plan.buffers} materialises), derives fusion chains of
+    adjacent unary elementwise ops, and assigns buffers to arena slots
+    by greedy interval-graph colouring within exact-size classes. The assignment is then re-verified
     independently (overlap check plus a read-time simulation) rather
     than trusted.
 
@@ -21,15 +21,13 @@
     - [PL004] info: fusable elementwise run found (fused by the plan)
     - [PL005] info: fusion of an adjacent elementwise pair blocked by an
       interior use (extra consumer, output/root/requested-gradient
-      pinning — segment-op consumers are named with their [M_segments]
-      metadata)
-    - [PL006] error: iteration-2 IR differs from iteration-1 (op, args,
-      shape or context mismatch at the first divergent node) — replay
+      pinning — segment-op consumers are named with their segment count)
+    - [PL006] error: iteration-2 IR differs from iteration-1 (length, or
+      op, args, shape or context at the first divergent node) — replay
       must fall back to interpreted mode
-    - [PL007] error: non-reusable dynamic metadata changed between
-      captures (gather index ranges, scalar constants, segment layout)
-    - [PL008] warning: an op without a replay kernel — the plan is
-      disabled, extraction stays interpreted *)
+    - [PL007] error: only an op's payload changed between captures (any
+      gather index, scalar constant, coefficient, segmentation, pin or
+      scatter entry; {!Op.equal}) *)
 
 (** Live range of one buffer on the combined timeline [0, 2n):
     [lo] = first write, [hi] = last read. [pinned] buffers (leaves,
@@ -39,11 +37,6 @@ type interval = { lo : int; hi : int; numel : int; pinned : bool }
 type report = {
   nodes : int;
   root : int;
-  feeds_root : bool array;
-      (** the backward sweep reaches this node's adjoint *)
-  carries : bool array;
-      (** subtree holds a param or requested gradient: its adjoint is
-          observable and must be materialised *)
   chains : int array array;  (** fusable runs, each [c1; ...; ck] *)
   intervals : interval option array;
       (** length [2 * nodes]: entry [i] is node [i]'s value buffer,
@@ -69,8 +62,7 @@ val analyze : ?grads:int array -> root:int -> outputs:int array -> Ad.Ir.t -> re
     pass, [grads] the nodes whose gradients it reads after the sweep
     (all pinned out of the arena). The returned arena plan has already
     passed {!verify_arena}; any PL001–PL003 finding in [diags] means
-    the analysis refused its own assignment (a bug guard), PL008 that
-    an op cannot be replayed at all. *)
+    the analysis refused its own assignment (a bug guard). *)
 
 val verify_arena :
   report -> slot_sizes:int array -> assign:int array -> Diagnostic.t list
@@ -81,9 +73,9 @@ val verify_arena :
     assignments. *)
 
 val stability : Ad.Ir.t -> Ad.Ir.t -> Diagnostic.t list
-(** Compare two consecutive captures structurally: PL006 on op/args/
-    shape/context divergence (first divergent node), PL007 on a
-    metadata-only change. Empty when the IR is iteration-stable. *)
+(** {!Plan.divergence} of two consecutive captures, rendered: PL006 on
+    a length, op, args, shape or context divergence, PL007 on a
+    payload-only change. Empty when the IR is iteration-stable. *)
 
 val arena_spec : report -> Plan.arena_spec
 (** The verified assignment in the form {!Plan.compile} consumes. *)

@@ -13,72 +13,35 @@
     single-use: one forward/backward pair per tape; a second {!backward}
     on the same tape raises [Invalid_argument].
 
-    Every operator computes its value with a [Tensor]/[Segments] kernel
-    and its pull with that kernel's fused in-place adjoint — the same
-    kernels [Plan] replays — so a pull allocates no temporaries beyond
-    [segment_prod]'s product-of-others scratch and the matmul
-    intermediates of [linear] and [expm_trace].
+    Every operator is one {!Op.t} applied to its operands: the value
+    comes from [Op.forward], and the sweep calls [Op.backward] on each
+    node — the kernels [Plan] replays — so a pull allocates no
+    temporaries beyond the scratch its op declares ([segment_prod]'s
+    product of others, the matmul intermediates of [linear] and
+    [expm_trace]). An operand whose shape breaks the op's shape rule
+    raises [Invalid_argument] naming the op.
 
-    Alongside the runtime tape, every operator records one node of a
-    lightweight op-graph {!Ir} — op name, operand ids, output shape,
-    ambient {!with_context} label, and op-specific metadata. The IR is
-    plain data with no tensors or closures; the static analyses in
-    [lib/analysis] (shape abstract interpretation, gradient-flow lint)
-    run over it without executing any kernel. *)
+    The tape also yields a lightweight op-graph {!Ir} — op, operand
+    ids, output shape and ambient {!with_context} label per node. The
+    IR is plain data with no tensors or closures; the static analyses
+    in [lib/analysis] run over it without executing any kernel. *)
 
-(** Side-effect-free op-graph recorded at tape-construction time. Node
-    [i] of the IR describes tape node [i]; [args] are indices of earlier
-    nodes. *)
+(** Side-effect-free op-graph of a tape. Node [i] of the IR describes
+    tape node [i]; [args] are indices of earlier nodes. *)
 module Ir : sig
-  type shape = { batch : int; width : int }
-
-  (** Op-specific static facts that shape/gradient analyses need but the
-      output shape alone does not carry. *)
-  type meta =
-    | M_none
-    | M_scalar of float  (** [scale] / [add_scalar] constant *)
-    | M_gather of { count : int; index_min : int; index_max : int }
-        (** gather index stats; [index_max = -1] when the index is empty *)
-    | M_segments of {
-        seg_count : int;
-        seg_width : int;  (** total elements the segmentation expects *)
-        empty_segments : int;
-        max_len : int;
-      }
-    | M_columns of (int * float) array  (** [override_columns] pins *)
-    | M_row of int  (** [slice_row] row index *)
-    | M_width of int  (** [dot_const] coefficient count *)
-    | M_matrix of { dim : int; class_min : int; class_max : int; col_max : int }
-        (** [matrix_of_entries] scatter targets; [-1] maxima when empty *)
-
   type node = {
-    op : string;
+    op : Op.t;  (** the op with its payload *)
     args : int array;
-    shape : shape;  (** shape the op actually produced *)
+    shape : Op.shape;  (** shape the op actually produced *)
     context : string;
         (** full {!with_context} provenance chain at build time,
             outermost→innermost, joined with ["/"]
             (e.g. ["smoothe.forward/cost_model.relaxed"]);
             ["(toplevel)"] outside any region *)
-    meta : meta;
   }
 
   type t = node array
-
-  val shape_to_string : shape -> string
 end
-
-(** Runtime payloads that {!Ir.meta} summarises but does not carry: the
-    exact index arrays, segmentations, coefficient vectors and scatter
-    entries an op closed over. The plan replay engine ({!Plan}) needs
-    them verbatim to re-execute a captured graph. *)
-type payload =
-  | P_none
-  | P_indices of int array  (** [gather] index array *)
-  | P_segments of Segments.t  (** [segment_*] segmentation *)
-  | P_coeffs of float array  (** [dot_const] coefficients *)
-  | P_entries of { dim : int; entries : (int * int * int) array }
-      (** [matrix_of_entries] scatter targets *)
 
 type tape
 type v
@@ -89,15 +52,9 @@ val node_count : tape -> int
 val ir : tape -> Ir.t
 (** Snapshot of the op-graph recorded so far (index [i] = tape node [i]). *)
 
-val payloads : tape -> payload array
-(** Per-node runtime payloads, parallel to {!ir}. *)
-
 val values : tape -> Tensor.t array
 (** Per-node forward values, parallel to {!ir} — what a plan capture
     aliases for [const]/[param] leaves. *)
-
-val swept : tape -> bool
-(** Whether {!backward} already ran on this tape. *)
 
 val node_id : v -> int
 (** This node's position on its tape — its index into {!ir}. *)
@@ -162,12 +119,11 @@ val gather : v -> int array -> v
 val segment_softmax : v -> Segments.t -> v
 (** Per-segment softmax (Eq. 3b): θ logits → conditional probabilities. *)
 
-val segment_sum : v -> Segments.t -> v
 val segment_prod : v -> Segments.t -> v
 val segment_max : v -> Segments.t -> v
 (** Adjoint flows to each segment's argmax only (subgradient), matching
     PyTorch [max] semantics used for the fully-correlated assumption of
-    Eq. (7). *)
+    Eq. (7); {!Op.Segment_max} states the tie rule. *)
 
 val override_columns : v -> (int * float) list -> v
 (** Pin given columns to constants across the batch (no gradient through
@@ -181,9 +137,6 @@ val slice_row : v -> int -> v
 (** (B,N) → (1,N) view of one batch row (copy; adjoint scatters back). *)
 
 (** {1 Reductions} *)
-
-val sum_width : v -> v
-(** (B,N) → (B,1) per-seed sum. *)
 
 val sum_all : v -> v
 (** (B,N) → (1,1). *)

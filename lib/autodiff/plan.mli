@@ -25,8 +25,7 @@
 (** {1 Capture} *)
 
 type capture = {
-  ir : Ad.Ir.t;
-  pay : Ad.payload array;  (** per-node runtime payloads *)
+  ir : Ad.Ir.t;  (** the ops, with their payloads *)
   vals : Tensor.t array;  (** per-node forward values (leaves are aliased) *)
   root : int;  (** node the backward sweep seeds *)
 }
@@ -36,35 +35,48 @@ val capture : Ad.tape -> root:Ad.v -> capture
     reference: a [param] updated in place by an optimiser is seen by
     subsequent replays, exactly as the interpreter would. *)
 
+type divergence = {
+  at : int option;  (** first divergent node; [None] when the lengths differ *)
+  payload : bool;  (** only the op's payload changed ({!Op.equal}) *)
+  what : string;
+}
+
+val divergence : Ad.Ir.t -> Ad.Ir.t -> divergence option
+(** The one IR comparator: the first node where two captures differ in
+    op, operands, shape, context or payload. Rendered as PL006/PL007 by
+    the plan analysis. *)
+
 val stable : capture -> capture -> (unit, string) result
-(** Structural equality of two captures: same ops, arguments, shapes,
-    contexts and metadata node by node; payloads equal (segmentations by
-    structure, coefficients bitwise); [param] leaves physically the same
-    tensor; [const] leaves bitwise-equal ({!Tensor.bits_equal}). [Error]
-    carries the first divergence, for PL006/PL007 diagnostics. *)
+(** {!divergence}, plus the capture-level checks: the root did not move,
+    [param] leaves are physically the same tensor and [const] leaves
+    are bitwise-equal ({!Tensor.bits_equal}). [Error] carries the first
+    divergence. *)
 
-(** {1 Op facts}
+(** {1 Gradient materialisation}
 
-    The single source of truth about op behaviour that both this module
-    and the [plan_check] analysis consume — which ops a plan can replay,
-    which operand {e values} a backward pull re-reads (so liveness must
-    extend them across the sweep), and which unary ops fuse. *)
+    Which adjoints a replay writes, decided once for {!compile} and for
+    the liveness of the [plan_check] analysis. *)
 
-val op_supported : string -> bool
-val is_leaf : string -> bool
+type flow = {
+  consumers : int list array;  (** per node, its consumers, descending *)
+  is_output : bool array;  (** the outputs and the root *)
+  requested : bool array;  (** gradients the caller reads *)
+  feeds_root : bool array;  (** the backward sweep reaches this adjoint *)
+  carries : bool array;
+      (** the subtree holds a param or requested gradient: its adjoint is
+          observable *)
+}
 
-val backward_reads_arg : string -> int -> bool
-(** [backward_reads_arg op k]: does [op]'s pull read the forward value
-    of operand [k]? ([mul] both, [log_safe]/[relu]/[segment_prod] their
-    input, [linear] its input and weight.) *)
+val flow : Ad.Ir.t -> root:int -> outputs:int array -> grads:int array -> flow
+(** Out-of-range [outputs] and [grads] are ignored. *)
 
-val backward_reads_self : string -> bool
-(** Does the pull read the op's {e own} forward output?
-    ([segment_softmax].) *)
+type buffers = {
+  interior : bool array;  (** fused away inside a chain *)
+  grad_mat : bool array;  (** the sweep writes this adjoint and someone reads it *)
+  has_gbuf : bool array;  (** materialised, or requested *)
+}
 
-val fusable_elementwise : string -> bool
-(** Unary elementwise ops a chain jam may fuse: [neg], [scale],
-    [add_scalar]. *)
+val buffers : flow -> root:int -> chains:int array array -> buffers
 
 (** {1 Compilation} *)
 
@@ -84,7 +96,6 @@ type stats = {
   steps_backward : int;
   arena_bytes : int;  (** bytes of shared arena storage *)
   dedicated_bytes : int;  (** bytes of per-buffer dedicated storage *)
-  scratch_bytes : int;  (** per-op workspace (incl. expm workspace) *)
   chains : int;  (** fused elementwise chains *)
   fused_nodes : int;  (** nodes covered by those chains *)
 }
@@ -103,9 +114,9 @@ val compile :
     root is implicitly one); [grads] are node ids whose gradients the
     caller reads after {!run_backward} — all are pinned out of the
     arena. [chains] lists fusion runs [c1; ...; ck] (each node consumed
-    only by the next, all {!fusable_elementwise}); invalid chains,
-    unsupported ops, arena shape violations and the [Scalar] backend
-    all yield [Error]. *)
+    only by the next, all {!Op.fusable}); invalid chains, arena shape
+    violations and the [Scalar] backend all yield [Error]. Every op
+    runs through its {!Op} kernels. *)
 
 val stats : t -> stats
 

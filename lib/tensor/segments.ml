@@ -434,38 +434,6 @@ let softmax_grad ~into ~g ~y seg =
         done
       done
 
-(* into_p += g_{segment of p} *)
-let sum_grad ~into ~g seg =
-  check_width "sum_grad" seg into;
-  let nsegs = count seg in
-  check_out "sum_grad" g ~batch:into.Tensor.batch ~width:nsegs;
-  let gd = data g and dd = data into in
-  let starts = seg.starts and lens = seg.lens and w = seg.width in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      by_rows w into.Tensor.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for s = 0 to nsegs - 1 do
-              let st = base + Array.unsafe_get starts s and ln = Array.unsafe_get lens s in
-              let gv = Array.unsafe_get gd ((b * nsegs) + s) in
-              for p = st to st + ln - 1 do
-                Array.unsafe_set dd p (Array.unsafe_get dd p +. gv)
-              done
-            done
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to into.Tensor.batch - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let st = base + starts.(s) and ln = lens.(s) in
-          for p = st to st + ln - 1 do
-            let acc = read dd p in
-            dd.(p) <- acc +. read gd ((b * nsegs) + s)
-          done
-        done
-      done
-
 (* into_p += g_{segment of p} * (product of the other elements of that
    segment), the latter staged in [scratch] by [prod_grad_scratch_into] *)
 let prod_grad ~into ~g ~scratch x seg =

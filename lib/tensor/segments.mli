@@ -94,9 +94,6 @@ val softmax_grad : into:Tensor.t -> g:Tensor.t -> y:Tensor.t -> t -> unit
 (** [into_i += y_i (g_i - Σ_{j in seg(i)} g_j y_j)], where [y] is the
     forward {!softmax} output. *)
 
-val sum_grad : into:Tensor.t -> g:Tensor.t -> t -> unit
-(** [into_i += g_{seg(i)}]; [g] is (B, count). *)
-
 val prod_grad : into:Tensor.t -> g:Tensor.t -> scratch:Tensor.t -> Tensor.t -> t -> unit
 (** [prod_grad ~into ~g ~scratch x seg]: [into_i += g_{seg(i)} *
     others_i], staging the product of the others

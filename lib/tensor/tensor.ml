@@ -408,27 +408,6 @@ let sum_all_grad ~into ~g =
     Array.unsafe_set into.data i (Array.unsafe_get into.data i +. gv)
   done
 
-let sum_rows_into ~out t =
-  check_shape "sum_rows_into" out ~batch:t.batch ~width:1;
-  for b = 0 to t.batch - 1 do
-    let acc = ref 0.0 in
-    let base = b * t.width in
-    for i = 0 to t.width - 1 do
-      acc := !acc +. Array.unsafe_get t.data (base + i)
-    done;
-    out.data.(b) <- !acc
-  done
-
-let sum_rows_grad ~into ~g =
-  check_shape "sum_rows_grad" g ~batch:into.batch ~width:1;
-  let w = into.width in
-  for b = 0 to into.batch - 1 do
-    let gv = g.data.(b) and base = b * w in
-    for i = 0 to w - 1 do
-      Array.unsafe_set into.data (base + i) (Array.unsafe_get into.data (base + i) +. gv)
-    done
-  done
-
 let dot_const_into ~out t u =
   if Array.length u <> t.width then invalid_arg "Tensor.dot_const_into: width mismatch";
   check_shape "dot_const_into" out ~batch:t.batch ~width:1;

@@ -154,12 +154,6 @@ val sum_all_into : out:t -> t -> unit
 val sum_all_grad : into:t -> g:t -> unit
 (** [into += g.(0)] everywhere; [g] is (1,1). *)
 
-val sum_rows_into : out:t -> t -> unit
-(** (B,N) → (B,1) per-row sums. *)
-
-val sum_rows_grad : into:t -> g:t -> unit
-(** [into.(b, i) += g.(b)]; [g] is (B,1). *)
-
 val dot_const_into : out:t -> t -> float array -> unit
 (** [dot_const_into ~out t u]: (B,N) → (B,1) per-row [uᵀ t_b]. *)
 

@@ -135,17 +135,15 @@ let test_lint_cyclic_but_derivable () =
 
 (* ------------------------------------------------------- shape check *)
 
-let sh b w = { Ad.Ir.batch = b; width = w }
-
-let ir_node ?(context = "(toplevel)") ?(meta = Ad.Ir.M_none) op args shape =
-  { Ad.Ir.op; args; shape; context; meta }
+let sh b w = { Op.batch = b; width = w }
+let ir_node ?(context = "(toplevel)") op args shape = { Ad.Ir.op; args; shape; context }
 
 let test_shape_mismatch_reported () =
   let ir =
     [|
-      ir_node "param" [||] (sh 2 4);
-      ir_node "param" [||] (sh 2 3);
-      ir_node ~context:"smoothe.forward" "mul" [| 0; 1 |] (sh 2 4);
+      ir_node Op.Param [||] (sh 2 4);
+      ir_node Op.Param [||] (sh 2 3);
+      ir_node ~context:"smoothe.forward" Op.Mul [| 0; 1 |] (sh 2 4);
     |]
   in
   let ds = Shape_check.check ir in
@@ -160,18 +158,19 @@ let test_shape_mismatch_reported () =
     (contains d.Diagnostic.message "built in smoothe.forward")
 
 let test_shape_bad_operand_id () =
-  let ir = [| ir_node "sum_all" [| 3 |] (sh 1 1) |] in
+  let ir = [| ir_node Op.Sum_all [| 3 |] (sh 1 1) |] in
   Alcotest.(check bool) "forward reference is SC008" true
+    (has_code "SC008" (Shape_check.check ir));
+  let ir = [| ir_node Op.Param [||] (sh 2 4); ir_node Op.Add [| 0 |] (sh 2 4) |] in
+  Alcotest.(check bool) "wrong operand count is SC008" true
     (has_code "SC008" (Shape_check.check ir))
 
 let test_shape_gather_and_dot () =
   let ir =
     [|
-      ir_node "param" [||] (sh 2 4);
-      ir_node "gather" [| 0 |]
-        ~meta:(Ad.Ir.M_gather { count = 2; index_min = 0; index_max = 5 })
-        (sh 2 2);
-      ir_node "dot_const" [| 0 |] ~meta:(Ad.Ir.M_width 3) (sh 2 1);
+      ir_node Op.Param [||] (sh 2 4);
+      ir_node (Op.Gather [| 0; 5 |]) [| 0 |] (sh 2 2);
+      ir_node (Op.Dot_const [| 1.0; 2.0; 3.0 |]) [| 0 |] (sh 2 1);
     |]
   in
   let ds = Shape_check.check ir in
@@ -181,7 +180,7 @@ let test_shape_gather_and_dot () =
 let test_shape_recorded_vs_inferred () =
   (* the op is well-formed but the recorded output shape disagrees with
      what the abstract interpreter derives: a recording defect, SC007 *)
-  let ir = [| ir_node "param" [||] (sh 2 4); ir_node "sum_width" [| 0 |] (sh 2 4) |] in
+  let ir = [| ir_node Op.Param [||] (sh 2 4); ir_node Op.Sum_all [| 0 |] (sh 2 4) |] in
   let ds = Shape_check.check ir in
   Alcotest.(check bool) "SC007 warning" true (has_code "SC007" ds);
   Alcotest.(check int) "no errors" 0 (Diagnostic.errors ds)

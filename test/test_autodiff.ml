@@ -50,7 +50,6 @@ let pointwise_grads =
       ("scale", fun _ _ v -> Ad.scale 2.5 v);
       ("add_scalar", fun _ _ v -> Ad.add_scalar 3.0 v);
       ("one_minus", fun _ _ v -> Ad.one_minus v);
-      ("sum_width", fun _ _ v -> Ad.sum_width v);
       ("sum_all", fun _ _ v -> Ad.sum_all v);
       ("mean_all", fun _ _ v -> Ad.mean_all v);
       ("mean_rows", fun _ _ v -> Ad.mean_rows v);
@@ -95,7 +94,6 @@ let segment_grads =
           grad_check ~build:(fun _ v -> build v) x))
     [
       ("segment_softmax", fun v -> Ad.mul (Ad.segment_softmax v seg) (Ad.segment_softmax v seg));
-      ("segment_sum", fun v -> Ad.mul (Ad.segment_sum v seg) (Ad.segment_sum v seg));
       ("segment_prod", fun v -> Ad.segment_prod v seg);
     ]
 
@@ -193,8 +191,8 @@ let test_node_count () =
   Alcotest.(check int) "nodes on tape" 3 (Ad.node_count tape)
 
 let test_double_backward_raises () =
-  (* tapes are single-use: the pull closures are consumed by the sweep,
-     so a second backward must fail loudly rather than return zeros *)
+  (* tapes are single-use: a second sweep would add every adjoint
+     again, so a second backward must fail loudly *)
   let tape = Ad.tape () in
   let x = Ad.param tape (Tensor.of_array ~batch:1 ~width:2 [| 1.0; 2.0 |]) in
   let loss = Ad.sum_all (Ad.mul x x) in
@@ -223,15 +221,64 @@ let test_ir_records_ops () =
   let ir = Ad.ir tape in
   Alcotest.(check int) "one IR node per tape node" (Ad.node_count tape) (Array.length ir);
   Alcotest.(check int) "loss is the last node" (Array.length ir - 1) (Ad.node_id loss);
-  Alcotest.(check string) "param recorded" "param" ir.(Ad.node_id x).Ad.Ir.op;
+  Alcotest.(check bool) "param recorded" true (ir.(Ad.node_id x).Ad.Ir.op = Op.Param);
   let last = ir.(Ad.node_id loss) in
-  Alcotest.(check string) "op name" "sum_all" last.Ad.Ir.op;
-  Alcotest.(check bool) "shape" true (last.Ad.Ir.shape = { Ad.Ir.batch = 1; width = 1 });
+  Alcotest.(check string) "op name" "sum_all" (Op.name last.Ad.Ir.op);
+  Alcotest.(check bool) "shape" true (last.Ad.Ir.shape = { Op.batch = 1; width = 1 });
   Alcotest.(check string) "context label" "test.loss" last.Ad.Ir.context;
   Alcotest.(check bool) "args point at earlier nodes" true
     (Array.for_all
        (fun nd -> Array.for_all (fun a -> a >= 0) nd.Ad.Ir.args)
        ir)
+
+(* ------------------------------------------------ subgradients at kinks *)
+
+(* Finite differences say nothing at a kink, so each op's written
+   subgradient convention (its doc comment in Op) is the oracle: the
+   interpreter's sweep must return it, and a replay of the same tape
+   must return the same bits. *)
+let kink name ~x ~expected build =
+  Alcotest.test_case name `Quick (fun () ->
+      let tape = Ad.tape () in
+      let v = Ad.param tape (Tensor.of_row x) in
+      let loss = build tape v in
+      let cap = Plan.capture tape ~root:loss in
+      Ad.backward loss;
+      let interp = Ad.grad v in
+      Alcotest.(check bool)
+        (name ^ ": interpreter gives the convention")
+        true
+        (Tensor.bits_equal interp (Tensor.of_row expected));
+      match Plan.compile ~outputs:[||] ~grads:[| Ad.node_id v |] cap with
+      | Error e -> Alcotest.fail ("compile: " ^ e)
+      | Ok plan ->
+          Plan.run_forward plan;
+          Plan.run_backward plan;
+          Alcotest.(check bool)
+            (name ^ ": replay picks the same subgradient")
+            true
+            (Tensor.bits_equal interp (Plan.grad_of plan (Ad.node_id v))))
+
+let kink_tests =
+  [
+    kink "relu at +0 and -0 gives 0" ~x:[| 0.0; -0.0; 1.0; -1.0 |] ~expected:[| 0.0; 0.0; 1.0; 0.0 |]
+      (fun _ v -> Ad.sum_all (Ad.relu v));
+    kink "segment_max tie: lowest index takes the adjoint"
+      ~x:[| 2.0; 2.0; 1.0; -0.0; 0.0 |] ~expected:[| 1.0; 0.0; 0.0; 1.0; 0.0 |]
+      (fun _ v -> Ad.sum_all (Ad.segment_max v (Segments.of_lens [| 3; 2 |])));
+    (let floor_grad = 1.0 /. Tensor.log_floor in
+     kink "log_safe at and below the floor gives g / floor"
+       ~x:[| Tensor.log_floor; 1e-13; 0.0; -1.0 |]
+       ~expected:[| floor_grad; floor_grad; floor_grad; 2.0 *. floor_grad |]
+       (fun _ v -> Ad.dot_const (Ad.log_safe v) [| 1.0; 1.0; 1.0; 2.0 |]));
+    kink "saturated segment_softmax gives exactly 0" ~x:[| 0.0; -1000.0 |] ~expected:[| 0.0; 0.0 |]
+      (fun _ v -> Ad.dot_const (Ad.segment_softmax v (Segments.of_lens [| 2 |])) [| 3.0; -2.0 |]);
+    kink "segment_prod of [0; 2; 3] gives [6; 0; 0]" ~x:[| 0.0; 2.0; 3.0 |]
+      ~expected:[| 6.0; 0.0; 0.0 |] (fun _ v -> Ad.sum_all (Ad.segment_prod v (Segments.of_lens [| 3 |])));
+    kink "pinned override_columns column gives +0" ~x:[| 1.0; 1.0; 1.0 |]
+      ~expected:[| 1.0; 0.0; 3.0 |] (fun _ v ->
+        Ad.dot_const (Ad.override_columns v [ (1, 0.5) ]) [| 1.0; -2.0; 3.0 |]);
+  ]
 
 (* --------------------------------------------------------------- optim *)
 
@@ -280,6 +327,7 @@ let () =
            Alcotest.test_case "double backward raises" `Quick test_double_backward_raises;
            Alcotest.test_case "ir records ops" `Quick test_ir_records_ops;
          ] );
+       ("kinks", kink_tests);
        ( "optim",
          [
            Alcotest.test_case "adam minimises quadratic" `Quick test_adam_minimises_quadratic;

@@ -210,16 +210,15 @@ let kernel_outputs () =
   let logged = Tensor.create ~batch:6 ~width:900 in
   Tensor.log_safe_into ~out:logged soft;
   (* the fused adjoints Ad's pulls and Plan's backward steps share *)
-  let grads = List.init 7 (fun _ -> Tensor.copy b) in
+  let grads = List.init 6 (fun _ -> Tensor.copy b) in
   (match grads with
-  | [ g1; g2; g3; g4; g5; g6; g7 ] ->
+  | [ g1; g2; g3; g4; g5; g6 ] ->
       Tensor.mul_grad ~into:g1 ~g:a b;
       Tensor.log_safe_grad ~into:g2 ~g:a soft;
       Tensor.relu_grad ~into:g3 ~g:b a;
       Tensor.override_columns_grad ~into:g4 ~g:a [| (0, 1.0); (450, 1.0) |];
       Segments.softmax_grad ~into:g5 ~g:a ~y:soft seg;
-      Segments.sum_grad ~into:g6 ~g:sums seg;
-      Segments.prod_grad ~into:g7 ~g:sums ~scratch:(Tensor.create ~batch:6 ~width:900) soft seg
+      Segments.prod_grad ~into:g6 ~g:sums ~scratch:(Tensor.create ~batch:6 ~width:900) soft seg
   | _ -> assert false);
   let axpyd = Tensor.copy a in
   Tensor.axpy 0.37 b axpyd;

@@ -11,13 +11,6 @@
 let default_cfg =
   { Smoothe_config.default with Smoothe_config.batch = 4; prop_iters = Some 4 }
 
-(* One forward pass of the real relaxation, plus everything a plan
-   needs: the capture and the ids of the observable nodes. *)
-let forward_once ?(config = default_cfg) g model compiled theta =
-  let fwd = Relaxation.forward compiled ~config ~model ~theta in
-  ignore g;
-  fwd
-
 let ids_of (fwd : Relaxation.forward) =
   let root = Ad.node_id fwd.Relaxation.loss in
   let theta_id = Ad.node_id fwd.Relaxation.theta in
@@ -33,17 +26,17 @@ let ids_of (fwd : Relaxation.forward) =
 
 (* Capture two consecutive iterations, run the analysis and compile.
    Fails the test on any gate the extraction loop would treat as clean. *)
-let compile_plan ?(config = default_cfg) g =
-  let model = Cost_model.of_egraph g in
+let compile_plan ?(config = default_cfg) ?model g =
+  let model = Option.value model ~default:(Cost_model.of_egraph g) in
   let compiled = Relaxation.compile config g in
   let rng = Rng.create 23 in
   let theta =
     Tensor.init ~batch:config.Smoothe_config.batch ~width:(Egraph.num_nodes g)
       (fun _ _ -> 0.5 *. Rng.gaussian rng)
   in
-  let fwd1 = forward_once ~config g model compiled theta in
+  let fwd1 = Relaxation.forward compiled ~config ~model ~theta in
   let c1 = Plan.capture fwd1.Relaxation.tape ~root:fwd1.Relaxation.loss in
-  let fwd2 = forward_once ~config g model compiled theta in
+  let fwd2 = Relaxation.forward compiled ~config ~model ~theta in
   let c2 = Plan.capture fwd2.Relaxation.tape ~root:fwd2.Relaxation.loss in
   (match Plan.stable c1 c2 with
   | Ok () -> ()
@@ -264,54 +257,173 @@ let prop_arena_sound =
         report.Plan_check.assign;
       !ok)
 
+(* One interpreted iteration against one replay of the compiled plan:
+   loss, cp and the theta gradient agree bitwise. Also returns the
+   replayed IR, for op coverage. *)
+let replay_matches ?config ?model g =
+  let plan, _, theta, model, compiled, config = compile_plan ?config ?model g in
+  let fwd = Relaxation.forward compiled ~config ~model ~theta in
+  Plan.run_forward plan;
+  Ad.backward fwd.Relaxation.loss;
+  Plan.run_backward plan;
+  ( Tensor.bits_equal
+      (Plan.value plan (Ad.node_id fwd.Relaxation.loss))
+      (Ad.value fwd.Relaxation.loss)
+    && Tensor.bits_equal
+         (Plan.value plan (Ad.node_id fwd.Relaxation.cp))
+         (Ad.value fwd.Relaxation.cp)
+    && Tensor.bits_equal
+         (Plan.grad_of plan (Ad.node_id fwd.Relaxation.theta))
+         (Ad.grad fwd.Relaxation.theta),
+    Ad.ir fwd.Relaxation.tape )
+
+(* The relaxations a plan must replay: both matrix-exponential modes
+   (they differ on cyclic graphs), the nonlinear cost models and the
+   entropy bonus. *)
+let scenarios g =
+  let rng = Rng.create 41 in
+  let mlp = Mlp.create rng ~input_dim:(Egraph.num_nodes g) in
+  [
+    ("batched matexp", default_cfg, Cost_model.of_egraph g);
+    ( "per-seed matexp",
+      { default_cfg with Smoothe_config.batched_matexp = false },
+      Cost_model.of_egraph g );
+    ("mlp_corrected", default_cfg, Cost_model.mlp_corrected ~linear:g.Egraph.costs mlp);
+    ("fusion_of_egraph", default_cfg, Cost_model.fusion_of_egraph rng ~pairs:4 g);
+    ("entropy", { default_cfg with Smoothe_config.entropy_weight = 0.1 }, Cost_model.of_egraph g);
+  ]
+
 let prop_replay_bit_identical =
   QCheck2.Test.make ~count:12 ~name:"replay bit-identical to interpreter"
-    (Test_util.arb_egraph ~max_classes:8 ())
-    (fun g ->
-      let plan, _, theta, model, compiled, config = compile_plan g in
-      let fwd = Relaxation.forward compiled ~config ~model ~theta in
+    QCheck2.Gen.(pair (Test_util.arb_egraph ~max_classes:8 ~cycle_prob:0.35 ()) (int_bound 4))
+    (fun (g, k) ->
+      let _, config, model = List.nth (scenarios g) k in
+      fst (replay_matches ~config ~model g))
+
+(* A hand-built tape through the same gate: capture, analysis, arena
+   and compile, then one interpreted sweep against one replay. *)
+let replay_tape build x =
+  let tape = Ad.tape () in
+  let v = Ad.param tape x in
+  let loss = build tape v in
+  let cap = Plan.capture tape ~root:loss in
+  let root = Ad.node_id loss and xid = Ad.node_id v in
+  let report = Plan_check.analyze ~grads:[| xid |] ~root ~outputs:[||] cap.Plan.ir in
+  match
+    Plan.compile ~arena:(Plan_check.arena_spec report) ~chains:(Plan_check.plan_chains report)
+      ~outputs:[||] ~grads:[| xid |] cap
+  with
+  | Error e -> Alcotest.fail ("compile failed: " ^ e)
+  | Ok plan ->
       Plan.run_forward plan;
-      Ad.backward fwd.Relaxation.loss;
+      Ad.backward loss;
       Plan.run_backward plan;
-      Tensor.bits_equal
-        (Plan.value plan (Ad.node_id fwd.Relaxation.loss))
-        (Ad.value fwd.Relaxation.loss)
-      && Tensor.bits_equal
-           (Plan.value plan (Ad.node_id fwd.Relaxation.cp))
-           (Ad.value fwd.Relaxation.cp)
-      && Tensor.bits_equal
-           (Plan.grad_of plan (Ad.node_id fwd.Relaxation.theta))
-           (Ad.grad fwd.Relaxation.theta))
+      ( Tensor.bits_equal (Plan.value plan root) (Ad.value loss)
+        && Tensor.bits_equal (Plan.grad_of plan xid) (Ad.grad v),
+        cap.Plan.ir )
+
+(* Every Op.t constructor, listed in one exhaustive match: a new op
+   does not compile until it has a slot here, and the coverage test
+   below fails until some replay exercises it. *)
+let op_slot : Op.t -> int = function
+  | Const -> 0
+  | Param -> 1
+  | Add -> 2
+  | Sub -> 3
+  | Mul -> 4
+  | Neg -> 5
+  | Scale _ -> 6
+  | Add_scalar _ -> 7
+  | Relu -> 8
+  | Log_safe -> 9
+  | Gather _ -> 10
+  | Segment_softmax _ -> 11
+  | Segment_prod _ -> 12
+  | Segment_max _ -> 13
+  | Override_columns _ -> 14
+  | Mean_rows -> 15
+  | Slice_row _ -> 16
+  | Sum_all -> 17
+  | Dot_const _ -> 18
+  | Linear -> 19
+  | Matrix_of_entries _ -> 20
+  | Expm_trace -> 21
+
+let op_slots = 22
+
+let test_replay_covers_every_op () =
+  let covered = Array.make op_slots false in
+  let check name (ok, ir) =
+    if not ok then Alcotest.failf "%s: replay differs from the interpreter" name;
+    Array.iter (fun nd -> covered.(op_slot nd.Ad.Ir.op) <- true) ir
+  in
+  (* cyclic, so the acyclicity penalty builds its matrix exponentials *)
+  let g = Test_util.random_egraph (Rng.create 11) ~classes:8 ~cycle_prob:0.35 in
+  List.iter
+    (fun (name, config, model) -> check name (replay_matches ~config ~model g))
+    (scenarios g);
+  (* no relaxation subtracts *)
+  check "sub"
+    (replay_tape
+       (fun tape v ->
+         let c = Ad.const tape (Tensor.of_row [| 0.5; -1.0; 2.0 |]) in
+         Ad.sum_all (Ad.mul (Ad.sub v c) (Ad.sub c v)))
+       (Tensor.of_row [| 1.0; 2.0; -3.0 |]));
+  Array.iteri
+    (fun slot c -> if not c then Alcotest.failf "op slot %d: no replay test covers it" slot)
+    covered
 
 (* ------------------------------------------------------ stability *)
 
 let mk_ir nodes = Array.of_list nodes
-
-let nd ?(args = [||]) ?(meta = Ad.Ir.M_none) op batch width =
-  { Ad.Ir.op; args; shape = { Ad.Ir.batch; width }; context = ""; meta }
+let nd ?(args = [||]) op batch width = { Ad.Ir.op; args; shape = { Op.batch; width }; context = "" }
 
 let test_stability_codes () =
-  let a = mk_ir [ nd "param" 1 4; nd "neg" ~args:[| 0 |] 1 4 ] in
+  let a = mk_ir [ nd Op.Param 1 4; nd Op.Neg ~args:[| 0 |] 1 4 ] in
   Alcotest.(check int) "identical IRs are stable" 0
     (List.length (Plan_check.stability a a));
-  let longer = mk_ir [ nd "param" 1 4; nd "neg" ~args:[| 0 |] 1 4; nd "neg" ~args:[| 1 |] 1 4 ] in
+  let longer = mk_ir [ nd Op.Param 1 4; nd Op.Neg ~args:[| 0 |] 1 4; nd Op.Neg ~args:[| 1 |] 1 4 ] in
   (match Plan_check.stability a longer with
   | [ d ] -> Alcotest.(check string) "length divergence is PL006" "PL006" d.Diagnostic.code
   | _ -> Alcotest.fail "expected one diagnostic");
-  let other_op = mk_ir [ nd "param" 1 4; nd "relu" ~args:[| 0 |] 1 4 ] in
+  let other_op = mk_ir [ nd Op.Param 1 4; nd Op.Relu ~args:[| 0 |] 1 4 ] in
   (match Plan_check.stability a other_op with
   | [ d ] -> Alcotest.(check string) "op divergence is PL006" "PL006" d.Diagnostic.code
   | _ -> Alcotest.fail "expected one diagnostic");
-  let b1 =
-    mk_ir [ nd "param" 1 4; nd "scale" ~args:[| 0 |] ~meta:(Ad.Ir.M_scalar 2.0) 1 4 ]
-  in
-  let b2 =
-    mk_ir [ nd "param" 1 4; nd "scale" ~args:[| 0 |] ~meta:(Ad.Ir.M_scalar 3.0) 1 4 ]
-  in
+  let b1 = mk_ir [ nd Op.Param 1 4; nd (Op.Scale 2.0) ~args:[| 0 |] 1 4 ] in
+  let b2 = mk_ir [ nd Op.Param 1 4; nd (Op.Scale 3.0) ~args:[| 0 |] 1 4 ] in
   match Plan_check.stability b1 b2 with
   | [ d ] ->
-      Alcotest.(check string) "metadata-only divergence is PL007" "PL007" d.Diagnostic.code
+      Alcotest.(check string) "payload-only divergence is PL007" "PL007" d.Diagnostic.code
   | _ -> Alcotest.fail "expected one diagnostic"
+
+(* The extraction loop's gate and the analysis share one comparator, so
+   a change the gate refuses is never reported clean: here two tapes
+   that differ only in a payload the IR's shapes do not show. *)
+let test_payload_changes_are_pl007 () =
+  let x = Tensor.of_row [| 1.0; 2.0; 3.0 |] in
+  let capture build =
+    let tape = Ad.tape () in
+    let loss = build (Ad.param tape x) in
+    Plan.capture tape ~root:loss
+  in
+  List.iter
+    (fun (what, b1, b2) ->
+      let c1 = capture b1 and c2 = capture b2 in
+      (match Plan.stable c1 c2 with
+      | Ok () -> Alcotest.failf "%s: the gate accepted a changed payload" what
+      | Error _ -> ());
+      match Plan_check.stability c1.Plan.ir c2.Plan.ir with
+      | [ d ] -> Alcotest.(check string) what "PL007" d.Diagnostic.code
+      | ds -> Alcotest.failf "%s: expected one PL007, got %d diagnostics" what (List.length ds))
+    [
+      ( "dot_const coefficients",
+        (fun v -> Ad.dot_const v [| 1.0; 2.0; 3.0 |]),
+        fun v -> Ad.dot_const v [| 1.0; 2.0; 4.0 |] );
+      ( "gather permutation",
+        (fun v -> Ad.sum_all (Ad.gather v [| 0; 1; 2 |])),
+        fun v -> Ad.sum_all (Ad.gather v [| 2; 1; 0 |]) );
+    ]
 
 (* ----------------------------------------------- tape-identity guards *)
 
@@ -393,6 +505,7 @@ let () =
           Alcotest.test_case "minor words per step bounded" `Quick
             test_replay_minor_words_bounded;
           Alcotest.test_case "scalar backend refused" `Quick test_scalar_backend_refuses;
+          Alcotest.test_case "covers every op" `Quick test_replay_covers_every_op;
         ] );
       ( "extraction",
         [
@@ -402,6 +515,7 @@ let () =
       ( "analysis",
         [
           Alcotest.test_case "stability codes" `Quick test_stability_codes;
+          Alcotest.test_case "payload changes are PL007" `Quick test_payload_changes_are_pl007;
           Alcotest.test_case "fusion + arena accounting" `Quick test_analysis_reports_fusion;
           Alcotest.test_case "context chain in diagnostics" `Quick
             test_context_chain_in_diagnostics;
