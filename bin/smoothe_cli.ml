@@ -14,7 +14,8 @@ open Cmdliner
 (* Budget/deadline/limit flags are validated before anything starts:
    zero, negative or non-finite values die with a one-line error here
    instead of propagating into the runtime as a deadline that never
-   expires or a queue that admits nothing. *)
+   expires or a queue that admits nothing. The rules are the request
+   decoder's, so a flag and a wire field fail alike. *)
 let require what = function
   | Ok v -> v
   | Error msg ->
@@ -23,6 +24,10 @@ let require what = function
 
 let checked_pos_float ~flag v = require flag (Serve_protocol.positive_float ~what:flag v)
 let checked_pos_int ~flag v = require flag (Serve_protocol.positive_int ~what:flag v)
+let checked_nonneg_int ~flag v = require flag (Serve_protocol.non_negative_int ~what:flag v)
+
+let checked_nonneg_float ~flag v =
+  require flag (Serve_protocol.non_negative_float ~what:flag v)
 
 let load_egraph spec =
   (* an instance name from the registry, or a path to a serialized file
@@ -428,10 +433,11 @@ let extract_cmd =
   let run spec method_ time_limit batch iters assumption lambda seed plan fault_plan
       health_report trace_out metrics_out checkpoint_dir checkpoint_every resume show_term
       no_preflight jobs fix_threshold hybrid_gap =
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs must be >= 1\n";
-      exit 1
-    end;
+    let jobs = checked_pos_int ~flag:"--jobs" jobs in
+    let batch = checked_pos_int ~flag:"--batch" batch in
+    let iters = checked_pos_int ~flag:"--iters" iters in
+    let lambda = checked_nonneg_float ~flag:"--lambda" lambda in
+    let checkpoint_every = checked_nonneg_int ~flag:"--checkpoint-every" checkpoint_every in
     Pool.set_jobs jobs;
     let g = load_egraph spec in
     let health = Health.create () in
@@ -496,8 +502,8 @@ let tape_diagnostics g =
 
 (* Two probe forwards at the same tiny configuration: enough to prove
    the iteration IR static (PL006/PL007) and to run the plan-level
-   dataflow analysis — liveness, fusion, arena assignment — exactly as
-   the extraction gate would before arming a replay. *)
+   dataflow analysis — liveness, arena assignment — exactly as the
+   extraction gate would before arming a replay. *)
 let plan_diagnostics g =
   let config =
     { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
@@ -536,13 +542,11 @@ let plan_diagnostics g =
 
 let plan_stats_line (r : Plan_check.report) =
   Printf.sprintf
-    "plan: %d nodes, %d arena slots (%d KiB, interpreter allocates %d KiB/iter), %d \
-     fusable chains"
+    "plan: %d nodes, %d arena slots (%d KiB, interpreter allocates %d KiB/iter)"
     r.Plan_check.nodes
     (Array.length r.Plan_check.slot_sizes)
     (r.Plan_check.arena_bytes / 1024)
     (r.Plan_check.naive_bytes / 1024)
-    (Array.length r.Plan_check.chains)
 
 let plan_stats_json (r : Plan_check.report) =
   Json.Object
@@ -552,7 +556,6 @@ let plan_stats_json (r : Plan_check.report) =
       ("arena_bytes", Json.Number (float_of_int r.Plan_check.arena_bytes));
       ("dedicated_bytes", Json.Number (float_of_int r.Plan_check.dedicated_bytes));
       ("naive_bytes", Json.Number (float_of_int r.Plan_check.naive_bytes));
-      ("chains", Json.Number (float_of_int (Array.length r.Plan_check.chains)));
     ]
 
 let analyze_cmd =
@@ -647,8 +650,8 @@ let analyze_cmd =
       & info [ "plan" ]
           ~doc:
             "Also run the plan-level dataflow analysis: capture the iteration IR twice, \
-             check iteration-stability (PL006/PL007), compute liveness, fusion chains and \
-             the buffer arena, and verify the assignment (PL001–PL005).")
+             check iteration-stability (PL006/PL007), compute liveness and the buffer \
+             arena, and verify the assignment (PL001–PL003).")
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -771,14 +774,8 @@ let serve_cmd =
     let default_budget = checked_pos_float ~flag:"--default-budget" default_budget in
     let max_budget = checked_pos_float ~flag:"--max-budget" max_budget in
     let retry_attempts = checked_pos_int ~flag:"--retry-attempts" retry_attempts in
-    if executors < 0 then begin
-      Printf.eprintf "--executors: must be >= 0, got %d\n" executors;
-      exit 1
-    end;
-    if cache_capacity < 0 then begin
-      Printf.eprintf "--cache-capacity: must be >= 0, got %d\n" cache_capacity;
-      exit 1
-    end;
+    let executors = checked_nonneg_int ~flag:"--executors" executors in
+    let cache_capacity = checked_nonneg_int ~flag:"--cache-capacity" cache_capacity in
     let jobs = checked_pos_int ~flag:"--jobs" jobs in
     let max_restarts = checked_pos_int ~flag:"--max-restarts" max_restarts in
     let restart_window = checked_pos_float ~flag:"--restart-window" restart_window in
@@ -1076,10 +1073,7 @@ let serve_cmd =
 let request_cmd =
   let run spec socket ping stats method_name budget deadline_ms seed batch iters lambda
       fault_plan no_cache id retries =
-    if retries < 0 then begin
-      Printf.eprintf "--retries: must be >= 0, got %d\n" retries;
-      exit 1
-    end;
+    let retries = checked_nonneg_int ~flag:"--retries" retries in
     let frame =
       if ping then Json.Object [ ("op", Json.String "ping") ]
       else if stats then Json.Object [ ("op", Json.String "stats") ]
@@ -1100,6 +1094,7 @@ let request_cmd =
         in
         let batch = checked_pos_int ~flag:"--batch" batch in
         let iters = checked_pos_int ~flag:"--iters" iters in
+        let lambda = checked_nonneg_float ~flag:"--lambda" lambda in
         let source =
           if Sys.file_exists spec then
             let g =

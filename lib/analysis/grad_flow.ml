@@ -119,7 +119,7 @@ let check ?root (ir : Ir.t) =
           | Op.Add -> iadd (arg 0) (arg 1)
           | Op.Sub -> isub (arg 0) (arg 1)
           | Op.Mul -> imul (arg 0) (arg 1)
-          | Op.Neg -> ineg (arg 0)
+          | Op.One_minus -> ishift 1.0 (ineg (arg 0))
           | Op.Scale k -> iscale k (arg 0)
           | Op.Add_scalar k -> ishift k (arg 0)
           | Op.Relu ->

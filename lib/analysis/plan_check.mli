@@ -6,22 +6,17 @@
     adjoint buffer, runs forward+backward liveness over the combined
     timeline (forward of node [i] at step [i], its backward pull at step
     [2n-1-i], using the values each op's backward reads per {!Op} and
-    the adjoints {!Plan.buffers} materialises), derives fusion chains of
-    adjacent unary elementwise ops, and assigns buffers to arena slots
-    by greedy interval-graph colouring within exact-size classes. The assignment is then re-verified
-    independently (overlap check plus a read-time simulation) rather
-    than trusted.
+    the adjoints {!Plan.buffers} materialises), and assigns buffers to
+    arena slots by greedy interval-graph colouring within exact-size
+    classes. The assignment is then re-verified independently (overlap
+    check plus a read-time simulation) rather than trusted.
 
-    Codes (full table in DESIGN.md):
+    Every code is an error (full table in DESIGN.md):
     - [PL001] error: arena maps two overlapping live ranges to one slot
     - [PL002] error: an op reads an operand after its arena slot was
       overwritten by a later tenant (read-time simulation)
     - [PL003] error: a [param]/[const] leaf or pinned buffer is aliased
       by a temporary (assigned to an arena slot)
-    - [PL004] info: fusable elementwise run found (fused by the plan)
-    - [PL005] info: fusion of an adjacent elementwise pair blocked by an
-      interior use (extra consumer, output/root/requested-gradient
-      pinning — segment-op consumers are named with their segment count)
     - [PL006] error: iteration-2 IR differs from iteration-1 (length, or
       op, args, shape or context at the first divergent node) — replay
       must fall back to interpreted mode
@@ -37,12 +32,10 @@ type interval = { lo : int; hi : int; numel : int; pinned : bool }
 type report = {
   nodes : int;
   root : int;
-  chains : int array array;  (** fusable runs, each [c1; ...; ck] *)
   intervals : interval option array;
       (** length [2 * nodes]: entry [i] is node [i]'s value buffer,
           entry [nodes + i] its gradient buffer; [None] when the plan
-          materialises no such buffer (leaves alias their capture,
-          chain interiors are fused away) *)
+          materialises no such buffer (leaves alias their capture) *)
   reads : int list array;
       (** per buffer, every timeline step that reads it (gradient
           accumulations count as reads) — drives the PL002 simulation *)
@@ -79,6 +72,3 @@ val stability : Ad.Ir.t -> Ad.Ir.t -> Diagnostic.t list
 
 val arena_spec : report -> Plan.arena_spec
 (** The verified assignment in the form {!Plan.compile} consumes. *)
-
-val plan_chains : report -> int array array
-(** The fusion chains in the form {!Plan.compile} consumes. *)

@@ -140,10 +140,9 @@ let backward out =
 let add a b = apply Op.Add [| a; b |]
 let sub a b = apply Op.Sub [| a; b |]
 let mul a b = apply Op.Mul [| a; b |]
-let neg a = apply Op.Neg [| a |]
 let scale k a = apply (Op.Scale k) [| a |]
 let add_scalar k a = apply (Op.Add_scalar k) [| a |]
-let one_minus a = add_scalar 1.0 (neg a)
+let one_minus a = apply Op.One_minus [| a |]
 let relu a = apply Op.Relu [| a |]
 let log_safe a = apply Op.Log_safe [| a |]
 let gather a idx = apply (Op.Gather idx) [| a |]

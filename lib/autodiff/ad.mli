@@ -98,7 +98,6 @@ val backward : v -> unit
 val add : v -> v -> v
 val sub : v -> v -> v
 val mul : v -> v -> v
-val neg : v -> v
 val scale : float -> v -> v
 val add_scalar : float -> v -> v
 val one_minus : v -> v

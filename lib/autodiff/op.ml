@@ -8,7 +8,7 @@ type t =
   | Add
   | Sub
   | Mul
-  | Neg
+  | One_minus
   | Scale of float
   | Add_scalar of float
   | Relu
@@ -32,7 +32,7 @@ let name = function
   | Add -> "add"
   | Sub -> "sub"
   | Mul -> "mul"
-  | Neg -> "neg"
+  | One_minus -> "one_minus"
   | Scale _ -> "scale"
   | Add_scalar _ -> "add_scalar"
   | Relu -> "relu"
@@ -54,7 +54,7 @@ let arity = function
   | Const | Param -> 0
   | Add | Sub | Mul -> 2
   | Linear -> 3
-  | Neg | Scale _ | Add_scalar _ | Relu | Log_safe | Gather _ | Segment_softmax _
+  | One_minus | Scale _ | Add_scalar _ | Relu | Log_safe | Gather _ | Segment_softmax _
   | Segment_prod _ | Segment_max _ | Override_columns _ | Mean_rows | Slice_row _ | Sum_all
   | Dot_const _ | Matrix_of_entries _ | Expm_trace ->
       1
@@ -103,7 +103,7 @@ let shape op (xs : shape array) =
     | Add | Sub | Mul ->
         if xs.(0) <> xs.(1) then err "SC001" "%s vs %s" (str xs.(0)) (str xs.(1));
         Some xs.(0)
-    | Neg | Scale _ | Add_scalar _ | Relu | Log_safe -> Some xs.(0)
+    | One_minus | Scale _ | Add_scalar _ | Relu | Log_safe -> Some xs.(0)
     | Gather idx ->
         let lo, hi = bounds Fun.id idx in
         if Array.length idx > 0 && (lo < 0 || hi >= xs.(0).width) then
@@ -160,8 +160,6 @@ let shape op (xs : shape array) =
 
 (* ---- Dataflow facts -------------------------------------------------- *)
 
-let fusable = function Neg | Scale _ | Add_scalar _ -> true | _ -> false
-
 let reads_arg op k =
   match op with
   | Mul -> true
@@ -212,7 +210,7 @@ let forward op st sc ~out xs =
   | Add -> Tensor.add_into ~out xs.(0) xs.(1)
   | Sub -> Tensor.sub_into ~out xs.(0) xs.(1)
   | Mul -> Tensor.mul_into ~out xs.(0) xs.(1)
-  | Neg -> Tensor.neg_into ~out xs.(0)
+  | One_minus -> Tensor.one_minus_into ~out xs.(0)
   | Scale k -> Tensor.scale_into ~out k xs.(0)
   | Add_scalar k -> Tensor.add_scalar_into ~out k xs.(0)
   | Relu -> Tensor.relu_into ~out xs.(0)
@@ -241,7 +239,7 @@ let backward op st sc ~y ~g xs ~k ~into =
   | Add | Add_scalar _ -> Tensor.add_inplace into g
   | Sub -> if k = 0 then Tensor.add_inplace into g else Tensor.axpy (-1.0) g into
   | Mul -> Tensor.mul_grad ~into ~g xs.(1 - k)
-  | Neg -> Tensor.axpy (-1.0) g into
+  | One_minus -> Tensor.axpy (-1.0) g into
   | Scale c -> Tensor.axpy c g into
   | Relu -> Tensor.relu_grad ~into ~g xs.(0)
   | Log_safe -> Tensor.log_safe_grad ~into ~g xs.(0)

@@ -5,10 +5,10 @@
     constructor, defined here and nowhere else: its shape rule (with
     the [SC] codes {!Shape_check} reports), its forward and backward
     kernels staged over the [Tensor]/[Segments] kernels, which values
-    its backward reads, whether a plan may fuse it, and payload
-    equality. The interpreter ({!Ad}), the plan compiler ({!Plan}) and
-    the analyses in [lib/analysis] all derive from these functions, so
-    an op has kernels, a shape rule and liveness facts by construction.
+    its backward reads, and payload equality. The interpreter ({!Ad}),
+    the plan compiler ({!Plan}) and the analyses in [lib/analysis] all
+    derive from these functions, so an op has kernels, a shape rule and
+    liveness facts by construction.
 
     Where an op is not differentiable, its doc comment states the
     subgradient its backward returns (the convention test_autodiff
@@ -25,7 +25,10 @@ type t =
   | Add
   | Sub
   | Mul
-  | Neg
+  | One_minus
+      (** [1 - x], the "not chosen" probability of Eq. (6). Smooth, with
+          adjoint [-g]. It rounds as [1 + (-x)]: an exact negation, then
+          one addition, so a NaN input's sign flips. *)
   | Scale of float
   | Add_scalar of float
   | Relu
@@ -83,10 +86,6 @@ val shape : t -> shape array -> (shape option, (string * string) list) result
     [SC005] non-square [expm_trace], [SC006] scatter target or source
     out of range, [SC010] row or column outside the operand. Operands
     must number {!arity}. *)
-
-val fusable : t -> bool
-(** Unary elementwise ops a plan may fuse into one pass: [Neg],
-    [Scale], [Add_scalar]. *)
 
 val reads_arg : t -> int -> bool
 (** [reads_arg op k]: does some backward pull of [op] read operand

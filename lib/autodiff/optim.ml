@@ -42,9 +42,6 @@ let adam_step opt grads =
       adam_update ~lr:opt.lr ~step:opt.step ~m:opt.m.(k) ~v:opt.v.(k) opt.params.(k) ~grad)
     grads
 
-let sgd_step ~lr ~params ~grads =
-  List.iter2 (fun p g -> Tensor.axpy (-.lr) g p) params grads
-
 let clip_grad_norm ~max_norm grads =
   let sq = List.fold_left (fun acc g -> acc +. Tensor.dot g g) 0.0 grads in
   let norm = sqrt sq in

@@ -2,8 +2,8 @@
 
     The paper optimises the relaxed objective with gradient descent
     (§3.5); in the released implementation this is Adam, which we
-    reproduce, plus plain SGD for tests and the MLP trainer. Parameters
-    are persistent tensors mutated in place between tape iterations. *)
+    reproduce. Parameters are persistent tensors mutated in place
+    between tape iterations. *)
 
 type adam
 
@@ -22,8 +22,6 @@ val adam_update :
     (the [t] of the bias correction) held by the caller — the form a
     loop uses when its optimiser state lives in its own checkpointable
     record. {!adam_step} is exactly this per parameter. *)
-
-val sgd_step : lr:float -> params:Tensor.t list -> grads:Tensor.t list -> unit
 
 val clip_grad_norm : max_norm:float -> Tensor.t list -> float
 (** Global-norm gradient clipping; returns the pre-clip norm. *)

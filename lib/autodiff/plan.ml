@@ -2,8 +2,7 @@
    per forward op and per node's backward pulls, over buffers allocated
    once at compile time. Each closure calls the [Op.forward] or
    [Op.backward] the interpreter calls, with the op's state and scratch
-   allocated once instead of per call, and the chain jams fuse unary
-   runs while keeping each stage's rounding. So a replayed iteration is
+   allocated once instead of per call, so a replayed iteration is
    bit-identical to an interpreted one. The interpreter's lazily-zeroed
    gradient buffers become explicit [fill 0.0] steps scheduled
    immediately before each buffer's first writer; its fresh per-op
@@ -111,19 +110,15 @@ let flow (ir : Ad.Ir.t) ~root ~outputs ~grads =
   done;
   { consumers; is_output; requested; feeds_root; carries }
 
-type buffers = { interior : bool array; grad_mat : bool array; has_gbuf : bool array }
+type buffers = { grad_mat : bool array; has_gbuf : bool array }
 
-let buffers fl ~root ~chains =
+let buffers fl ~root =
   let n = Array.length fl.consumers in
-  let interior = Array.make n false in
-  Array.iter (fun cs -> for m = 0 to Array.length cs - 2 do interior.(cs.(m)) <- true done) chains;
   (* exactly where the interpreter's sweep would write values some
      reader can observe *)
-  let grad_mat =
-    Array.init n (fun i -> (i = root || (fl.feeds_root.(i) && fl.carries.(i))) && not interior.(i))
-  in
-  let has_gbuf = Array.init n (fun i -> grad_mat.(i) || (fl.requested.(i) && not interior.(i))) in
-  { interior; grad_mat; has_gbuf }
+  let grad_mat = Array.init n (fun i -> i = root || (fl.feeds_root.(i) && fl.carries.(i))) in
+  let has_gbuf = Array.init n (fun i -> grad_mat.(i) || fl.requested.(i)) in
+  { grad_mat; has_gbuf }
 
 (* ---- Compilation -------------------------------------------------- *)
 
@@ -135,8 +130,6 @@ type stats = {
   steps_backward : int;
   arena_bytes : int;
   dedicated_bytes : int;
-  chains : int;
-  fused_nodes : int;
 }
 
 type t = {
@@ -145,20 +138,12 @@ type t = {
   bwd_cores : (unit -> unit) option array;
   bwd_fills : Tensor.t list array;
   seed : unit -> unit;
-  node_vals : Tensor.t option array;
+  node_vals : Tensor.t array;
   node_grads : Tensor.t option array;
   plan_stats : stats;
 }
 
-(* chain jam stages: tag 0 = neg, 1 = scale, 2 = add_scalar *)
-let stage_tag i (op : Op.t) =
-  match op with
-  | Neg -> (0, 0.0)
-  | Scale k -> (1, k)
-  | Add_scalar k -> (2, k)
-  | _ -> failf "node %d (%s) is not a fusable elementwise op" i (Op.name op)
-
-let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
+let compile ?arena ~outputs ~grads cap =
   try
     if Tensor.Backend.current () <> Tensor.Backend.Vectorized then
       failf "replay requires the Vectorized backend (Scalar models an interpreter)";
@@ -171,46 +156,13 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
     in
     Array.iter (check_id "output") outputs;
     Array.iter (check_id "gradient-request") grads;
-    Array.iter (Array.iter (check_id "chain")) chains;
     let shape_of i = ir.(i).Ad.Ir.shape in
     let numel_of i =
       let s = shape_of i in
       s.Op.batch * s.Op.width
     in
     let fl = flow ir ~root:cap.root ~outputs ~grads in
-    let { interior; grad_mat; has_gbuf } = buffers fl ~root:cap.root ~chains in
-    (* chain validation and marks *)
-    let member = Array.make n false in
-    let chain_at = Array.make n (-1) in
-    Array.iteri
-      (fun ci cs ->
-        let k = Array.length cs in
-        if k < 2 then failf "chain %d has %d nodes; fusion needs at least 2" ci k;
-        Array.iteri
-          (fun m c ->
-            if member.(c) then failf "node %d appears in two chains" c;
-            member.(c) <- true;
-            let nd = ir.(c) in
-            if not (Op.fusable nd.op) then
-              failf "chain %d: node %d (%s) is not a fusable elementwise op" ci c (Op.name nd.op);
-            if Array.length nd.args <> 1 then
-              failf "chain %d: node %d (%s) is not unary" ci c (Op.name nd.op);
-            if m > 0 && nd.args.(0) <> cs.(m - 1) then
-              failf "chain %d: node %d does not consume its predecessor %d" ci c cs.(m - 1);
-            if nd.shape <> ir.(cs.(0)).shape then
-              failf "chain %d: shape changes at node %d" ci c;
-            if m < k - 1 then begin
-              (match fl.consumers.(c) with
-              | [ j ] when j = cs.(m + 1) -> ()
-              | _ -> failf "chain %d: interior node %d has consumers outside the chain" ci c);
-              if c = cap.root then failf "chain %d: root cannot be a chain interior" ci;
-              if fl.is_output.(c) then failf "chain %d: output node %d is a chain interior" ci c;
-              if fl.requested.(c) then
-                failf "chain %d: node %d's gradient is requested but would be fused away" ci c
-            end)
-          cs;
-        chain_at.(cs.(0)) <- ci)
-      chains;
+    let { grad_mat; has_gbuf } = buffers fl ~root:cap.root in
     (* buffers *)
     let slot_sizes, assign =
       match arena with
@@ -240,23 +192,20 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       Tensor.of_array ~batch:s.Op.batch ~width:s.Op.width slot_arrays.(slot)
     in
     let leaf i = Op.is_leaf ir.(i).op in
-    let node_vals = Array.make n None in
-    for i = 0 to n - 1 do
-      let slot = assign.(i) in
-      if leaf i then begin
-        if slot <> -1 then failf "leaf node %d must not live in the arena" i;
-        node_vals.(i) <- Some cap.vals.(i)
-      end
-      else if interior.(i) then begin
-        if slot <> -1 then failf "chain-interior node %d has no buffer to place in slot %d" i slot
-      end
-      else if fl.is_output.(i) then begin
-        if slot <> -1 then failf "output node %d must not live in the arena" i;
-        node_vals.(i) <- Some (dedicated i)
-      end
-      else if slot >= 0 then node_vals.(i) <- Some (view i slot)
-      else node_vals.(i) <- Some (dedicated i)
-    done;
+    let node_vals =
+      Array.init n (fun i ->
+          let slot = assign.(i) in
+          if leaf i then begin
+            if slot <> -1 then failf "leaf node %d must not live in the arena" i;
+            cap.vals.(i)
+          end
+          else if fl.is_output.(i) then begin
+            if slot <> -1 then failf "output node %d must not live in the arena" i;
+            dedicated i
+          end
+          else if slot >= 0 then view i slot
+          else dedicated i)
+    in
     let node_grads = Array.make n None in
     for i = 0 to n - 1 do
       let slot = assign.(n + i) in
@@ -269,75 +218,31 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
       else if slot <> -1 then
         failf "node %d materialises no gradient yet the arena assigns it slot %d" i slot
     done;
-    let v i =
-      match node_vals.(i) with
-      | Some t -> t
-      | None -> failf "internal: node %d has no value buffer" i
-    in
     let g i =
       match node_grads.(i) with
       | Some t -> t
       | None -> failf "internal: node %d has no gradient buffer" i
     in
-    let data = Tensor.unsafe_data in
-    (* every node that runs its own kernels: its operand values and the
-       forward state its backward shares *)
+    (* every op node: its operand values and the forward state its
+       backward shares *)
     let kernels =
       Array.init n (fun i ->
-          if leaf i || member.(i) then None
+          if leaf i then None
           else
-            let xs = Array.map v ir.(i).args in
+            let xs = Array.map (Array.get node_vals) ir.(i).args in
             Some (xs, Op.state ir.(i).op xs))
     in
     (* ---- forward steps ---- *)
-    let emit_forward i =
-      Option.map
-        (fun (xs, st) ->
-          let op = ir.(i).op and out = v i in
-          let sc = Op.forward_scratch op xs in
-          fun () -> Op.forward op st sc ~out xs)
-        kernels.(i)
-    in
-    let fwd_jam ci =
-      let cs = chains.(ci) in
-      let k = Array.length cs in
-      let head = cs.(0) and last = cs.(k - 1) in
-      let x = ir.(head).Ad.Ir.args.(0) in
-      let tags = Array.make k 0 and ks = Array.make k 0.0 in
-      Array.iteri
-        (fun m c ->
-          let t, kv = stage_tag c ir.(c).op in
-          tags.(m) <- t;
-          ks.(m) <- kv)
-        cs;
-      let od = data (v last) and xd = data (v x) and nn = numel_of last in
-      (* stage by stage over each chunk, so the stage dispatch sits
-         outside the element loops; every stage rounds to a double
-         exactly as the unfused op would *)
-      fun () ->
-        Parallel.chunks nn (fun lo hi ->
-            Array.blit xd lo od lo (hi - lo);
-            for s = 0 to k - 1 do
-              let kv = Array.unsafe_get ks s in
-              match Array.unsafe_get tags s with
-              | 0 ->
-                  for p = lo to hi - 1 do
-                    Array.unsafe_set od p (-.Array.unsafe_get od p)
-                  done
-              | 1 ->
-                  for p = lo to hi - 1 do
-                    Array.unsafe_set od p (kv *. Array.unsafe_get od p)
-                  done
-              | _ ->
-                  for p = lo to hi - 1 do
-                    Array.unsafe_set od p (kv +. Array.unsafe_get od p)
-                  done
-            done)
-    in
     let fwd_steps =
-      Array.init n (fun i ->
-          if chain_at.(i) >= 0 then Some (fwd_jam chain_at.(i))
-          else emit_forward i)
+      Array.mapi
+        (fun i k ->
+          Option.map
+            (fun (xs, st) ->
+              let op = ir.(i).op and out = node_vals.(i) in
+              let sc = Op.forward_scratch op xs in
+              fun () -> Op.forward op st sc ~out xs)
+            k)
+        kernels
     in
     (* ---- backward cores ---- *)
     (* one pull per operand whose gradient the plan materialises, in
@@ -351,7 +256,7 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
           in
           if ks = [||] then None
           else
-            let op = nd.op and y = v j and gj = g j in
+            let op = nd.op and y = node_vals.(j) and gj = g j in
             let intos = Array.map (fun k -> g nd.args.(k)) ks in
             let scs = Array.map (fun k -> Op.backward_scratch op xs ~k) ks in
             Some
@@ -361,60 +266,9 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
                     ~into:(Array.unsafe_get intos p)
                 done))
     in
-    (* Backward jam: gradient flows from grad(ck) through the pulls of
-       ck..c2 — each of which the interpreter stages into a
-       freshly-zeroed interior adjoint, hence the literal [+. 0.0] —
-       then c1's pull accumulates into the chain input's gradient. *)
-    let bwd_jam ci =
-      let cs = chains.(ci) in
-      let k = Array.length cs in
-      let head = cs.(0) and last = cs.(k - 1) in
-      let x = ir.(head).Ad.Ir.args.(0) in
-      match node_grads.(x) with
-      | None -> None
-      | Some gx ->
-          let nstages = k - 1 in
-          let tags = Array.make (Stdlib.max 1 nstages) 0
-          and ks = Array.make (Stdlib.max 1 nstages) 0.0 in
-          for m = 0 to nstages - 1 do
-            let c = cs.(k - 1 - m) in
-            let t, kv = stage_tag c ir.(c).op in
-            tags.(m) <- t;
-            ks.(m) <- kv
-          done;
-          let head_tag, head_k = stage_tag head ir.(head).op in
-          let gd = data (g last) and gxd = data gx in
-          let nn = numel_of last in
-          Some
-            (fun () ->
-              Parallel.chunks nn (fun lo hi ->
-                  let acc = ref 0.0 in
-                  for p = lo to hi - 1 do
-                    acc := Array.unsafe_get gd p;
-                    for s = 0 to nstages - 1 do
-                      match Array.unsafe_get tags s with
-                      | 0 -> acc := (-1.0 *. !acc) +. 0.0
-                      | 1 -> acc := (Array.unsafe_get ks s *. !acc) +. 0.0
-                      | _ -> acc := 0.0 +. !acc
-                    done;
-                    (match head_tag with
-                    | 0 ->
-                        Array.unsafe_set gxd p ((-1.0 *. !acc) +. Array.unsafe_get gxd p)
-                    | 1 -> Array.unsafe_set gxd p ((head_k *. !acc) +. Array.unsafe_get gxd p)
-                    | _ -> Array.unsafe_set gxd p (Array.unsafe_get gxd p +. !acc))
-                  done))
-    in
-    let bwd_cores =
-      Array.init n (fun j ->
-          if chain_at.(j) >= 0 then
-            if grad_mat.(chains.(chain_at.(j)).(Array.length chains.(chain_at.(j)) - 1)) then
-              bwd_jam chain_at.(j)
-            else None
-          else if not grad_mat.(j) then None
-          else emit_backward j)
-    in
+    let bwd_cores = Array.init n (fun j -> if grad_mat.(j) then emit_backward j else None) in
     (* emits_bwd: does position j's backward step write into buffered
-       argument gradients? (chain heads write the chain input) *)
+       argument gradients? *)
     let emits_bwd = Array.map (fun c -> c <> None) bwd_cores in
     (* zero-fill scheduling: each gradient buffer is zeroed immediately
        before its first writer — the largest consumer whose backward
@@ -448,8 +302,6 @@ let compile ?arena ?(chains = [||]) ~outputs ~grads cap =
         steps_backward = count_some bwd_cores;
         arena_bytes = 8 * Array.fold_left ( + ) 0 slot_sizes;
         dedicated_bytes = 8 * !dedicated_floats;
-        chains = Array.length chains;
-        fused_nodes = Array.fold_left (fun acc cs -> acc + Array.length cs) 0 chains;
       }
     in
     Ok { n; fwd_steps; bwd_cores; bwd_fills; seed; node_vals; node_grads; plan_stats }
@@ -471,10 +323,7 @@ let run_backward t =
     | None -> ()
   done
 
-let value t i =
-  match t.node_vals.(i) with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Plan.value: node %d was fused away" i)
+let value t i = t.node_vals.(i)
 
 let grad_of t i =
   match t.node_grads.(i) with

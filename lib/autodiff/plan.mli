@@ -12,10 +12,8 @@
     Buffer placement is supplied from outside as an {!arena_spec}
     (computed — and independently verified — by the plan-level dataflow
     analysis in [lib/analysis/plan_check]); without one, every buffer is
-    dedicated, which is always safe. Fusion [chains] of elementwise ops
-    likewise come from the analysis; the compiled jam reproduces the
-    interpreter's per-stage rounding (including its literal [+. 0.0]
-    zero-initialised accumulations) so fused runs stay bit-identical.
+    dedicated, which is always safe. Every step runs its op's {!Op}
+    kernels, the ones the interpreter runs.
 
     Replay requires the [Vectorized] backend: the [Scalar] execution
     model deliberately routes every element access through an
@@ -71,12 +69,11 @@ val flow : Ad.Ir.t -> root:int -> outputs:int array -> grads:int array -> flow
 (** Out-of-range [outputs] and [grads] are ignored. *)
 
 type buffers = {
-  interior : bool array;  (** fused away inside a chain *)
   grad_mat : bool array;  (** the sweep writes this adjoint and someone reads it *)
   has_gbuf : bool array;  (** materialised, or requested *)
 }
 
-val buffers : flow -> root:int -> chains:int array array -> buffers
+val buffers : flow -> root:int -> buffers
 
 (** {1 Compilation} *)
 
@@ -96,15 +93,12 @@ type stats = {
   steps_backward : int;
   arena_bytes : int;  (** bytes of shared arena storage *)
   dedicated_bytes : int;  (** bytes of per-buffer dedicated storage *)
-  chains : int;  (** fused elementwise chains *)
-  fused_nodes : int;  (** nodes covered by those chains *)
 }
 
 type t
 
 val compile :
   ?arena:arena_spec ->
-  ?chains:int array array ->
   outputs:int array ->
   grads:int array ->
   capture ->
@@ -113,10 +107,8 @@ val compile :
     whose values the caller reads after {!run_forward} (the capture
     root is implicitly one); [grads] are node ids whose gradients the
     caller reads after {!run_backward} — all are pinned out of the
-    arena. [chains] lists fusion runs [c1; ...; ck] (each node consumed
-    only by the next, all {!Op.fusable}); invalid chains, arena shape
-    violations and the [Scalar] backend all yield [Error]. Every op
-    runs through its {!Op} kernels. *)
+    arena. Arena shape violations and the [Scalar] backend yield
+    [Error]. *)
 
 val stats : t -> stats
 
@@ -140,8 +132,7 @@ val replay_words_per_step : float
     float per element reads in the thousands. *)
 
 val value : t -> int -> Tensor.t
-(** Buffer holding node [i]'s value after {!run_forward}.
-    @raise Invalid_argument for chain-interior nodes (fused away). *)
+(** Buffer holding node [i]'s value after {!run_forward}. *)
 
 val grad_of : t -> int -> Tensor.t
 (** Buffer holding node [i]'s gradient after {!run_backward}.

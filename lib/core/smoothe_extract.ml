@@ -166,27 +166,23 @@ let compile_plan log c1 (fwd : Relaxation.forward) =
         Metrics.incr ~by:(float_of_int (Diagnostic.errors diags)) "analysis.errors";
         Metrics.incr ~by:(float_of_int (Diagnostic.warnings diags)) "analysis.warnings"
       end;
-      match List.filter (fun d -> d.Diagnostic.severity <> Diagnostic.Info) diags with
-      | _ :: _ as blocking ->
-          List.iter (record_plan_diag log) blocking;
+      match diags with
+      | _ :: _ ->
+          List.iter (record_plan_diag log) diags;
           Error "the dataflow analysis rejected the captured IR"
       | [] ->
-          Plan.compile ~arena:(Plan_check.arena_spec report)
-            ~chains:(Plan_check.plan_chains report) ~outputs ~grads c2
+          Plan.compile ~arena:(Plan_check.arena_spec report) ~outputs ~grads c2
           |> Result.map (fun rp ->
                  let st = Plan.stats rp in
-                 if !Obs.on then begin
+                 if !Obs.on then
                    Metrics.set_gauge "plan.arena_bytes" (float_of_int st.Plan.arena_bytes);
-                   Metrics.incr ~by:(float_of_int st.Plan.fused_nodes) "plan.fused_ops"
-                 end;
                  Health.record log ~member Health.Plan
                    (Printf.sprintf
                       "plan armed: %d nodes, %d KiB arena + %d KiB pinned (interpreter \
-                       allocates %d KiB per iteration), %d ops fused into %d chains"
+                       allocates %d KiB per iteration)"
                       st.Plan.nodes (st.Plan.arena_bytes / 1024)
                       (st.Plan.dedicated_bytes / 1024)
-                      (report.Plan_check.naive_bytes / 1024)
-                      st.Plan.fused_nodes st.Plan.chains);
+                      (report.Plan_check.naive_bytes / 1024));
                  { rp; rp_theta; rp_cp; rp_per_seed; rp_penalty; rp_loss }))
 
 (* Numeric recovery: a non-finite loss or gradient must never reach the

@@ -977,8 +977,8 @@ let replay bank =
         (fun _ _ -> 0.5 *. Rng.gaussian rng)
     in
     (* capture two consecutive iterations, gate on the dataflow
-       analysis, compile against its verified arena and fusion chains —
-       the same pipeline `--plan on' arms inside the extraction loop *)
+       analysis, compile against its verified arena — the same pipeline
+       `--plan on' arms inside the extraction loop *)
     let fwd1 = Relaxation.forward compiled ~config ~model ~theta in
     let c1 = Plan.capture fwd1.Relaxation.tape ~root:fwd1.Relaxation.loss in
     let fwd2 = Relaxation.forward compiled ~config ~model ~theta in
@@ -990,11 +990,7 @@ let replay bank =
     let theta_id = Ad.node_id fwd2.Relaxation.theta in
     let outputs = [| root |] in
     let report = Plan_check.analyze ~grads:[| theta_id |] ~root ~outputs c2.Plan.ir in
-    (match
-       List.filter
-         (fun d -> d.Diagnostic.severity <> Diagnostic.Info)
-         report.Plan_check.diags
-     with
+    (match report.Plan_check.diags with
     | [] -> ()
     | d :: _ ->
         failwith
@@ -1002,10 +998,7 @@ let replay bank =
              (Diagnostic.render d)));
     let plan =
       match
-        Plan.compile
-          ~arena:(Plan_check.arena_spec report)
-          ~chains:(Plan_check.plan_chains report)
-          ~outputs ~grads:[| theta_id |] c2
+        Plan.compile ~arena:(Plan_check.arena_spec report) ~outputs ~grads:[| theta_id |] c2
       with
       | Ok plan -> plan
       | Error e -> failwith (Printf.sprintf "replay bench: %s compile failed: %s" name e)
@@ -1078,6 +1071,8 @@ let replay bank =
         (Printf.sprintf
            "replay bench: %s replay allocated %.1f minor words per plan step (limit %.0f)" name
            words_per_step Plan.replay_words_per_step);
+    let kib_per_it bytes = Printf.sprintf "%.1f" (bytes /. 1024.0 /. float_of_int iters) in
+    let interp_kib = kib_per_it !interp_bytes and replay_kib = kib_per_it !replay_bytes in
     Report.row
       [
         name;
@@ -1085,12 +1080,12 @@ let replay bank =
         Printf.sprintf "%.2f ms" (per_it interp_s);
         Printf.sprintf "%.2f ms" (per_it replay_s);
         Printf.sprintf "%.2fx" (interp_s /. replay_s);
-        Printf.sprintf "%.1f" (!interp_bytes /. 1024.0 /. float_of_int iters);
-        Printf.sprintf "%.1f" (!replay_bytes /. 1024.0 /. float_of_int iters);
+        interp_kib;
+        replay_kib;
         Printf.sprintf "%.0f" words_per_it;
         (if !identical then "yes" else "NO");
       ];
-    (name, st)
+    (name, st, interp_kib, replay_kib)
   in
   let stats =
     Obs.with_enabled (fun () ->
@@ -1101,15 +1096,19 @@ let replay bank =
      words per plan step, and agree bitwise with the interpreter on every loss\n\
      and theta gradient (all enforced above).\n"
     Plan.replay_words_per_step;
+  (* one line of deterministic counts per instance, the same under
+     --quick and the default budget: CI diffs these lines against
+     bench/replay_counts.expected *)
   List.iter
-    (fun (name, st) ->
+    (fun (name, st, interp_kib, replay_kib) ->
       Printf.printf
-        "%s: %d nodes, %d plan steps, %d KiB arena + %d KiB pinned, %d ops fused into %d chains\n"
+        "%s: %d nodes, %d plan steps, %d KiB arena + %d KiB pinned, %s interp KiB/it, %s \
+         replay KiB/it\n"
         name st.Plan.nodes
         (st.Plan.steps_forward + st.Plan.steps_backward)
         ((st.Plan.arena_bytes + 1023) / 1024)
         ((st.Plan.dedicated_bytes + 1023) / 1024)
-        st.Plan.fused_nodes st.Plan.chains)
+        interp_kib replay_kib)
     stats
 
 (* ------------------------------------------------------------- parallel *)

@@ -26,19 +26,11 @@ let default_config =
 let validate_config c =
   let ( let* ) = Result.bind in
   let* _ = P.positive_int ~what:"queue limit" c.queue_limit in
-  let* _ =
-    if c.executors < 0 then
-      Error (Printf.sprintf "executors must be >= 0, got %d" c.executors)
-    else Ok c.executors
-  in
+  let* _ = P.non_negative_int ~what:"executors" c.executors in
   let* _ = P.positive_float ~what:"default budget" c.default_budget in
   let* _ = P.positive_float ~what:"max budget" c.max_budget in
   let* _ = P.positive_int ~what:"retry attempts" c.retry_attempts in
-  let* _ =
-    if c.cache_capacity < 0 then
-      Error (Printf.sprintf "cache capacity must be >= 0, got %d" c.cache_capacity)
-    else Ok c.cache_capacity
-  in
+  let* _ = P.non_negative_int ~what:"cache capacity" c.cache_capacity in
   Ok c
 
 (* A ticket is the engine's promise of a response: the admission path

@@ -113,6 +113,13 @@ let positive_float ~what v =
 let positive_int ~what v =
   if v <= 0 then Error (Printf.sprintf "%s must be positive, got %d" what v) else Ok v
 
+let non_negative_int ~what v =
+  if v < 0 then Error (Printf.sprintf "%s must be non-negative, got %d" what v) else Ok v
+
+let non_negative_float ~what v =
+  if Float.is_finite v && v >= 0.0 then Ok v
+  else Error (Printf.sprintf "%s must be finite and non-negative, got %g" what v)
+
 (* --- codec ------------------------------------------------------------- *)
 
 let request_to_json r =
@@ -217,10 +224,8 @@ let request_of_json j =
       let* iters = field_int j "iters" ~default:default_request.iters in
       let* iters = positive_int ~what:"iters" iters in
       let* lambda_ = field_number j "lambda" in
-      let lambda_ = Option.value ~default:default_request.lambda_ lambda_ in
       let* lambda_ =
-        if Float.is_finite lambda_ && lambda_ >= 0.0 then Ok lambda_
-        else Error (Printf.sprintf "lambda must be finite and non-negative, got %g" lambda_)
+        non_negative_float ~what:"lambda" (Option.value ~default:default_request.lambda_ lambda_)
       in
       let* costs =
         match Json.member "costs" j with

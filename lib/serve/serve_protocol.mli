@@ -91,15 +91,22 @@ val error_response :
 
 (** {1 Validation}
 
-    Shared by the JSON decoder and the CLI flag parsers, so the serve
-    and request subcommands reject bad budgets/deadlines/limits with
-    the same one-line messages the daemon would. *)
+    Shared by the JSON decoder and the CLI flag parsers, so the
+    extract, serve and request subcommands reject bad
+    budgets/deadlines/limits with the same one-line messages the
+    daemon would. *)
 
 val positive_float : what:string -> float -> (float, string) result
 (** Rejects zero, negative, NaN and infinite values. *)
 
 val positive_int : what:string -> int -> (int, string) result
 (** Rejects zero and negative values. *)
+
+val non_negative_int : what:string -> int -> (int, string) result
+(** Rejects negative values. *)
+
+val non_negative_float : what:string -> float -> (float, string) result
+(** Rejects negative, NaN and infinite values: the rule for λ. *)
 
 (** {1 Codec} *)
 

@@ -171,16 +171,17 @@ let mul_into ~out a b =
           done)
   | Backend.Scalar -> scalar_map2 ~out a b ( *. )
 
-let neg_into ~out a =
-  check_same_shape "neg_into" out a;
+(* [1 + (-x)], not [1 - x]: the two differ in the sign of a NaN *)
+let one_minus_into ~out a =
+  check_same_shape "one_minus_into" out a;
   match Backend.current () with
   | Backend.Vectorized ->
       let da = a.data and dd = out.data in
       Parallel.chunks (numel a) (fun lo hi ->
           for i = lo to hi - 1 do
-            Array.unsafe_set dd i (-.Array.unsafe_get da i)
+            Array.unsafe_set dd i (1.0 +. (-.Array.unsafe_get da i))
           done)
-  | Backend.Scalar -> scalar_map ~out a (fun x -> -.x)
+  | Backend.Scalar -> scalar_map ~out a (fun x -> 1.0 +. (-.x))
 
 let scale_into ~out k a =
   check_same_shape "scale_into" out a;
@@ -263,7 +264,6 @@ let fresh a f =
 let add a b = fresh a (fun out -> add_into ~out a b)
 let sub a b = fresh a (fun out -> sub_into ~out a b)
 let mul a b = fresh a (fun out -> mul_into ~out a b)
-let neg a = fresh a (fun out -> neg_into ~out a)
 let scale k a = fresh a (fun out -> scale_into ~out k a)
 let add_scalar k a = fresh a (fun out -> add_scalar_into ~out k a)
 let relu a = fresh a (fun out -> relu_into ~out a)

@@ -86,7 +86,6 @@ val unsafe_data : t -> float array
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 val relu : t -> t
@@ -99,11 +98,13 @@ val copy_into : out:t -> t -> unit
 val add_into : out:t -> t -> t -> unit
 val sub_into : out:t -> t -> t -> unit
 val mul_into : out:t -> t -> t -> unit
-val neg_into : out:t -> t -> unit
 val scale_into : out:t -> float -> t -> unit
 val add_scalar_into : out:t -> float -> t -> unit
 val relu_into : out:t -> t -> unit
 val exp_into : out:t -> t -> unit
+
+val one_minus_into : out:t -> t -> unit
+(** [1 + (-x)] elementwise: one rounding, and a NaN's sign flips. *)
 
 val log_safe_into : out:t -> t -> unit
 (** Natural log clamped below at [log log_floor], keeping the entropy

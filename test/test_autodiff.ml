@@ -46,7 +46,6 @@ let pointwise_grads =
       ("sub const", fun tape other v -> Ad.sub v (Ad.const tape other));
       ("mul const", fun tape other v -> Ad.mul v (Ad.const tape other));
       ("mul self", fun _ _ v -> Ad.mul v v);
-      ("neg", fun _ _ v -> Ad.neg v);
       ("scale", fun _ _ v -> Ad.scale 2.5 v);
       ("add_scalar", fun _ _ v -> Ad.add_scalar 3.0 v);
       ("one_minus", fun _ _ v -> Ad.one_minus v);
@@ -187,7 +186,7 @@ let test_const_blocks_grad () =
 let test_node_count () =
   let tape = Ad.tape () in
   let x = Ad.param tape (Tensor.create ~batch:1 ~width:3) in
-  ignore (Ad.add x (Ad.neg x));
+  ignore (Ad.add x (Ad.one_minus x));
   Alcotest.(check int) "nodes on tape" 3 (Ad.node_count tape)
 
 let test_double_backward_raises () =
@@ -230,6 +229,43 @@ let test_ir_records_ops () =
     (Array.for_all
        (fun nd -> Array.for_all (fun a -> a >= 0) nd.Ad.Ir.args)
        ir)
+
+(* [one_minus] must round exactly as a negation followed by
+   [add_scalar 1.0]. The reference negates with [scale (-1.0)], which is
+   exact for every non-NaN input. Each row of [x] holds signed zeros,
+   values around the log floor and a denormal; the rows meet output
+   adjoints 1, -0 and 0.5. Value and gradient must match bitwise,
+   interpreted and replayed. *)
+let test_one_minus_matches_composite () =
+  let xs = [| 0.0; -0.0; 1e-13; -1e-13; 5e-324; 1e-12; 0.5; -0.5; 1.0; -2.0 |] in
+  let adjoints = [| 1.0; -0.0; 0.5 |] in
+  let batch = Array.length adjoints and width = Array.length xs in
+  let x = Tensor.init ~batch ~width (fun _ i -> xs.(i)) in
+  let c = Tensor.init ~batch ~width (fun b _ -> adjoints.(b)) in
+  let run one_minus =
+    let tape = Ad.tape () in
+    let v = Ad.param tape x in
+    let y = one_minus v in
+    let loss = Ad.sum_all (Ad.mul y (Ad.const tape c)) in
+    let cap = Plan.capture tape ~root:loss in
+    Ad.backward loss;
+    match Plan.compile ~outputs:[| Ad.node_id y |] ~grads:[| Ad.node_id v |] cap with
+    | Error e -> Alcotest.fail ("compile: " ^ e)
+    | Ok plan ->
+        Plan.run_forward plan;
+        Plan.run_backward plan;
+        [
+          ("interpreted value", Ad.value y);
+          ("interpreted gradient", Ad.grad v);
+          ("replayed value", Plan.value plan (Ad.node_id y));
+          ("replayed gradient", Plan.grad_of plan (Ad.node_id v));
+        ]
+  in
+  List.iter2
+    (fun (what, got) (_, want) ->
+      Alcotest.(check bool) what true (Tensor.bits_equal got want))
+    (run Ad.one_minus)
+    (run (fun v -> Ad.add_scalar 1.0 (Ad.scale (-1.0) v)))
 
 (* ------------------------------------------------ subgradients at kinks *)
 
@@ -298,13 +334,6 @@ let test_adam_minimises_quadratic () =
     Test_util.check_close ~tol:1e-2 ~msg:"converged" (Tensor.get target 0 i) (Tensor.get x 0 i)
   done
 
-let test_sgd_step () =
-  let x = Tensor.of_array ~batch:1 ~width:2 [| 1.0; 2.0 |] in
-  let g = Tensor.of_array ~batch:1 ~width:2 [| 0.5; -1.0 |] in
-  Optim.sgd_step ~lr:0.1 ~params:[ x ] ~grads:[ g ];
-  Test_util.check_close ~msg:"x0" 0.95 (Tensor.get x 0 0);
-  Test_util.check_close ~msg:"x1" 2.1 (Tensor.get x 0 1)
-
 let test_clip_grad_norm () =
   let g = Tensor.of_array ~batch:1 ~width:2 [| 3.0; 4.0 |] in
   let norm = Optim.clip_grad_norm ~max_norm:1.0 [ g ] in
@@ -326,12 +355,13 @@ let () =
            Alcotest.test_case "node count" `Quick test_node_count;
            Alcotest.test_case "double backward raises" `Quick test_double_backward_raises;
            Alcotest.test_case "ir records ops" `Quick test_ir_records_ops;
+           Alcotest.test_case "one_minus rounds as 1 + (-x)" `Quick
+             test_one_minus_matches_composite;
          ] );
        ("kinks", kink_tests);
        ( "optim",
          [
            Alcotest.test_case "adam minimises quadratic" `Quick test_adam_minimises_quadratic;
-           Alcotest.test_case "sgd step" `Quick test_sgd_step;
            Alcotest.test_case "clip_grad_norm" `Quick test_clip_grad_norm;
          ] );
      ]

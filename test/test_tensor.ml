@@ -1,5 +1,5 @@
 (* Tests for the tensor substrate: dense kernels, both backends, LU,
-   matrix exponential, segment kernels and CSR. *)
+   matrix exponential and segment kernels. *)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -35,7 +35,7 @@ let test_elementwise () =
   Test_util.check_close ~msg:"scale" 6.0 (Tensor.get (Tensor.scale 2.0 a) 0 2);
   Test_util.check_close ~msg:"sum" 6.0 (Tensor.sum a);
   Test_util.check_close ~msg:"dot" 32.0 (Tensor.dot a b);
-  Test_util.check_close ~msg:"relu" 0.0 (Tensor.get (Tensor.relu (Tensor.neg a)) 0 0)
+  Test_util.check_close ~msg:"relu" 0.0 (Tensor.get (Tensor.relu (Tensor.scale (-1.0) a)) 0 0)
 
 let test_reductions () =
   let t = Tensor.of_array ~batch:2 ~width:2 [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -84,7 +84,6 @@ let dense_cases =
     ("add", fun a b _ -> [ Tensor.add a b; into_of (fun ~out -> Tensor.add_into ~out a b) a ]);
     ("sub", fun a b _ -> [ Tensor.sub a b; into_of (fun ~out -> Tensor.sub_into ~out a b) a ]);
     ("mul", fun a b _ -> [ Tensor.mul a b; into_of (fun ~out -> Tensor.mul_into ~out a b) a ]);
-    ("neg", fun a _ _ -> [ Tensor.neg a; into_of (fun ~out -> Tensor.neg_into ~out a) a ]);
     ( "scale",
       fun a _ _ ->
         [ Tensor.scale 0.37 a; into_of (fun ~out -> Tensor.scale_into ~out 0.37 a) a ] );
@@ -96,6 +95,7 @@ let dense_cases =
         ] );
     ("relu", fun a _ _ -> [ Tensor.relu a; into_of (fun ~out -> Tensor.relu_into ~out a) a ]);
     ("exp", fun a _ _ -> [ Tensor.exp a; into_of (fun ~out -> Tensor.exp_into ~out a) a ]);
+    ("one_minus_into", fun a _ _ -> [ into_of (fun ~out -> Tensor.one_minus_into ~out a) a ]);
     ("log_safe_into", fun a _ _ -> [ into_of (fun ~out -> Tensor.log_safe_into ~out a) a ]);
     ( "override_columns_into",
       fun a _ _ -> [ into_of (fun ~out -> Tensor.override_columns_into ~out (pins_of a) a) a ] );
@@ -556,67 +556,6 @@ let test_gather_scatter () =
   Test_util.check_close ~msg:"scatter col0" 1.0 (Tensor.get into 0 0);
   Test_util.check_close ~msg:"scatter col1" 0.0 (Tensor.get into 0 1)
 
-(* ------------------------------------------------------------------ CSR *)
-
-let coo_gen =
-  QCheck2.Gen.(
-    bind (pair (int_range 1 6) (int_range 1 6)) (fun (r, c) ->
-        map
-          (fun seed ->
-            let rng = Rng.create seed in
-            let n = Rng.int rng 12 in
-            let triplets =
-              List.init n (fun _ -> Rng.int rng r, Rng.int rng c, Rng.float rng 4.0 -. 2.0)
-            in
-            r, c, triplets)
-          (int_bound 1_000_000)))
-
-let csr_spmv_matches_dense =
-  qtest "CSR spmv matches dense" coo_gen (fun (r, c, triplets) ->
-      let a = Csr.of_coo ~rows:r ~cols:c triplets in
-      let rng = Rng.create 3 in
-      let x = Array.init c (fun _ -> Rng.float rng 2.0) in
-      let y = Csr.spmv a x in
-      let dense = Csr.to_dense a in
-      let ok = ref true in
-      for i = 0 to r - 1 do
-        let acc = ref 0.0 in
-        for j = 0 to c - 1 do
-          acc := !acc +. (Tensor.get dense i j *. x.(j))
-        done;
-        if not (Test_util.float_close !acc y.(i)) then ok := false
-      done;
-      !ok)
-
-let csr_transpose_spmv =
-  qtest "spmv_t a x = spmv (transpose a) x" coo_gen (fun (r, c, triplets) ->
-      let a = Csr.of_coo ~rows:r ~cols:c triplets in
-      let rng = Rng.create 4 in
-      let x = Array.init r (fun _ -> Rng.float rng 2.0) in
-      let y1 = Csr.spmv_t a x in
-      let y2 = Csr.spmv (Csr.transpose a) x in
-      Array.for_all2 (fun u v -> Test_util.float_close u v) y1 y2)
-
-let csr_spmm_batched_rows =
-  qtest "spmm_batched row b = spmv of row b" coo_gen (fun (r, c, triplets) ->
-      let a = Csr.of_coo ~rows:r ~cols:c triplets in
-      let rng = Rng.create 5 in
-      let x = Tensor.init ~batch:3 ~width:c (fun _ _ -> Rng.float rng 2.0) in
-      let y = Csr.spmm_batched a x in
-      let ok = ref true in
-      for b = 0 to 2 do
-        let yr = Csr.spmv a (Tensor.row x b) in
-        Array.iteri (fun i v -> if not (Test_util.float_close v (Tensor.get y b i)) then ok := false) yr
-      done;
-      !ok)
-
-let test_csr_dedup () =
-  let a = Csr.of_coo ~rows:2 ~cols:2 [ (0, 0, 1.0); (0, 0, 2.0); (1, 1, 3.0) ] in
-  Alcotest.(check int) "nnz merged" 2 (Csr.nnz a);
-  Test_util.check_close ~msg:"summed" 3.0 (snd (List.hd (Csr.row_entries a 0)));
-  let inc = Csr.of_incidence ~rows:2 ~cols:2 [ (0, 1); (0, 1); (1, 0) ] in
-  Alcotest.(check int) "incidence dedup" 2 (Csr.nnz inc)
-
 let () =
   Alcotest.run "tensor"
     [
@@ -656,11 +595,4 @@ let () =
           seg_grads_match_composites;
         ]
         @ seg_backends_agree );
-      ( "csr",
-        [
-          csr_spmv_matches_dense;
-          csr_transpose_spmv;
-          csr_spmm_batched_rows;
-          Alcotest.test_case "dedup" `Quick test_csr_dedup;
-        ] );
     ]
