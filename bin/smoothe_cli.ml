@@ -478,29 +478,8 @@ let extract_cmd =
 
 (* --------------------------------------------------------------- analyze *)
 
-(* One forward tape at a tiny batch and shallow propagation: enough to
-   record every op kind the real run would use, cheap enough to lint
-   every bundled instance. The recorded IR is then vetted by the shape
-   and gradient-flow passes without touching another kernel. *)
-let tape_diagnostics g =
-  let config =
-    { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
-  in
-  match
-    let compiled = Relaxation.compile config g in
-    let theta = Tensor.create ~batch:2 ~width:(Egraph.num_nodes g) in
-    let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
-    let ir = Ad.ir fwd.Relaxation.tape in
-    Shape_check.check ir @ Grad_flow.check ~root:(Ad.node_id fwd.Relaxation.loss) ir
-  with
-  | ds -> ds
-  | exception e ->
-      [
-        Diagnostic.error ~code:"AN001" Diagnostic.Graph "building the forward tape failed: %s"
-          (Printexc.to_string e);
-      ]
-
-(* Two probe forwards at the same tiny configuration: enough to prove
+(* Two probe forwards at the tape probe's tiny configuration (batch 2, two
+   propagation steps; {!Smoothe_extract.tape_diagnostics}): enough to prove
    the iteration IR static (PL006/PL007) and to run the plan-level
    dataflow analysis — liveness, arena assignment — exactly as the
    extraction gate would before arming a replay. *)
@@ -588,7 +567,9 @@ let analyze_cmd =
                     ],
                     None )
           in
-          let tape_ds = match g_opt with Some g -> tape_diagnostics g | None -> [] in
+          let tape_ds =
+            match g_opt with Some g -> Smoothe_extract.tape_diagnostics g | None -> []
+          in
           let plan_ds, plan_report =
             match g_opt with
             | Some g when plan -> plan_diagnostics g

@@ -67,8 +67,6 @@ let default =
     plan = Plan_off;
   }
 
-let with_assumption assumption cfg = { cfg with assumption }
-
 (* The propagation needs enough unrolled steps for probability mass to
    reach the deepest e-class, i.e. the *longest* root-to-class path.
    Cycles would make that unbounded, so we measure the longest path on

@@ -62,8 +62,6 @@ type t = {
 
 val default : t
 
-val with_assumption : assumption -> t -> t
-
 val derive_prop_iters : t -> Egraph.t -> int
 (** The unroll depth actually used: the configured value, or the
     root-to-leaf depth of the class condensation plus slack, clamped to

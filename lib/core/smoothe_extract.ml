@@ -139,6 +139,27 @@ let preflight_lint log g =
         Health.record log ~member Health.Preflight (Diagnostic.render d))
     findings
 
+(* One forward tape at a tiny batch and shallow propagation: enough to
+   record every op kind the real run would use, cheap enough to lint
+   every bundled instance. *)
+let tape_diagnostics g =
+  let config =
+    { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
+  in
+  match
+    let compiled = Relaxation.compile config g in
+    let theta = Tensor.create ~batch:2 ~width:(Egraph.num_nodes g) in
+    let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
+    let ir = Ad.ir fwd.Relaxation.tape in
+    Shape_check.check ir @ Grad_flow.check ~root:(Ad.node_id fwd.Relaxation.loss) ir
+  with
+  | ds -> ds
+  | exception e ->
+      [
+        Diagnostic.error ~code:"AN001" Diagnostic.Graph "building the forward tape failed: %s"
+          (Printexc.to_string e);
+      ]
+
 let record_plan_diag log d = Health.record log ~member Health.Plan (Diagnostic.render d)
 
 (* The second clean capture: gate it on structural identity with the

@@ -16,6 +16,12 @@ type history_point = Checkpoint.history_point = {
   incumbent : float;  (** best cost so far *)
 }
 
+val tape_diagnostics : Egraph.t -> Diagnostic.t list
+(** Shape and gradient-flow findings ({!Shape_check}, {!Grad_flow}) on
+    one forward tape recorded at batch 2 and two propagation steps:
+    every op kind a real run would use, at negligible cost. A tape that
+    cannot be built is one [AN001] error. *)
+
 type run = {
   result : Extractor.r;
   iterations : int;

@@ -70,7 +70,6 @@ let name m =
   | Pairwise _ -> "linear+pairwise"
 let is_linear m = m.kind = Linear
 let dim m = Array.length m.u
-let linear_coeffs m = Array.copy m.u
 
 let relaxed m tape p =
   Ad.with_context "cost_model.relaxed" @@ fun () ->

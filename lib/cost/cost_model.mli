@@ -40,7 +40,6 @@ val of_egraph : Egraph.t -> t
 val name : t -> string
 val is_linear : t -> bool
 val dim : t -> int
-val linear_coeffs : t -> float array
 
 val relaxed : t -> Ad.tape -> Ad.v -> Ad.v
 (** [relaxed m tape p] with [p : (B, N)] gives per-seed costs (B, 1). *)

@@ -29,8 +29,6 @@ let is_cyclic g =
        (fun (j : int) -> Array.exists (fun c -> c = j) g.class_children.(j))
        (Array.init (num_classes g) (fun j -> j))
 
-let class_children_of_node g i = g.children.(i)
-
 (* Deduplicate a small int array, preserving first-occurrence order. *)
 let dedup_ints a =
   let seen = Hashtbl.create (Array.length a) in
@@ -447,13 +445,8 @@ module Serial = struct
           builder := Some b;
           b
     in
-    (* classes are allocated on demand, so the "classes" header line is
-       advisory and files may reference classes in any order *)
-    let ensure_classes b upto =
-      while Builder.num_classes b <= upto do
-        ignore (Builder.add_class b)
-      done
-    in
+    (* node lines in file order, on the file's class ids *)
+    let nodes = Vec.create () in
     (* class -> the first line that referenced it as a child, so a class
        that never receives an e-node is reported where it was used *)
     let child_refs : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -469,7 +462,9 @@ module Serial = struct
       | [ "" ] | [] -> ()
       | "egraph" :: rest -> name := String.concat " " rest
       | [ "classes"; k ] ->
-          ensure_classes (get_builder ()) (class_id lineno "class count" k - 1)
+          (* advisory: classes are numbered from the node lines *)
+          ignore (get_builder ());
+          ignore (class_id lineno "class count" k)
       | [ "root"; r ] -> (
           let r = class_id lineno "root class" r in
           match !root with
@@ -478,9 +473,9 @@ module Serial = struct
                 first_root first_line
           | None ->
               root := Some (r, lineno);
-              ensure_classes (get_builder ()) r)
+              ignore (get_builder ()))
       | "node" :: cls :: cost :: op :: kids ->
-          let b = get_builder () in
+          ignore (get_builder ());
           let cls = class_id lineno "e-class id" cls in
           let cost =
             match float_of_string_opt cost with
@@ -488,13 +483,12 @@ module Serial = struct
             | None -> fail lineno "bad cost %S (expected a float)" cost
           in
           let kids = List.map (class_id lineno "child class") kids in
-          List.iter (ensure_classes b) (cls :: kids);
           List.iter
             (fun k -> if not (Hashtbl.mem child_refs k) then Hashtbl.add child_refs k lineno)
             kids;
           Hashtbl.replace node_count cls
             (1 + Option.value ~default:0 (Hashtbl.find_opt node_count cls));
-          ignore (Builder.add_node b ~cls ~op ~cost ~children:kids)
+          Vec.push nodes (cls, op, cost, kids)
       | keyword :: _ when List.mem keyword [ "classes"; "root" ] ->
           fail lineno "malformed %s line %S" keyword (String.trim line)
       | _ ->
@@ -517,7 +511,21 @@ module Serial = struct
     | None -> failwith "Egraph.Serial.of_string: missing root declaration"
     | Some (r, lineno) ->
         if nodes_in r = 0 then fail lineno "root class %d has no e-nodes" r;
-        Builder.freeze (get_builder ()) ~root:r
+        (* number only the classes holding an e-node, in id order: every
+           class reachable from the root holds one (checked above), and
+           freeze renumbers reachable classes in id order, so sparse ids
+           cost nothing and dense ones give the same graph *)
+        let b = get_builder () in
+        let dense = Hashtbl.create (Hashtbl.length node_count) in
+        Hashtbl.fold (fun cls _ acc -> cls :: acc) node_count []
+        |> List.sort Int.compare
+        |> List.iter (fun cls -> Hashtbl.add dense cls (Builder.add_class b));
+        let id = Hashtbl.find dense in
+        Vec.iter
+          (fun (cls, op, cost, kids) ->
+            ignore (Builder.add_node b ~cls:(id cls) ~op ~cost ~children:(List.map id kids)))
+          nodes;
+        Builder.freeze b ~root:(id r)
 
   let write_file path g =
     let oc = open_out path in

@@ -44,8 +44,6 @@ val is_cyclic : t -> bool
 (** True when some SCC of the class graph contains a cycle (size > 1 or a
     self-dependent class). *)
 
-val class_children_of_node : t -> int -> int array
-
 module Builder : sig
   type egraph = t
   type b

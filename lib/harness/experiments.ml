@@ -875,28 +875,7 @@ let preflight bank =
       Registry.all
   in
   let analyse (inst, g) =
-    (* lint the graph, then a tiny recorded forward tape: batch 2
-       and two propagation steps exercise every op kind the real
-       run would build, at negligible cost *)
-    let config =
-      { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
-    in
-    let tape_ds =
-      match
-        let compiled = Relaxation.compile config g in
-        let theta = Tensor.create ~batch:2 ~width:(Egraph.num_nodes g) in
-        let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
-        let ir = Ad.ir fwd.Relaxation.tape in
-        Shape_check.check ir @ Grad_flow.check ~root:(Ad.node_id fwd.Relaxation.loss) ir
-      with
-      | ds -> ds
-      | exception e ->
-          [
-            Diagnostic.error ~code:"AN001" Diagnostic.Graph
-              "building the forward tape failed: %s" (Printexc.to_string e);
-          ]
-    in
-    let ds = Egraph_lint.check g @ tape_ds in
+    let ds = Egraph_lint.check g @ Smoothe_extract.tape_diagnostics g in
     let row =
       [
         inst.Registry.inst_name;

@@ -1,11 +1,5 @@
-type sink = Disabled | Memory
-
 let on = ref false
 
-let sink () = if !on then Memory else Disabled
-let set_sink = function Disabled -> on := false | Memory -> on := true
-
-let enabled () = !on
 let enable () = on := true
 let disable () = on := false
 

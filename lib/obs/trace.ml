@@ -90,9 +90,6 @@ let events () = Mutex.protect store_lock (fun () -> Vec.to_list store)
 let spans () =
   List.filter_map (function Span s -> Some s | Instant _ -> None) (events ())
 
-let instants () =
-  List.filter_map (function Instant i -> Some i | Span _ -> None) (events ())
-
 let totals_by key span_list =
   let tbl = Hashtbl.create 32 in
   List.iter
@@ -105,7 +102,6 @@ let totals_by key span_list =
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let span_totals () = totals_by (fun s -> s.name) (spans ())
-let phase_totals () = totals_by (fun s -> s.path) (spans ())
 
 let span_totals_of evs =
   totals_by (fun s -> s.name) (List.filter_map (function Span s -> Some s | Instant _ -> None) evs)

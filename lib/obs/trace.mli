@@ -81,14 +81,10 @@ val events : unit -> event list
     emission point). *)
 
 val spans : unit -> span list
-val instants : unit -> instant list
 
 val span_totals : unit -> (string * int * float) list
 (** Per span {e name}: (name, count, total seconds), sorted by name —
     the per-phase breakdown the bench harness prints. *)
-
-val phase_totals : unit -> (string * int * float) list
-(** Per span {e path} (the full stack), same aggregation. *)
 
 val span_totals_of : event list -> (string * int * float) list
 (** {!span_totals} over an explicit event list — e.g. the capture of a

@@ -1,10 +1,10 @@
 (** CRC-32 (IEEE) checksums.
 
-    Used to frame durable on-disk artifacts (checkpoint files): CRC-32
-    detects every single-bit error and all burst errors up to 32 bits,
-    which is exactly the guarantee the torn-write / bit-rot recovery
-    path is tested against. Written in-repo because the build
-    environment is sealed. *)
+    Used by {!Frame} for durable on-disk records (checkpoints, the
+    request journal): CRC-32 detects every single-bit error and all
+    burst errors up to 32 bits, which is exactly the guarantee the
+    torn-write / bit-rot recovery path is tested against. Written
+    in-repo because the build environment is sealed. *)
 
 val crc32 : ?off:int -> ?len:int -> string -> int
 (** [crc32 s] is the standard CRC-32 of [s] (check value:

@@ -106,10 +106,15 @@ let parse_number st =
   | Some f -> Number f
   | None -> fail start (Printf.sprintf "bad number %S" body)
 
-let rec parse_value st =
+let max_depth = 512
+
+(* [depth] counts the arrays and objects enclosing this value *)
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail st.pos "unexpected end of input"
+  | Some ('{' | '[') when depth = max_depth ->
+      fail st.pos (Printf.sprintf "nesting deeper than %d arrays/objects" max_depth)
   | Some '{' ->
       advance st;
       skip_ws st;
@@ -125,7 +130,7 @@ let rec parse_value st =
           let key = parse_string_body st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           Vec.push fields (key, v);
           skip_ws st;
           match peek st with
@@ -148,7 +153,7 @@ let rec parse_value st =
       else begin
         let items = Vec.create () in
         let rec elements () =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           Vec.push items v;
           skip_ws st;
           match peek st with
@@ -172,7 +177,7 @@ let rec parse_value st =
 
 let parse text =
   let st = { text; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   if st.pos <> String.length text then fail st.pos "trailing input";
   v

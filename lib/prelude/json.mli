@@ -17,7 +17,10 @@ exception Parse_error of string
 (** Carries a message with the offending position. *)
 
 val parse : string -> t
-(** @raise Parse_error on malformed input (including trailing junk). *)
+(** @raise Parse_error on malformed input (including trailing junk) and
+    on arrays/objects nested more than 512 deep, a limit named in the
+    message. Every format read through this parser nests at most 5
+    deep; the cap keeps a hostile frame from buying unbounded recursion. *)
 
 val to_string : ?pretty:bool -> t -> string
 (** Serialise. Non-finite numbers ([nan], [±infinity]) have no JSON

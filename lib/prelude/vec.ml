@@ -40,7 +40,9 @@ let last v =
   if v.len = 0 then invalid_arg "Vec.last: empty";
   v.data.(v.len - 1)
 
-let clear v = v.len <- 0
+let clear v =
+  v.data <- [||];
+  v.len <- 0
 
 let iter f v =
   for i = 0 to v.len - 1 do

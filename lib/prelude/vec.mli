@@ -32,7 +32,8 @@ val pop : 'a t -> 'a
 val last : 'a t -> 'a
 
 val clear : 'a t -> unit
-(** [clear v] resets the length to zero without shrinking storage. *)
+(** [clear v] empties [v] and drops its storage, so the cleared
+    elements can be collected; the next [push] starts a fresh array. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 

@@ -20,8 +20,6 @@ let pvar v = Var v
 let papp op args = Papp (op, args)
 let patom op = Papp (op, [])
 
-let rec pattern_of_term (App (op, args)) = Papp (op, List.map pattern_of_term args)
-
 let rec pattern_to_string = function
   | Var v -> "?" ^ v
   | Papp (op, []) -> op

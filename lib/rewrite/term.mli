@@ -25,7 +25,6 @@ val pvar : string -> pattern
 val papp : string -> pattern list -> pattern
 val patom : string -> pattern
 
-val pattern_of_term : t -> pattern
 val pattern_to_string : pattern -> string
 
 val pattern_vars : pattern -> string list

@@ -7,17 +7,11 @@
     RNG state, incumbent and its marginals, patience counter), the
     resumed run replays bit-identically to the uninterrupted one.
 
-    On disk, a snapshot is a single framed file:
-    magic ["SMCK"], a format version, the payload length and a CRC-32
-    of the payload, then a flat hand-rolled binary payload. Writes are
-    atomic (temp file + rename) and rotated: a {!store} keeps the last
-    [keep] generations, so a torn or bit-rotted newest file (detected
-    by the frame checks — never trusted) falls back to the previous
-    generation. *)
-
-exception Corrupt of string
-(** Raised internally by the payload decoder; callers of {!deserialize}
-    and {!load_latest} see [Error]/skipped generations instead. *)
+    On disk, a snapshot is one {!Frame} (magic ["SMCK"], version 2)
+    per file. Writes are atomic (temp file + rename) and rotated: a
+    {!store} keeps the last [keep] generations, so a torn or bit-rotted
+    newest file (detected by the frame checks — never trusted) falls
+    back to the previous generation. *)
 
 (** {1 Snapshot contents} *)
 
@@ -89,12 +83,11 @@ val deserialize : string -> (snapshot, string) result
 type store
 
 val store : ?keep:int -> dir:string -> name:string -> unit -> store
-(** [store ~dir ~name ()] manages files [dir/name.<gen>.ckpt],
-    creating [dir] if needed and keeping the newest [keep] (default 3)
-    generations. @raise Invalid_argument on [keep < 1] or a [name]
+(** [store ~dir ~name ()] manages files [dir/name.<gen>.ckpt]
+    ({!Frame.gen_path}), creating [dir] if needed and keeping the newest
+    [keep] (default 3) generations. Other files in [dir] are never read
+    or deleted. @raise Invalid_argument on [keep < 1] or a [name]
     containing ['/']. *)
-
-val dir : store -> string
 
 val save : store -> snapshot -> int
 (** Write the next generation atomically (temp file + rename, so a

@@ -8,22 +8,23 @@
    retry) of an already-answered request is a cache hit, not a
    recomputation.
 
-   The frame format mirrors Checkpoint's: magic, version, framed
-   length, CRC-32 of the payload. The failure model differs, though —
-   a checkpoint is written atomically (whole file or nothing), while a
-   journal grows by fsynced appends, so the expected corruption is a
-   torn *tail*: the file ends mid-frame where the crash interrupted the
-   last append. The scan therefore walks frames from the start and
-   stops at the first one that fails its length or checksum check;
-   everything before it is trusted, everything from it on is dropped
-   and surfaced as a [Health.Journal_torn] note. A torn tail never
-   prevents startup and a corrupted frame is never replayed. *)
+   Each record is one {!Frame} (magic "SMJR", version 2) whose first
+   payload field is the record kind. The failure model differs from
+   Checkpoint's, though — a checkpoint is written atomically (whole file
+   or nothing), while a journal grows by fsynced appends, so the
+   expected corruption is a torn *tail*: the file ends mid-frame where
+   the crash interrupted the last append. The scan therefore walks
+   frames from the start and stops at the first one that fails its
+   frame checks or its decode; everything before it is trusted,
+   everything from it on is dropped and surfaced as a
+   [Health.Journal_torn] note. A version-1 generation left by an older
+   daemon reads as torn at byte 0. A torn tail never prevents startup
+   and a corrupted frame is never replayed. *)
 
 module P = Serve_protocol
 
 let magic = "SMJR"
-let format_version = 1
-let header_len = 24 (* magic 4 + version 4 + kind 4 + length 8 + crc 4 *)
+let format_version = 2
 
 type record =
   | Admitted of { rid : string; request : P.request }
@@ -31,164 +32,82 @@ type record =
 
 (* ------------------------------------------------------------- encode *)
 
-let w_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let w_str buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
-
 (* Bodies ride inside a full response frame so the journal reuses the
    wire codec instead of inventing a second ok-body serialisation. *)
 let body_to_string ~rid body =
   Json.to_string
     (P.response_to_json { P.resp_id = rid; elapsed_ms = 0.0; queue_ms = 0.0; body = Ok body })
 
-let encode_payload = function
-  | Admitted { rid; request } ->
-      let buf = Buffer.create 256 in
-      w_str buf rid;
-      w_str buf (Json.to_string (P.request_to_json request));
-      Buffer.contents buf
-  | Completed { rid; key; body } ->
-      let buf = Buffer.create 256 in
-      w_str buf rid;
-      w_str buf (Option.value ~default:"" key);
-      w_str buf (match body with None -> "" | Some b -> body_to_string ~rid b);
-      Buffer.contents buf
-
-let kind_tag = function Admitted _ -> 1 | Completed _ -> 2
-
 let frame record =
-  let payload = encode_payload record in
-  let buf = Buffer.create (String.length payload + header_len) in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_le buf (Int32.of_int format_version);
-  Buffer.add_int32_le buf (Int32.of_int (kind_tag record));
-  Buffer.add_int64_le buf (Int64.of_int (String.length payload));
-  Buffer.add_int32_le buf (Int32.of_int (Checksum.crc32 payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let buf = Buffer.create 256 in
+  let field = Frame.add_string buf in
+  (match record with
+  | Admitted { rid; request } ->
+      Frame.add_int buf 1;
+      field rid;
+      field (Json.to_string (P.request_to_json request))
+  | Completed { rid; key; body } ->
+      Frame.add_int buf 2;
+      field rid;
+      field (Option.value ~default:"" key);
+      field (match body with None -> "" | Some b -> body_to_string ~rid b));
+  Frame.encode ~magic ~version:format_version (Buffer.contents buf)
 
 (* ------------------------------------------------------------- decode *)
-
-exception Bad of string
-
-type reader = { src : string; mutable pos : int }
-
-let need r n =
-  if n < 0 || r.pos + n > String.length r.src then raise (Bad "truncated payload")
-
-let r_int r =
-  need r 8;
-  let v = Int64.to_int (String.get_int64_le r.src r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let r_str r =
-  let n = r_int r in
-  if n < 0 || n > String.length r.src - r.pos then raise (Bad "implausible string length");
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
 
 let parse_json what s =
   match Json.parse s with
   | j -> j
-  | exception Json.Parse_error msg -> raise (Bad (Printf.sprintf "%s: %s" what msg))
+  | exception Json.Parse_error msg -> Frame.corrupt "%s: %s" what msg
 
-let decode_record kind payload =
-  let r = { src = payload; pos = 0 } in
+let decode_record payload =
+  let r = Frame.reader payload in
   let record =
-    match kind with
-    | 1 ->
-        let rid = r_str r in
-        let req_json = parse_json "admitted request" (r_str r) in
-        let request =
-          match P.request_of_json req_json with
-          | Ok req -> req
-          | Error msg -> raise (Bad ("admitted request: " ^ msg))
-        in
-        Admitted { rid; request }
+    match Frame.read_int r with
+    | 1 -> (
+        let rid = Frame.read_string r in
+        match P.request_of_json (parse_json "admitted request" (Frame.read_string r)) with
+        | Ok request -> Admitted { rid; request }
+        | Error msg -> Frame.corrupt "admitted request: %s" msg)
     | 2 ->
-        let rid = r_str r in
-        let key = match r_str r with "" -> None | k -> Some k in
+        let rid = Frame.read_string r in
+        let key = match Frame.read_string r with "" -> None | k -> Some k in
         let body =
-          match r_str r with
+          match Frame.read_string r with
           | "" -> None
           | s -> (
               match P.response_of_json (parse_json "completed body" s) with
               | Ok { P.body = Ok b; _ } -> Some b
-              | Ok { P.body = Error _; _ } -> raise (Bad "completed body is an error frame")
-              | Error msg -> raise (Bad ("completed body: " ^ msg)))
+              | Ok { P.body = Error _; _ } -> Frame.corrupt "completed body is an error frame"
+              | Error msg -> Frame.corrupt "completed body: %s" msg)
         in
         Completed { rid; key; body }
-    | k -> raise (Bad (Printf.sprintf "unknown record kind %d" k))
+    | k -> Frame.corrupt "unknown record kind %d" k
   in
-  if r.pos <> String.length payload then raise (Bad "trailing bytes in payload");
+  Frame.finish r;
   record
 
 (* Scan a whole journal file. Returns the records of the intact prefix
    plus, when the scan stopped early, the offset and reason of the
    first unreadable frame (the torn tail). Never raises. *)
 let scan_string s =
-  let len = String.length s in
-  let records = ref [] in
-  let rec go off =
-    if off = len then None
-    else if len - off < header_len then Some (off, "truncated frame header")
-    else if String.sub s off 4 <> magic then Some (off, "bad frame magic")
+  let rec go off acc =
+    if off = String.length s then (List.rev acc, None)
     else
-      let version = Int32.to_int (String.get_int32_le s (off + 4)) in
-      if version <> format_version then
-        Some (off, Printf.sprintf "unsupported journal version %d" version)
-      else
-        let kind = Int32.to_int (String.get_int32_le s (off + 8)) in
-        let plen64 = String.get_int64_le s (off + 12) in
-        (* compare as full 64-bit values so a corrupted top bit cannot
-           alias a plausible length *)
-        if
-          Int64.compare plen64 0L < 0
-          || Int64.compare plen64 (Int64.of_int (len - off - header_len)) > 0
-        then Some (off, "frame length overruns the file (torn tail)")
-        else
-          let plen = Int64.to_int plen64 in
-          let stored = Int32.to_int (String.get_int32_le s (off + 20)) land 0xFFFFFFFF in
-          let actual = Checksum.crc32 ~off:(off + header_len) ~len:plen s in
-          if stored <> actual then Some (off, "frame checksum mismatch")
-          else
-            match decode_record kind (String.sub s (off + header_len) plen) with
-            | record ->
-                records := record :: !records;
-                go (off + header_len + plen)
-            | exception Bad msg -> Some (off, msg)
+      match Frame.decode ~magic ~version:format_version s ~off with
+      | Error msg -> (List.rev acc, Some (off, msg))
+      | Ok (payload, next) -> (
+          match decode_record payload with
+          | record -> go next (record :: acc)
+          | exception Frame.Corrupt msg -> (List.rev acc, Some (off, msg)))
   in
-  let torn = go 0 in
-  (List.rev !records, torn)
+  go 0 []
 
-(* -------------------------------------------------------- generations *)
-
-let path ~dir ~name gen = Filename.concat dir (Printf.sprintf "%s.%08d.jrnl" name gen)
-
-let generations ~dir ~name =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-      let prefix = name ^ "." and suffix = ".jrnl" in
-      Array.to_list entries
-      |> List.filter_map (fun f ->
-             if
-               String.length f = String.length prefix + 8 + String.length suffix
-               && String.starts_with ~prefix f
-               && String.ends_with ~suffix f
-             then int_of_string_opt (String.sub f (String.length prefix) 8)
-             else None)
-      |> List.sort compare
+let path ~dir ~name gen = Frame.gen_path ~dir ~name ~ext:"jrnl" gen
 
 (* --------------------------------------------------------------- open *)
 
 type t = {
-  dir : string;
-  name : string;
   gen : int;
   appender : Fsio.appender;
   m : Mutex.t;
@@ -196,7 +115,6 @@ type t = {
   pending : (string * P.request) list;
   warm : (string * P.ok_body) list;
   torn : (string * string) list;
-  scanned : int;
 }
 
 let raw_append t data =
@@ -216,7 +134,7 @@ let open_ ?(keep_completed = 256) ?(fsync = true) ~dir ~name () =
   if keep_completed < 0 then
     invalid_arg "Serve_journal.open_: keep_completed must be >= 0";
   Fsio.mkdir_p dir;
-  let gens = generations ~dir ~name in
+  let gens = Frame.generations ~dir ~name ~ext:"jrnl" in
   (* Fold oldest -> newest so later records supersede earlier ones:
      the newest completion for a rid wins, and re-journaled admitted
      frames (compaction carry-forward) collapse onto one entry. *)
@@ -277,8 +195,6 @@ let open_ ?(keep_completed = 256) ?(fsync = true) ~dir ~name () =
   let appender = Fsio.open_append ~fsync (path ~dir ~name gen) in
   let t =
     {
-      dir;
-      name;
       gen;
       appender;
       m = Mutex.create ();
@@ -286,7 +202,6 @@ let open_ ?(keep_completed = 256) ?(fsync = true) ~dir ~name () =
       pending;
       warm = List.map (fun (_, key, body) -> (key, body)) carry;
       torn = List.rev !torn;
-      scanned = List.length gens;
     }
   in
   (* Compaction: make the fresh generation self-contained — carry
@@ -317,7 +232,6 @@ let append_completed t ~rid ?key ?body () = raw_append t (frame (Completed { rid
 let pending t = t.pending
 let warm t = t.warm
 let torn t = t.torn
-let generations_scanned t = t.scanned
 let appends t = Mutex.protect t.m (fun () -> t.appends)
 let generation t = t.gen
 let file t = Fsio.append_path t.appender

@@ -15,11 +15,10 @@
 
     {2 Frame format}
 
-    Each record is framed as [magic "SMJR" · version u32 · kind u32 ·
-    payload length u64 · CRC-32(payload) u32 · payload] — the same
-    discipline as {!Checkpoint}'s file header, applied per record.
-    Payload strings are length-prefixed; request and body payloads
-    reuse the wire JSON codec.
+    Each record is one {!Frame} (magic ["SMJR"], version 2) whose
+    payload is the record kind, then length-prefixed strings; request
+    and body payloads reuse the wire JSON codec. Generation files are
+    named by {!Frame.gen_path} with extension [jrnl].
 
     {2 Failure model}
 
@@ -28,8 +27,9 @@
     start of each generation and stops at the first frame whose
     length, checksum or decode fails; intact frames before the tear
     are trusted, everything from it on is dropped and surfaced via
-    {!torn}. Opening never fails on a torn file and a corrupted frame
-    is never replayed.
+    {!torn}. A version-1 generation, whose frames carried the kind in
+    the header, reads as torn at byte 0. Opening never fails on a torn
+    file and a corrupted frame is never replayed.
 
     {2 Compaction}
 
@@ -76,7 +76,6 @@ val warm : t -> (string * Serve_protocol.ok_body) list
 val torn : t -> (string * string) list
 (** (file, reason) for every generation whose scan stopped early. *)
 
-val generations_scanned : t -> int
 val appends : t -> int
 val generation : t -> int
 

@@ -928,17 +928,3 @@ module Matfun = struct
     if a.batch <> a.width then invalid_arg "Matfun.expm: not square";
     if a.width = 0 then create ~batch:0 ~width:0 else copy (expm_into (workspace a.width) a)
 end
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>tensor (%d, %d)" t.batch t.width;
-  let max_rows = min t.batch 6 and max_cols = min t.width 10 in
-  for b = 0 to max_rows - 1 do
-    Format.fprintf fmt "@,[";
-    for i = 0 to max_cols - 1 do
-      Format.fprintf fmt "%s%.4g" (if i > 0 then "; " else "") (get t b i)
-    done;
-    if t.width > max_cols then Format.fprintf fmt "; ...";
-    Format.fprintf fmt "]"
-  done;
-  if t.batch > max_rows then Format.fprintf fmt "@,...";
-  Format.fprintf fmt "@]"

@@ -277,5 +277,3 @@ module Matfun : sig
 
   val trace : t -> float
 end
-
-val pp : Format.formatter -> t -> unit

@@ -84,6 +84,24 @@ let test_span_totals =
           Alcotest.failf "unexpected totals: %s"
             (String.concat ", " (List.map (fun (n, c, _) -> Printf.sprintf "%s/%d" n c) totals)))
 
+(* Trace.reset frees what the spans held: the store drops its storage,
+   not just its length *)
+let test_reset_frees_spans () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Trace.reset ();
+  let before = live () in
+  Obs.with_enabled (fun () ->
+      for _ = 1 to 50_000 do
+        Trace.with_span "s" (fun () -> ())
+      done);
+  Trace.reset ();
+  let after = live () in
+  if after - before > 50_000 then
+    Alcotest.failf "%d live words after reset, %d before the spans" after before
+
 (* --- exports ---------------------------------------------------------- *)
 
 let nasty = "we\"ird\\na;me\n\twith\x01ctrl"
@@ -572,6 +590,7 @@ let () =
           Alcotest.test_case "exception unwind" `Quick test_span_exception_unwind;
           Alcotest.test_case "disabled no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "totals" `Quick test_span_totals;
+          Alcotest.test_case "reset frees spans" `Quick test_reset_frees_spans;
         ] );
       ( "export",
         [

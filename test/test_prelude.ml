@@ -430,6 +430,16 @@ let test_json_errors () =
     | exception Json.Parse_error _ -> true
     | _ -> false)
 
+let test_json_depth_cap () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Json.parse (nested 512) with
+  | _ -> ()
+  | exception Json.Parse_error msg -> Alcotest.failf "depth 512 rejected: %s" msg);
+  match Json.parse (nested 513) with
+  | _ -> Alcotest.fail "depth 513 accepted"
+  | exception Json.Parse_error msg ->
+      Alcotest.(check bool) "names the limit" true (Test_util.contains msg "512")
+
 let json_gen =
   let open QCheck2.Gen in
   sized
@@ -570,6 +580,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "non-finite numbers emit null" `Quick test_json_nonfinite;
+          Alcotest.test_case "depth capped at 512" `Quick test_json_depth_cap;
           json_roundtrip;
         ] );
       ( "checksum",

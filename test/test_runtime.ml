@@ -309,11 +309,6 @@ let with_tmpdir f =
       Unix.rmdir dir)
     (fun () -> f dir)
 
-let health_log events =
-  let log = Health.create () in
-  List.iter (Health.add log) events;
-  log
-
 let mk_snapshot ?(iter = 10) () =
   {
     Checkpoint.fingerprint =
@@ -342,7 +337,8 @@ let mk_snapshot ?(iter = 10) () =
           incumbent = 50.0 };
       ];
     health =
-      health_log [ { Health.at = 0.2; member = "smoothe"; kind = Health.Recovery; detail = "x" } ];
+      Test_util.health_log
+        [ { Health.at = 0.2; member = "smoothe"; kind = Health.Recovery; detail = "x" } ];
   }
 
 (* floats compare bitwise so NaN payloads and signed zeros round-trip *)
@@ -422,6 +418,41 @@ let test_checkpoint_frame_errors () =
   Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x10));
   fails "payload bit flip" (Bytes.to_string flipped)
 
+(* An SMCK v2 image written by Checkpoint.serialize before it moved onto
+   Frame: the file format is pinned, so it must decode to the same
+   snapshot and re-serialise to the same bytes. *)
+let golden_smck_v2 =
+  String.concat ""
+    [
+      "534d434b02000000d9010000000000006363735b010000000000000067020000";
+      "00000000000200000000000000010000000000000002000000000000000a0000";
+      "0000000000000000000000f83f01000000000000000200000000000000030000";
+      "00000000000400000000000000020000000000000002000000000000009a9999";
+      "999999b93f9a9999999999c93f333333333333d33f9a9999999999d93f020000";
+      "00000000000200000000000000000000000000000000000000000000009a9999";
+      "999999b93f9a9999999999b9bf02000000000000000200000000000000000000";
+      "000000e03f000000000000e03f000000000000e03f000000000000e03f030000";
+      "00000000009a9999999999a93f00000000000045400100000000000000020000";
+      "00000000000000000000000000ffffffffffffffff0200000000000000000000";
+      "000000d03f000000000000e83f08000000000000000000000000000000000000";
+      "000000000002000000000000009a9999999999d93f00000000000045409a9999";
+      "999999b93f0000000000004940020000000000000002000000000000009a9999";
+      "999999d93fcdccccccccccec3f00000000000045400000000000004540010000";
+      "00000000009a9999999999b93f000000000000f03f0000000000004940000000";
+      "00000049400000000000000000";
+    ]
+
+let test_checkpoint_golden_image () =
+  let image =
+    String.init (String.length golden_smck_v2 / 2) (fun i ->
+        Char.chr (int_of_string ("0x" ^ String.sub golden_smck_v2 (2 * i) 2)))
+  in
+  let snap = { (mk_snapshot ()) with Checkpoint.health = Health.create () } in
+  (match Checkpoint.deserialize image with
+  | Ok got -> Alcotest.(check bool) "golden image decodes" true (snapshot_equal snap got)
+  | Error msg -> Alcotest.failf "golden image rejected: %s" msg);
+  Alcotest.(check bool) "same bytes" true (Checkpoint.serialize snap = image)
+
 let test_store_validation () =
   with_tmpdir @@ fun dir ->
   let rejects k n =
@@ -487,82 +518,37 @@ let test_torn_write_falls_back () =
   | None -> Alcotest.fail "no usable generation after torn write");
   Alcotest.(check int) "torn write surfaced" 1 (Health.count log Health.Checkpoint_corrupt)
 
-(* random snapshots for the codec properties *)
-let snapshot_gen =
-  let open QCheck2.Gen in
-  let f64 = float in
-  let kind =
-    oneofl
-      [
-        Health.Fault_injected; Health.Nan_detected; Health.Recovery; Health.Oom_derate;
-        Health.Timeout; Health.Member_failed; Health.Budget_reallocated; Health.Degraded;
-        Health.Checkpoint_corrupt; Health.Resumed; Health.Plan;
-      ]
-  in
-  let small_string = string_size ~gen:(char_range 'a' 'z') (int_range 0 8) in
-  let event =
-    f64 >>= fun at ->
-    small_string >>= fun member ->
-    kind >>= fun kind ->
-    small_string >|= fun detail -> { Health.at; member; kind; detail }
-  in
-  let choice =
-    option (list_size (int_range 0 6) (option (int_range 0 1000)) >|= Array.of_list)
-  in
-  let history_point =
-    nat >>= fun iter ->
-    f64 >>= fun elapsed ->
-    f64 >>= fun relaxed_loss ->
-    f64 >>= fun sampled_cost ->
-    f64 >|= fun incumbent ->
-    { Checkpoint.iter; elapsed; relaxed_loss; sampled_cost; incumbent }
-  in
-  small_string >>= fun fp_graph ->
-  int_range 1 4 >>= fun fp_nodes ->
-  int_range 1 1000 >>= fun fp_classes ->
-  int_range 0 9999 >>= fun fp_seed ->
-  int_range 1 3 >>= fun fp_batch ->
-  (* the decoder insists θ and the moments are shaped as the fingerprint *)
-  let tensor =
-    array_repeat (fp_batch * fp_nodes) f64 >|= Tensor.of_array ~batch:fp_batch ~width:fp_nodes
-  in
-  int_range 0 10_000 >>= fun iter ->
-  f64 >>= fun elapsed ->
-  array_repeat 4 (map Int64.of_int int) >>= fun rng_words ->
-  tensor >>= fun theta ->
-  tensor >>= fun adam_m ->
-  tensor >>= fun adam_v ->
-  int_range 0 10_000 >>= fun adam_step ->
-  f64 >>= fun adam_lr ->
-  f64 >>= fun best_cost ->
-  int_range (-1) 63 >>= fun best_seed ->
-  choice >>= fun best_choice ->
-  option (array_repeat fp_nodes f64) >>= fun best_cp ->
-  int_range 0 10_000 >>= fun last_improvement ->
-  int_range 0 5 >>= fun recoveries ->
-  int_range 0 4 >>= fun ladder_rung ->
-  list_size (int_range 0 5) (pair f64 f64) >>= fun trace ->
-  list_size (int_range 0 5) history_point >>= fun history ->
-  list_size (int_range 0 4) event >|= fun events ->
-  {
-    Checkpoint.fingerprint = { Checkpoint.fp_graph; fp_nodes; fp_classes; fp_seed; fp_batch };
-    iter; elapsed; rng_state = rng_words; theta; adam_m; adam_v; adam_step; adam_lr;
-    best_cost; best_seed; best_choice; best_cp; last_improvement; recoveries; ladder_rung;
-    trace; history; health = health_log events;
-  }
+(* Files in the store's directory whose middle is not a generation as
+   the store writes it are neither read nor counted nor rotated away. *)
+let test_stray_names_ignored () =
+  with_tmpdir @@ fun dir ->
+  let st = Checkpoint.store ~dir ~name:"fb" () in
+  Alcotest.(check int) "first generation" 1 (Checkpoint.save st (mk_snapshot ~iter:1 ()));
+  List.iter
+    (fun mid -> Fsio.write_atomic ~path:(Filename.concat dir ("fb." ^ mid ^ ".ckpt")) "stray")
+    [ "0x10"; "1_0"; "+5"; "-3"; "0000007" ];
+  let log = Health.create () in
+  (match Checkpoint.load_latest ~health:log st with
+  | Some (_, gen) -> Alcotest.(check int) "real generation loaded" 1 gen
+  | None -> Alcotest.fail "real generation not loaded");
+  Alcotest.(check int) "no health event" 0 (List.length (Health.events log));
+  Alcotest.(check int) "next generation" 2 (Checkpoint.save st (mk_snapshot ~iter:2 ()));
+  List.iter
+    (fun f -> Alcotest.(check bool) f true (Sys.file_exists (Filename.concat dir f)))
+    [ "fb.00000001.ckpt"; "fb.00000002.ckpt" ]
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let checkpoint_roundtrip_prop =
-  qtest "serialize/deserialize round-trips any snapshot" snapshot_gen (fun snap ->
+  qtest "serialize/deserialize round-trips any snapshot" Test_util.snapshot_gen (fun snap ->
       match Checkpoint.deserialize (Checkpoint.serialize snap) with
       | Ok got -> snapshot_equal snap got
       | Error _ -> false)
 
 let checkpoint_bitflip_prop =
   qtest "any single bit flip is detected"
-    QCheck2.Gen.(pair snapshot_gen (pair nat nat))
+    QCheck2.Gen.(pair Test_util.snapshot_gen (pair nat nat))
     (fun (snap, (i, j)) ->
       let data = Checkpoint.serialize snap in
       let i = i mod String.length data and j = j mod 8 in
@@ -964,6 +950,8 @@ let () =
           Alcotest.test_case "rotation" `Quick test_store_rotation;
           Alcotest.test_case "corrupt falls back" `Quick test_corrupt_falls_back;
           Alcotest.test_case "torn write falls back" `Quick test_torn_write_falls_back;
+          Alcotest.test_case "golden v2 image" `Quick test_checkpoint_golden_image;
+          Alcotest.test_case "stray names ignored" `Quick test_stray_names_ignored;
           checkpoint_roundtrip_prop;
           checkpoint_bitflip_prop;
         ] );

@@ -905,6 +905,37 @@ let test_torn_journal_fault () =
   Serve_engine.stop engine;
   Serve_journal.close j2
 
+(* A generation an older daemon wrote in journal format 1 — the kind
+   tag in the header, not the payload — reads as torn at byte 0: nothing
+   replays, nothing warms, nothing raises. *)
+let test_v1_generation_reads_torn () =
+  with_temp_dir @@ fun dir ->
+  let field buf s =
+    Buffer.add_int64_le buf (Int64.of_int (String.length s));
+    Buffer.add_string buf s
+  in
+  let payload = Buffer.create 256 in
+  field payload "old#1";
+  field payload (Json.to_string (P.request_to_json (quick_request ~id:"old" ())));
+  let payload = Buffer.contents payload in
+  let v1 = Buffer.create 512 in
+  Buffer.add_string v1 "SMJR";
+  Buffer.add_int32_le v1 1l (* version *);
+  Buffer.add_int32_le v1 1l (* kind: admitted *);
+  Buffer.add_int64_le v1 (Int64.of_int (String.length payload));
+  Buffer.add_int32_le v1 (Int32.of_int (Checksum.crc32 payload));
+  Buffer.add_string v1 payload;
+  let v1 = Buffer.contents v1 in
+  (match Serve_journal.scan_string v1 with
+  | [], Some (0, _) -> ()
+  | _ -> Alcotest.fail "a v1 frame should read as torn at byte 0");
+  Fsio.write_atomic ~path:(Filename.concat dir "requests.00000001.jrnl") v1;
+  let j = Serve_journal.open_ ~dir ~name:"requests" () in
+  Alcotest.(check bool) "torn reported" true (Serve_journal.torn j <> []);
+  Alcotest.(check int) "nothing pending" 0 (List.length (Serve_journal.pending j));
+  Alcotest.(check int) "nothing warm" 0 (List.length (Serve_journal.warm j));
+  Serve_journal.close j
+
 (* drained-but-unserved requests (the SIGTERM path: stop fails queued
    tickets with [draining]) stay journaled incomplete and replay *)
 let test_sigterm_drain_preserves_journal () =
@@ -1252,6 +1283,7 @@ let () =
           Alcotest.test_case "torn-journal fault plan" `Quick test_torn_journal_fault;
           Alcotest.test_case "sigterm drain preserves journal" `Quick
             test_sigterm_drain_preserves_journal;
+          Alcotest.test_case "v1 generation reads torn" `Quick test_v1_generation_reads_torn;
         ] );
       ( "watchdog",
         [

@@ -1,5 +1,6 @@
 (* Shared helpers for the test-suite: a brute-force extraction oracle for
-   tiny e-graphs and reproducible random e-graph generators. *)
+   tiny e-graphs, reproducible random e-graph generators and random
+   checkpoint snapshots. *)
 
 (* Enumerate every per-class choice assignment, validate, and return the
    minimum DAG cost and witnessing solution. Exponential — only for
@@ -90,3 +91,73 @@ let contains haystack needle =
   let n = String.length haystack and m = String.length needle in
   let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
   go 0
+
+let health_log events =
+  let log = Health.create () in
+  List.iter (Health.add log) events;
+  log
+
+(* Random checkpoint snapshots, shaped as the decoder insists (θ and
+   the moments batch × nodes as the fingerprint says). *)
+let snapshot_gen =
+  let open QCheck2.Gen in
+  let f64 = float in
+  let kind =
+    oneofl
+      [
+        Health.Fault_injected; Health.Nan_detected; Health.Recovery; Health.Oom_derate;
+        Health.Timeout; Health.Member_failed; Health.Budget_reallocated; Health.Degraded;
+        Health.Checkpoint_corrupt; Health.Resumed; Health.Plan;
+      ]
+  in
+  let small_string = string_size ~gen:(char_range 'a' 'z') (int_range 0 8) in
+  let event =
+    f64 >>= fun at ->
+    small_string >>= fun member ->
+    kind >>= fun kind ->
+    small_string >|= fun detail -> { Health.at; member; kind; detail }
+  in
+  let choice =
+    option (list_size (int_range 0 6) (option (int_range 0 1000)) >|= Array.of_list)
+  in
+  let history_point =
+    nat >>= fun iter ->
+    f64 >>= fun elapsed ->
+    f64 >>= fun relaxed_loss ->
+    f64 >>= fun sampled_cost ->
+    f64 >|= fun incumbent ->
+    { Checkpoint.iter; elapsed; relaxed_loss; sampled_cost; incumbent }
+  in
+  small_string >>= fun fp_graph ->
+  int_range 1 4 >>= fun fp_nodes ->
+  int_range 1 1000 >>= fun fp_classes ->
+  int_range 0 9999 >>= fun fp_seed ->
+  int_range 1 3 >>= fun fp_batch ->
+  (* the decoder insists θ and the moments are shaped as the fingerprint *)
+  let tensor =
+    array_repeat (fp_batch * fp_nodes) f64 >|= Tensor.of_array ~batch:fp_batch ~width:fp_nodes
+  in
+  int_range 0 10_000 >>= fun iter ->
+  f64 >>= fun elapsed ->
+  array_repeat 4 (map Int64.of_int int) >>= fun rng_words ->
+  tensor >>= fun theta ->
+  tensor >>= fun adam_m ->
+  tensor >>= fun adam_v ->
+  int_range 0 10_000 >>= fun adam_step ->
+  f64 >>= fun adam_lr ->
+  f64 >>= fun best_cost ->
+  int_range (-1) 63 >>= fun best_seed ->
+  choice >>= fun best_choice ->
+  option (array_repeat fp_nodes f64) >>= fun best_cp ->
+  int_range 0 10_000 >>= fun last_improvement ->
+  int_range 0 5 >>= fun recoveries ->
+  int_range 0 4 >>= fun ladder_rung ->
+  list_size (int_range 0 5) (pair f64 f64) >>= fun trace ->
+  list_size (int_range 0 5) history_point >>= fun history ->
+  list_size (int_range 0 4) event >|= fun events ->
+  {
+    Checkpoint.fingerprint = { Checkpoint.fp_graph; fp_nodes; fp_classes; fp_seed; fp_batch };
+    iter; elapsed; rng_state = rng_words; theta; adam_m; adam_v; adam_step; adam_lr;
+    best_cost; best_seed; best_choice; best_cp; last_improvement; recoveries; ladder_rung;
+    trace; history; health = health_log events;
+  }
