@@ -56,6 +56,7 @@ type tableau = {
   t : float array array;  (* m rows of (ncols + 1) *)
   basis : int array;  (* basic column of each row *)
   art_start : int;  (* first artificial column *)
+  nz : int array;  (* scratch: the pivot row's nonzero columns *)
 }
 
 let build_tableau p =
@@ -111,23 +112,33 @@ let build_tableau p =
           basis.(i) <- !next_art;
           incr next_art))
     rows;
-  { m; ncols; t; basis; art_start }
+  { m; ncols; t; basis; art_start; nz = Array.make (ncols + 1) 0 }
 
+(* Scale the pivot row and collect its nonzero columns once; every other
+   row changes only at those columns, and only if its entry in the pivot
+   column is nonzero. *)
 let pivot tb row col =
   if !Obs.on then Metrics.incr "lp.pivots";
-  let t = tb.t in
+  let t = tb.t and nz = tb.nz in
   let prow = t.(row) in
-  let pv = prow.(col) in
-  let inv = 1.0 /. pv in
+  let inv = 1.0 /. prow.(col) in
+  let k = ref 0 in
   for j = 0 to tb.ncols do
-    prow.(j) <- prow.(j) *. inv
+    let v = prow.(j) in
+    if v <> 0.0 then begin
+      prow.(j) <- v *. inv;
+      nz.(!k) <- j;
+      incr k
+    end
   done;
+  let k = !k in
   for i = 0 to tb.m - 1 do
     if i <> row then begin
-      let f = t.(i).(col) in
+      let r = t.(i) in
+      let f = r.(col) in
       if Float.abs f > 0.0 then begin
-        let r = t.(i) in
-        for j = 0 to tb.ncols do
+        for q = 0 to k - 1 do
+          let j = nz.(q) in
           r.(j) <- r.(j) -. (f *. prow.(j))
         done;
         r.(col) <- 0.0
@@ -155,7 +166,8 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost ~allowed =
         if cb <> 0.0 then begin
           let row = tb.t.(i) in
           for j = 0 to tb.ncols - 1 do
-            reduced.(j) <- reduced.(j) -. (cb *. row.(j))
+            let v = row.(j) in
+            if v <> 0.0 then reduced.(j) <- reduced.(j) -. (cb *. v)
           done
         end
       done;
