@@ -64,7 +64,14 @@ let encode g =
       g.Egraph.children.(i)
   done;
   {
-    problem = { Lp.nvars; objective; constraints = List.rev !constraints; upper };
+    problem =
+      {
+        Lp.nvars;
+        objective;
+        constraints = List.rev !constraints;
+        lower = Array.make nvars 0.0;
+        upper;
+      };
     s_offset = 0;
     t_offset;
     integer_vars = Array.init n Fun.id;

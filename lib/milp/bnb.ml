@@ -72,22 +72,18 @@ let tolerance v = rel_tol *. Float.max 1.0 (Float.abs v)
    the node count, are bit-identical at any [--jobs]. *)
 let wave_width = 8
 
-(* A node fixes a subset of binaries: value 0 is encoded by dropping the
-   upper bound to 0; value 1 by an extra equality row. [seq] is a
-   monotonic push counter giving the frontier a strict total order. *)
+(* A node fixes a subset of binaries by their bounds: value 0 drops the
+   upper bound to 0, value 1 raises the lower bound to 1; the LP's rows
+   stay those of the root. [seq] is a monotonic push counter giving the
+   frontier a strict total order. *)
 type bnode = { fixes : (int * int) list; bound : float; depth : int; seq : int }
 
 let is_integral x j = Float.abs (x.(j) -. Float.round x.(j)) <= int_tol
 
 let apply_fixes (p : Lp.problem) fixes =
-  let upper = Array.copy p.upper in
-  let extra = ref [] in
-  List.iter
-    (fun (j, v) ->
-      if v = 0 then upper.(j) <- 0.0
-      else extra := { Lp.coeffs = [ (j, 1.0) ]; rel = Lp.Eq; rhs = 1.0 } :: !extra)
-    fixes;
-  { p with Lp.upper; constraints = !extra @ p.Lp.constraints }
+  let lower = Array.copy p.lower and upper = Array.copy p.upper in
+  List.iter (fun (j, v) -> if v = 0 then upper.(j) <- 0.0 else lower.(j) <- 1.0) fixes;
+  { p with Lp.lower; upper }
 
 let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
   Array.iter

@@ -6,6 +6,7 @@ type problem = {
   nvars : int;
   objective : float array;
   constraints : constr list;
+  lower : float array;
   upper : float array;
 }
 
@@ -33,7 +34,7 @@ let eval_objective p x =
 let check_feasible ?(tol = feas_tol) p x =
   let ok = ref true in
   for j = 0 to p.nvars - 1 do
-    if x.(j) < -.tol || x.(j) > p.upper.(j) +. tol then ok := false
+    if x.(j) < p.lower.(j) -. tol || x.(j) > p.upper.(j) +. tol then ok := false
   done;
   List.iter
     (fun c ->
@@ -45,58 +46,66 @@ let check_feasible ?(tol = feas_tol) p x =
     p.constraints;
   !ok
 
-(* Dense standard-form tableau:
-     rows    : one per constraint (upper bounds included as Le rows)
-     columns : structural vars | slacks/surpluses | artificials | rhs
-   Phase 1 minimises the artificial sum; phase 2 the true objective with
-   artificial columns barred from entering. *)
+(* Bounded-variable tableau over x' = x - lower, one dense row per
+   constraint:
+     columns : structural vars | slacks/surpluses | artificials
+   Column j ranges over [0, range.(j)]. A nonbasic column sits at 0, or at
+   its range when [at_upper.(j)]; [value.(i)] is row i's basic value.
+   Row m holds the reduced costs, which the pivots keep current. Phase 1
+   minimises the artificial sum; phase 2 the true objective, with the
+   artificials' range cut to 0 so they never enter again. *)
 type tableau = {
-  m : int;  (* rows *)
-  ncols : int;  (* columns excluding rhs *)
-  t : float array array;  (* m rows of (ncols + 1) *)
+  m : int;  (* constraint rows *)
+  ncols : int;
+  t : float array array;  (* m rows of ncols, then the reduced costs *)
+  value : float array;
   basis : int array;  (* basic column of each row *)
+  range : float array;
+  at_upper : bool array;
   art_start : int;  (* first artificial column *)
   nz : int array;  (* scratch: the pivot row's nonzero columns *)
 }
 
-let build_tableau p =
-  let bound_rows =
-    let acc = ref [] in
-    for j = p.nvars - 1 downto 0 do
-      if p.upper.(j) < infinity then
-        acc := { coeffs = [ (j, 1.0) ]; rel = Le; rhs = p.upper.(j) } :: !acc
-    done;
-    !acc
-  in
-  let rows = Array.of_list (p.constraints @ bound_rows) in
-  let m = Array.length rows in
-  (* Count slack and artificial columns. *)
-  let nslack = ref 0 and nart = ref 0 in
-  Array.iter
-    (fun c ->
-      (* After sign normalisation (rhs >= 0): Le gets a slack; Ge gets a
-         surplus and an artificial; Eq gets an artificial. *)
-      let rel = if c.rhs < 0.0 then (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq) else c.rel in
+(* Each row's right-hand side in x' (b - A.lower), and its relation once
+   that side is made non-negative. *)
+let shifted_rows p =
+  Array.of_list
+    (List.map
+       (fun c ->
+         let rhs = List.fold_left (fun acc (j, a) -> acc -. (a *. p.lower.(j))) c.rhs c.coeffs in
+         let rel = if rhs < 0.0 then (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq) else c.rel in
+         (c, rhs, rel))
+       p.constraints)
+
+(* Le gets a slack; Ge a surplus and an artificial; Eq an artificial. *)
+let column_counts rows =
+  Array.fold_left
+    (fun (nslack, nart) (_, _, rel) ->
       match rel with
-      | Le -> incr nslack
-      | Ge ->
-          incr nslack;
-          incr nart
-      | Eq -> incr nart)
-    rows;
-  let ncols = p.nvars + !nslack + !nart in
-  let art_start = p.nvars + !nslack in
-  let t = Array.make_matrix m (ncols + 1) 0.0 in
+      | Le -> (nslack + 1, nart)
+      | Ge -> (nslack + 1, nart + 1)
+      | Eq -> (nslack, nart + 1))
+    (0, 0) rows
+
+let build_tableau p rows =
+  let m = Array.length rows in
+  let nslack, nart = column_counts rows in
+  let ncols = p.nvars + nslack + nart in
+  let art_start = p.nvars + nslack in
+  let t = Array.make_matrix (m + 1) ncols 0.0 in
+  let value = Array.make m 0.0 in
   let basis = Array.make m (-1) in
+  let range = Array.make ncols infinity in
+  for j = 0 to p.nvars - 1 do
+    range.(j) <- p.upper.(j) -. p.lower.(j)
+  done;
   let next_slack = ref p.nvars and next_art = ref art_start in
   Array.iteri
-    (fun i c ->
-      let flip = c.rhs < 0.0 in
-      let sign = if flip then -1.0 else 1.0 in
+    (fun i (c, rhs, rel) ->
+      let sign = if rhs < 0.0 then -1.0 else 1.0 in
       List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) c.coeffs;
-      t.(i).(ncols) <- sign *. c.rhs;
-      let rel = if flip then (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq) else c.rel in
-      (match rel with
+      value.(i) <- sign *. rhs;
+      match rel with
       | Le ->
           t.(i).(!next_slack) <- 1.0;
           basis.(i) <- !next_slack;
@@ -110,20 +119,30 @@ let build_tableau p =
       | Eq ->
           t.(i).(!next_art) <- 1.0;
           basis.(i) <- !next_art;
-          incr next_art))
+          incr next_art)
     rows;
-  { m; ncols; t; basis; art_start; nz = Array.make (ncols + 1) 0 }
+  {
+    m;
+    ncols;
+    t;
+    value;
+    basis;
+    range;
+    at_upper = Array.make ncols false;
+    art_start;
+    nz = Array.make ncols 0;
+  }
 
 (* Scale the pivot row and collect its nonzero columns once; every other
-   row changes only at those columns, and only if its entry in the pivot
-   column is nonzero. *)
+   row, the reduced costs included, changes only at those columns, and
+   only if its entry in the pivot column is nonzero. *)
 let pivot tb row col =
   if !Obs.on then Metrics.incr "lp.pivots";
   let t = tb.t and nz = tb.nz in
   let prow = t.(row) in
   let inv = 1.0 /. prow.(col) in
   let k = ref 0 in
-  for j = 0 to tb.ncols do
+  for j = 0 to tb.ncols - 1 do
     let v = prow.(j) in
     if v <> 0.0 then begin
       prow.(j) <- v *. inv;
@@ -132,7 +151,7 @@ let pivot tb row col =
     end
   done;
   let k = !k in
-  for i = 0 to tb.m - 1 do
+  for i = 0 to tb.m do
     if i <> row then begin
       let r = t.(i) in
       let f = r.(col) in
@@ -148,35 +167,47 @@ let pivot tb row col =
   prow.(col) <- 1.0;
   tb.basis.(row) <- col
 
+(* Move nonbasic column [e] by [step] in x': every basic value follows
+   along e's tableau column. *)
+let shift tb e step =
+  for i = 0 to tb.m - 1 do
+    let a = tb.t.(i).(e) in
+    if a <> 0.0 then tb.value.(i) <- tb.value.(i) -. (step *. a)
+  done
+
 type phase_result = Popt | Punbounded | Ptimeout
 
-(* Minimise cᵀx over the current tableau. [allowed j] bars columns from
-   entering (artificials in phase 2). *)
-let run_phase ?(deadline = Timer.no_deadline) tb cost ~allowed =
-  let reduced = Array.make tb.ncols 0.0 in
+(* Minimise cᵀx' over the current tableau. *)
+let run_phase ?(deadline = Timer.no_deadline) tb cost =
+  (* reduced costs c_j - c_B B^{-1} A_j, read off the tableau once *)
+  let d = tb.t.(tb.m) in
+  Array.blit cost 0 d 0 tb.ncols;
+  for i = 0 to tb.m - 1 do
+    let cb = cost.(tb.basis.(i)) in
+    if cb <> 0.0 then begin
+      let row = tb.t.(i) in
+      for j = 0 to tb.ncols - 1 do
+        let v = row.(j) in
+        if v <> 0.0 then d.(j) <- d.(j) -. (cb *. v)
+      done
+    end
+  done;
+  (* the objective's fall per unit move of nonbasic column j off its
+     bound; basic columns have d = 0, and a fixed column never moves *)
+  let gain j =
+    if tb.range.(j) > 0.0 then if tb.at_upper.(j) then d.(j) else -.d.(j) else 0.0
+  in
   let iter_cap = (50 * (tb.m + tb.ncols)) + 1000 in
   let rec loop iter bland =
     if Timer.poll deadline iter then Ptimeout
     else if iter > iter_cap then Ptimeout
     else begin
-      (* reduced costs: c_j - c_B B^{-1} A_j, read off the tableau *)
-      Array.blit cost 0 reduced 0 tb.ncols;
-      for i = 0 to tb.m - 1 do
-        let cb = cost.(tb.basis.(i)) in
-        if cb <> 0.0 then begin
-          let row = tb.t.(i) in
-          for j = 0 to tb.ncols - 1 do
-            let v = row.(j) in
-            if v <> 0.0 then reduced.(j) <- reduced.(j) -. (cb *. v)
-          done
-        end
-      done;
       (* entering column *)
       let entering = ref (-1) in
       if bland then begin
         (try
            for j = 0 to tb.ncols - 1 do
-             if allowed j && reduced.(j) < -.eps then begin
+             if gain j > eps then begin
                entering := j;
                raise Exit
              end
@@ -184,39 +215,61 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost ~allowed =
          with Exit -> ())
       end
       else begin
-        let best = ref (-.eps) in
+        let best = ref eps in
         for j = 0 to tb.ncols - 1 do
-          if allowed j && reduced.(j) < !best then begin
-            best := reduced.(j);
+          let g = gain j in
+          if g > !best then begin
+            best := g;
             entering := j
           end
         done
       end;
       if !entering < 0 then Popt
       else begin
-        (* ratio test *)
+        (* ratio test: the entering column moves by [sigma] per unit of
+           step; each basic value stops at 0 or at its range *)
         let e = !entering in
-        let leave = ref (-1) in
+        let sigma = if tb.at_upper.(e) then -1.0 else 1.0 in
+        let leave = ref (-1) and leave_up = ref false in
         let best_ratio = ref infinity in
         for i = 0 to tb.m - 1 do
-          let a = tb.t.(i).(e) in
-          if a > eps then begin
-            let ratio = tb.t.(i).(tb.ncols) /. a in
-            if
-              ratio < !best_ratio -. eps
-              || (ratio < !best_ratio +. eps && !leave >= 0
-                 && tb.basis.(i) < tb.basis.(!leave))
-            then begin
-              best_ratio := ratio;
-              leave := i
-            end
+          let a = sigma *. tb.t.(i).(e) in
+          let limit =
+            if a > eps then tb.value.(i) /. a
+            else if a < -.eps then (tb.range.(tb.basis.(i)) -. tb.value.(i)) /. -.a
+            else infinity
+          in
+          let ratio = Float.max 0.0 limit in
+          if
+            limit < infinity
+            && (ratio < !best_ratio -. eps
+               || (ratio < !best_ratio +. eps && !leave >= 0
+                  && tb.basis.(i) < tb.basis.(!leave)))
+          then begin
+            best_ratio := ratio;
+            leave := i;
+            leave_up := a < 0.0
           end
         done;
-        if !leave < 0 then Punbounded
+        (* switch to Bland's rule if we appear to be stalling *)
+        let bland = bland || iter > 5 * (tb.m + tb.ncols) in
+        if tb.range.(e) <= !best_ratio then
+          if tb.range.(e) = infinity then Punbounded
+          else begin
+            (* the entering column reaches its other bound first: it flips
+               and the basis stays *)
+            if !Obs.on then Metrics.incr "lp.bound_flips";
+            shift tb e (sigma *. tb.range.(e));
+            tb.at_upper.(e) <- not tb.at_upper.(e);
+            loop (iter + 1) bland
+          end
         else begin
-          pivot tb !leave e;
-          (* switch to Bland's rule if we appear to be stalling *)
-          let bland = bland || iter > 5 * (tb.m + tb.ncols) in
+          let r = !leave and step = sigma *. !best_ratio in
+          shift tb e step;
+          tb.value.(r) <- (if tb.at_upper.(e) then tb.range.(e) else 0.0) +. step;
+          tb.at_upper.(tb.basis.(r)) <- !leave_up;
+          tb.at_upper.(e) <- false;
+          pivot tb r e;
           loop (iter + 1) bland
         end
       end
@@ -224,76 +277,85 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost ~allowed =
   in
   loop 0 false
 
-let tableau_cells p =
-  let bound_rows = Array.fold_left (fun acc u -> if u < infinity then acc + 1 else acc) 0 p.upper in
-  let rows = List.length p.constraints + bound_rows in
-  (* columns <= nvars + one slack + one artificial per row *)
-  rows * (p.nvars + (2 * rows) + 1)
-
 let solve ?(deadline = Timer.no_deadline) p =
   if !Obs.on then Metrics.incr "lp.solves";
   if p.nvars = 0 then Optimal { x = [||]; obj = 0.0 }
-  else if tableau_cells p > max_tableau_cells then Timeout
-  else if Fault_plan.stall_solver deadline then
-    (* injected stall: the solver makes no progress until its deadline
-       passes, exactly like a pathological simplex instance *)
-    Timeout
-  else begin
-    let tb = build_tableau p in
-    let has_artificials = tb.art_start < tb.ncols in
-    let phase1_outcome =
-      if not has_artificials then Popt
-      else begin
-        let cost1 = Array.make tb.ncols 0.0 in
-        for j = tb.art_start to tb.ncols - 1 do
-          cost1.(j) <- 1.0
-        done;
-        run_phase ~deadline tb cost1 ~allowed:(fun _ -> true)
-      end
-    in
-    match phase1_outcome with
-    | Ptimeout -> Timeout
-    | Punbounded -> Infeasible (* phase 1 is bounded below by 0; treat as numerical failure *)
-    | Popt ->
-        let art_value = ref 0.0 in
-        if has_artificials then
-          for i = 0 to tb.m - 1 do
-            if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.t.(i).(tb.ncols)
-          done;
-        if !art_value > feas_tol then Infeasible
+  else if Array.exists2 ( > ) p.lower p.upper then Infeasible
+  else
+    let rows = shifted_rows p in
+    let nslack, nart = column_counts rows in
+    if Array.length rows * (p.nvars + nslack + nart) > max_tableau_cells then Timeout
+    else if Fault_plan.stall_solver deadline then
+      (* injected stall: the solver makes no progress until its deadline
+         passes, exactly like a pathological simplex instance *)
+      Timeout
+    else begin
+      let tb = build_tableau p rows in
+      let has_artificials = tb.art_start < tb.ncols in
+      let phase1_outcome =
+        if not has_artificials then Popt
         else begin
-          (* Drive remaining (zero-valued) artificials out of the basis. *)
-          for i = 0 to tb.m - 1 do
-            if tb.basis.(i) >= tb.art_start then begin
-              let found = ref (-1) in
-              (try
-                 for j = 0 to tb.art_start - 1 do
-                   if Float.abs tb.t.(i).(j) > eps then begin
-                     found := j;
-                     raise Exit
-                   end
-                 done
-               with Exit -> ());
-              if !found >= 0 then pivot tb i !found
-              (* else: redundant row; leave the artificial basic at 0 *)
-            end
+          let cost1 = Array.make tb.ncols 0.0 in
+          for j = tb.art_start to tb.ncols - 1 do
+            cost1.(j) <- 1.0
           done;
-          let cost2 = Array.make tb.ncols 0.0 in
-          Array.blit p.objective 0 cost2 0 p.nvars;
-          let allowed j = j < tb.art_start in
-          match run_phase ~deadline tb cost2 ~allowed with
-          | Ptimeout -> Timeout
-          | Punbounded -> Unbounded
-          | Popt ->
-              let x = Array.make p.nvars 0.0 in
-              for i = 0 to tb.m - 1 do
-                let b = tb.basis.(i) in
-                if b < p.nvars then x.(b) <- tb.t.(i).(tb.ncols)
-              done;
-              (* clean tiny negatives produced by roundoff *)
-              for j = 0 to p.nvars - 1 do
-                if x.(j) < 0.0 && x.(j) > -.feas_tol then x.(j) <- 0.0
-              done;
-              Optimal { x; obj = eval_objective p x }
+          run_phase ~deadline tb cost1
         end
-  end
+      in
+      match phase1_outcome with
+      | Ptimeout -> Timeout
+      | Punbounded -> Infeasible (* phase 1 is bounded below by 0; treat as numerical failure *)
+      | Popt ->
+          let art_value = ref 0.0 in
+          for i = 0 to tb.m - 1 do
+            if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.value.(i)
+          done;
+          if !art_value > feas_tol then Infeasible
+          else begin
+            (* Drive remaining (zero-valued) artificials out of the basis;
+               the entering column keeps its bound value. *)
+            for i = 0 to tb.m - 1 do
+              if tb.basis.(i) >= tb.art_start then begin
+                let found = ref (-1) in
+                (try
+                   for j = 0 to tb.art_start - 1 do
+                     if Float.abs tb.t.(i).(j) > eps then begin
+                       found := j;
+                       raise Exit
+                     end
+                   done
+                 with Exit -> ());
+                let j = !found in
+                if j >= 0 then begin
+                  tb.value.(i) <- (if tb.at_upper.(j) then tb.range.(j) else 0.0);
+                  tb.at_upper.(j) <- false;
+                  pivot tb i j
+                end
+                (* else: redundant row; leave the artificial basic at 0 *)
+              end
+            done;
+            Array.fill tb.range tb.art_start (tb.ncols - tb.art_start) 0.0;
+            let cost2 = Array.make tb.ncols 0.0 in
+            Array.blit p.objective 0 cost2 0 p.nvars;
+            match run_phase ~deadline tb cost2 with
+            | Ptimeout -> Timeout
+            | Punbounded -> Unbounded
+            | Popt ->
+                let x =
+                  Array.init p.nvars (fun j ->
+                      if tb.at_upper.(j) then p.upper.(j) else p.lower.(j))
+                in
+                for i = 0 to tb.m - 1 do
+                  let b = tb.basis.(i) in
+                  if b < p.nvars then x.(b) <- p.lower.(b) +. tb.value.(i)
+                done;
+                (* clean round-off just outside a bound *)
+                for j = 0 to p.nvars - 1 do
+                  if x.(j) < p.lower.(j) && x.(j) > p.lower.(j) -. feas_tol then
+                    x.(j) <- p.lower.(j)
+                  else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then
+                    x.(j) <- p.upper.(j)
+                done;
+                Optimal { x; obj = eval_objective p x }
+          end
+    end

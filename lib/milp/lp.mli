@@ -1,11 +1,18 @@
-(** Linear programming by dense two-phase primal simplex.
+(** Linear programming by bounded-variable two-phase primal simplex.
 
     Substrate for the ILP e-graph extraction baselines (Eq. 1 of the
     paper). Minimises cᵀx subject to linear constraints and box bounds
-    [0 ≤ x ≤ u]. Uses Dantzig pricing with a switch to Bland's rule
-    after a stall threshold to guarantee termination, and supports an
-    external deadline so branch-and-bound can honour the paper's
-    15-minute-style time limits. *)
+    [lower ≤ x ≤ upper]. The tableau holds one dense row per constraint;
+    bounds stay out of it: a nonbasic variable sits at one of its bounds,
+    the ratio test also stops a basic variable at its upper bound, and an
+    entering variable whose own range is the shortest step flips to its
+    other bound without a pivot (counted as [lp.bound_flips]; [lp.pivots]
+    counts basis changes). A pivot touches only the nonzero columns of its
+    row, and the reduced costs are one more row that the pivots update.
+    Uses Dantzig pricing with a switch to Bland's rule after a stall
+    threshold to guarantee termination, and supports an external deadline
+    so branch-and-bound can honour the paper's 15-minute-style time
+    limits. *)
 
 type relation = Le | Ge | Eq
 
@@ -19,16 +26,20 @@ type problem = {
   nvars : int;
   objective : float array;  (** minimisation coefficients, length nvars *)
   constraints : constr list;
-  upper : float array;  (** per-variable upper bound, [infinity] = free above; lower bound is 0 *)
+  lower : float array;
+      (** per-variable lower bound, finite; a variable with
+          [lower = upper] is fixed and never enters the basis *)
+  upper : float array;  (** per-variable upper bound, [infinity] = free above *)
 }
 
 type result =
   | Optimal of { x : float array; obj : float }
-  | Infeasible
+  | Infeasible  (** no point satisfies the rows and bounds, e.g. [lower > upper] *)
   | Unbounded
   | Timeout
-      (** deadline expired, the iteration cap was hit, or the dense
-          tableau would exceed the solver's memory capacity *)
+      (** deadline expired, the iteration cap was hit, or the tableau
+          (constraint rows × structural, slack and artificial columns)
+          would exceed the solver's memory capacity *)
 
 val solve : ?deadline:Timer.deadline -> problem -> result
 

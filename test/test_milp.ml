@@ -4,7 +4,7 @@ let qtest ?(count = 80) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let lp ~nvars ~objective ~constraints ~upper =
-  { Lp.nvars; objective; constraints; upper }
+  { Lp.nvars; objective; constraints; lower = Array.make nvars 0.0; upper }
 
 let constr coeffs rel rhs = { Lp.coeffs; rel; rhs }
 
