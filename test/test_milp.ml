@@ -135,6 +135,144 @@ let lp_optimum_dominates_random_points =
           feas && !dominated
       | Lp.Infeasible | Lp.Unbounded | Lp.Timeout -> false (* all-Le with x=0 is feasible *))
 
+(* Random bounded LPs against an exact oracle: every vertex is the
+   solution of n active constraints drawn from the rows and the 2n
+   bounds. Every variable has finite bounds, so the region is a polytope
+   and, when it is not empty, its optimum is attained at a vertex. *)
+let bounded_lp_gen =
+  let open QCheck2.Gen in
+  (* whole numbers too, so that degenerate vertices and ties come up *)
+  let num lo hi = oneof [ float_range lo hi; map float_of_int (int_range (truncate lo) (truncate hi)) ] in
+  let* nvars = int_range 2 4 in
+  let* lower = array_repeat nvars (oneofl [ 0.0; 1.0 ]) in
+  let* upper =
+    flatten_a (Array.map (fun lo -> oneofl [ lo; 1.0; 2.5 ]) lower)
+  in
+  let* objective = array_repeat nvars (num (-2.0) 2.0) in
+  let row =
+    let* coeffs = list_repeat nvars (num (-2.0) 2.0) in
+    let* rel = oneofl [ Lp.Le; Lp.Ge; Lp.Eq ] and* rhs = num (-2.0) 3.0 in
+    return (constr (List.mapi (fun j a -> (j, a)) coeffs) rel rhs)
+  in
+  let+ constraints = list_size (int_range 1 4) row in
+  { Lp.nvars; objective; constraints; lower; upper }
+
+(* Solve A x = b by Gaussian elimination with partial pivoting; [None]
+   when the system is singular. *)
+let gauss a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  try
+    for c = 0 to n - 1 do
+      let p = ref c in
+      for r = c + 1 to n - 1 do
+        if Float.abs a.(r).(c) > Float.abs a.(!p).(c) then p := r
+      done;
+      if Float.abs a.(!p).(c) < 1e-9 then raise Exit;
+      let t = a.(c) in
+      a.(c) <- a.(!p);
+      a.(!p) <- t;
+      let t = b.(c) in
+      b.(c) <- b.(!p);
+      b.(!p) <- t;
+      for r = 0 to n - 1 do
+        if r <> c then begin
+          let f = a.(r).(c) /. a.(c).(c) in
+          for k = c to n - 1 do
+            a.(r).(k) <- a.(r).(k) -. (f *. a.(c).(k))
+          done;
+          b.(r) <- b.(r) -. (f *. b.(c))
+        end
+      done
+    done;
+    Some (Array.init n (fun i -> b.(i) /. a.(i).(i)))
+  with Exit -> None
+
+(* the best objective over the feasible vertices, [None] if none *)
+let best_vertex p =
+  let n = p.Lp.nvars in
+  let dense c = Array.init n (fun j -> try List.assoc j c.Lp.coeffs with Not_found -> 0.0) in
+  let unit j = Array.init n (fun k -> if k = j then 1.0 else 0.0) in
+  let planes =
+    Array.of_list
+      (List.map (fun c -> (dense c, c.Lp.rhs)) p.Lp.constraints
+      @ List.init n (fun j -> (unit j, p.Lp.lower.(j)))
+      @ List.init n (fun j -> (unit j, p.Lp.upper.(j))))
+  in
+  let best = ref None in
+  (* every n-subset of the planes, as increasing index lists *)
+  let rec choose k from acc =
+    if k = 0 then begin
+      let active = Array.of_list (List.rev acc) in
+      match gauss (Array.map (fun i -> fst planes.(i)) active) (Array.map (fun i -> snd planes.(i)) active) with
+      | Some x when Lp.check_feasible ~tol:1e-9 p x ->
+          let v = Lp.eval_objective p x in
+          (match !best with Some b when b <= v -> () | _ -> best := Some v)
+      | Some _ | None -> ()
+    end
+    else
+      for i = from to Array.length planes - k do
+        choose (k - 1) (i + 1) (i :: acc)
+      done
+  in
+  choose n 0 [];
+  !best
+
+let lp_matches_vertex_oracle =
+  qtest ~count:500 "LP optimum matches the best vertex on random bounded LPs" bounded_lp_gen
+    (fun p ->
+      match (best_vertex p, Lp.solve p) with
+      | Some v, Lp.Optimal { x; obj } ->
+          Float.abs (obj -. v) <= 1e-6 *. Float.max 1.0 (Float.abs v) && Lp.check_feasible p x
+      | None, Lp.Infeasible -> true
+      | _ -> false)
+
+let test_lp_bound_flip () =
+  (* min -x0 - x1 with x0 + x1 <= 5 never binding: both columns flip to
+     their upper bound and the basis never changes *)
+  let p =
+    lp ~nvars:2 ~objective:[| -1.0; -1.0 |]
+      ~constraints:[ constr [ (0, 1.0); (1, 1.0) ] Lp.Le 5.0 ]
+      ~upper:[| 1.0; 1.0 |]
+  in
+  let res, pivots, flips =
+    Metrics.scoped (fun () ->
+        let res = Obs.with_enabled (fun () -> Lp.solve p) in
+        (res, Metrics.counter_value "lp.pivots", Metrics.counter_value "lp.bound_flips"))
+  in
+  (match res with
+  | Lp.Optimal { x; obj } ->
+      Test_util.check_close ~msg:"obj" (-2.0) obj;
+      Alcotest.(check (array (float 0.0))) "x at upper bounds" [| 1.0; 1.0 |] x
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check (float 0.0)) "no pivot" 0.0 pivots;
+  Alcotest.(check (float 0.0)) "two flips" 2.0 flips
+
+let test_lp_fix_through_lower () =
+  (* x0 fixed to 1 by its lower bound, as B&B fixes a binary: the row
+     x0 + x1 <= 1 then forces x1 to 0 although its cost is negative *)
+  let p =
+    {
+      (lp ~nvars:2 ~objective:[| 1.0; -1.0 |]
+         ~constraints:[ constr [ (0, 1.0); (1, 1.0) ] Lp.Le 1.0 ]
+         ~upper:[| 1.0; 1.0 |])
+      with
+      Lp.lower = [| 1.0; 0.0 |];
+    }
+  in
+  match Lp.solve p with
+  | Lp.Optimal { x; obj } ->
+      Alcotest.(check (array (float 0.0))) "x" [| 1.0; 0.0 |] x;
+      Test_util.check_close ~msg:"obj" 1.0 obj
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_lp_crossed_bounds () =
+  let p =
+    { (lp ~nvars:2 ~objective:[| 1.0; 1.0 |] ~constraints:[] ~upper:[| 1.0; 0.5 |]) with
+      Lp.lower = [| 0.0; 1.0 |] }
+  in
+  Alcotest.(check bool) "lower > upper is infeasible" true (Lp.solve p = Lp.Infeasible)
+
 (* ------------------------------------------------------------------ MILP *)
 
 let brute_force_binary p =
@@ -396,7 +534,11 @@ let () =
           Alcotest.test_case "degenerate" `Quick test_lp_degenerate;
           Alcotest.test_case "capacity guard" `Quick test_lp_capacity_guard;
           Alcotest.test_case "deadline" `Quick test_lp_deadline;
+          Alcotest.test_case "bound flip" `Quick test_lp_bound_flip;
+          Alcotest.test_case "fix through lower" `Quick test_lp_fix_through_lower;
+          Alcotest.test_case "lower > upper" `Quick test_lp_crossed_bounds;
           lp_optimum_dominates_random_points;
+          lp_matches_vertex_oracle;
         ] );
       ( "bnb",
         [
