@@ -29,13 +29,20 @@ let checked_nonneg_int ~flag v = require flag (Serve_protocol.non_negative_int ~
 let checked_nonneg_float ~flag v =
   require flag (Serve_protocol.non_negative_float ~what:flag v)
 
+(* a serialized e-graph file (.json = extraction-gym format, anything
+   else = the native text format); one that does not load ends the run
+   with one line naming the file *)
+let read_egraph_file path =
+  try
+    if Filename.check_suffix path ".json" then Gym.read_file path
+    else Egraph.Serial.read_file path
+  with Failure msg | Json.Parse_error msg | Sys_error msg ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 1
+
+(* an instance name from the registry, or an e-graph file *)
 let load_egraph spec =
-  (* an instance name from the registry, or a path to a serialized file
-     (.json = extraction-gym format, anything else = the native text
-     format) *)
-  if Sys.file_exists spec then
-    if Filename.check_suffix spec ".json" then Gym.read_file spec
-    else Egraph.Serial.read_file spec
+  if Sys.file_exists spec then read_egraph_file spec
   else
     match Registry.find_instance spec with
     | inst -> inst.Registry.build ()
@@ -1078,11 +1085,7 @@ let request_cmd =
         let lambda = checked_nonneg_float ~flag:"--lambda" lambda in
         let source =
           if Sys.file_exists spec then
-            let g =
-              if Filename.check_suffix spec ".json" then Gym.read_file spec
-              else Egraph.Serial.read_file spec
-            in
-            Serve_protocol.Inline (Egraph.Serial.to_string g)
+            Serve_protocol.Inline (Egraph.Serial.to_string (read_egraph_file spec))
           else Serve_protocol.Instance spec
         in
         let method_ =

@@ -48,8 +48,15 @@ let of_json json =
       in
       ignore (Egraph.Builder.add_node b ~cls ~op ~cost ~children))
     nodes;
+  (* every class holding an e-node has a builder class by now *)
   let root_classes =
-    List.map (fun r -> builder_class (Json.get_string r)) roots
+    List.map
+      (fun r ->
+        let name = Json.get_string r in
+        match Hashtbl.find_opt class_of name with
+        | Some c -> c
+        | None -> failwith (Printf.sprintf "Gym.of_json: root e-class %S has no e-nodes" name))
+      roots
   in
   match root_classes with
   | [] -> failwith "Gym.of_json: no root e-classes"

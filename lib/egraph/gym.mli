@@ -16,8 +16,9 @@
     extraction still selects exactly one e-node per needed class. *)
 
 val of_json : Json.t -> Egraph.t
-(** @raise Json.Parse_error on shape errors; @raise Failure on dangling
-    node references or a missing root. *)
+(** @raise Json.Parse_error on shape errors; @raise Failure on an empty
+    node set, dangling node references, a missing root, or a root
+    e-class that holds no e-node. *)
 
 val of_json_string : string -> Egraph.t
 val read_file : string -> Egraph.t

@@ -1,16 +1,17 @@
 (* One contract for every decoder of bytes that come from outside the
    process: frames, checkpoint files, journal generations, request
-   frames and e-graph text. On any input — valid, or a valid input
-   mutated — a decoder returns a value or its own typed error, never
-   another exception, and allocates at most 256 words per input byte
-   plus 65,536. Allocation counts minor plus directly-major words, so
-   an oversized array cannot hide in the major heap.
+   frames, e-graph text and extraction-gym JSON. On any input — valid,
+   or a valid input mutated — a decoder returns a value or its own typed
+   error, never another exception, and allocates at most 256 words per
+   input byte plus 65,536. Allocation counts minor plus directly-major
+   words, so an oversized array cannot hide in the major heap.
 
    The mutations: truncation at every prefix; every single-bit flip;
-   every 64-bit word set to -1, 2^31, 2^62 and max_int; for framed
-   formats the same again on each payload inside a re-checksummed
-   frame, so the payload decoder is reached; for text, every integer
-   token set to the same values; for JSON, deep nesting. *)
+   every 64-bit word set to -1, 2^31, 2^62 and max_int (for gym JSON,
+   every ninth flip and word); for framed formats the same again on
+   each payload inside a re-checksummed frame, so the payload decoder
+   is reached; for text, every integer token set to the same values;
+   for JSON, deep nesting. *)
 
 module P = Serve_protocol
 
@@ -66,25 +67,34 @@ let request s =
 
 let serial s = match Egraph.Serial.of_string s with _ -> Value | exception Failure msg -> Typed msg
 
+let gym s =
+  match Gym.of_json_string s with
+  | _ -> Value
+  | exception (Failure msg | Json.Parse_error msg) -> Typed msg
+
 (* ----------------------------------------------------------- mutations *)
 
 let hostile = [ -1L; 0x8000_0000L; 0x4000_0000_0000_0000L; Int64.of_int max_int ]
 
-let binary_mutations s f =
+(* [stride] thins the bit flips and word writes to every stride-th bit
+   and offset, for decoders too slow for all of them; a stride of 9 still
+   flips a bit in nearly every byte, the bit cycling with the offset *)
+let binary_mutations ?(stride = 1) s f =
   let n = String.length s in
   for len = 0 to n - 1 do
     f (String.sub s 0 len)
   done;
-  for bit = 0 to (8 * n) - 1 do
+  for k = 0 to ((8 * n) - 1) / stride do
+    let bit = k * stride in
     let b = Bytes.of_string s in
     Bytes.set b (bit / 8) (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
     f (Bytes.to_string b)
   done;
   List.iter
     (fun v ->
-      for off = 0 to n - 8 do
+      for k = 0 to (n - 8) / stride do
         let b = Bytes.of_string s in
-        Bytes.set_int64_le b off v;
+        Bytes.set_int64_le b (k * stride) v;
         f (Bytes.to_string b)
       done)
     hostile
@@ -294,6 +304,27 @@ let serial_prop =
       binary_mutations s check;
       token_mutations s check)
 
+(* a root naming a class that holds no e-node must be the documented
+   Failure, naming the class, not an error from deeper in the build *)
+let test_gym_empty_root () =
+  match
+    holds "Gym.of_json_string" gym
+      {|{"nodes":{"a":{"op":"x","cost":1,"eclass":"c1","children":[]}},"root_eclasses":["c9"]}|}
+  with
+  | Typed msg when Test_util.contains msg {|"c9"|} -> ()
+  | Typed msg -> Alcotest.failf "the error does not name the root class: %s" msg
+  | Value -> Alcotest.fail "a root class with no e-node was accepted"
+
+(* mcm_8's 8.6 KB decode in about 0.2 ms each: all of their bit flips
+   would take half a minute *)
+let test_gym_mutations () =
+  let s = Gym.to_json_string ((Registry.find_instance "mcm_8").Registry.build ()) in
+  accepts "Gym.of_json_string" gym s;
+  let check m = ignore (holds "Gym.of_json_string" gym m) in
+  binary_mutations ~stride:9 s check;
+  token_mutations s check;
+  List.iter check (nestings s)
+
 let () =
   Alcotest.run "decoders"
     [
@@ -303,4 +334,9 @@ let () =
       ("request", [ request_prop ]);
       ( "serial",
         [ Alcotest.test_case "sparse class ids" `Quick test_serial_sparse_ids; serial_prop ] );
+      ( "gym",
+        [
+          Alcotest.test_case "root class without e-nodes" `Quick test_gym_empty_root;
+          Alcotest.test_case "mcm_8, mutated" `Quick test_gym_mutations;
+        ] );
     ]
