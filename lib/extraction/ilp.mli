@@ -19,10 +19,6 @@ type encoding = {
 
 val encode : Egraph.t -> encoding
 
-val gap_of : Bnb.outcome -> float
-(** Relative optimality gap [(objective - best_bound) / max 1 |objective|];
-    0 when proved, [infinity] when no incumbent or no finite bound. *)
-
 val decode : Egraph.t -> float array -> Egraph.Solution.s
 (** Read the s-variables of a (near-)integral point back into a
     selection. *)

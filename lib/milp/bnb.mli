@@ -67,15 +67,12 @@ type outcome = {
   trace : (float * float) list;  (** (seconds-since-start, incumbent objective) improvements *)
 }
 
-val rel_tol : float
-(** The shared relative acceptance/pruning epsilon (1e-9). *)
-
 val tolerance : float -> float
-(** [tolerance v] = [rel_tol *. Float.max 1.0 (Float.abs v)] — the
+(** [tolerance v] = [1e-9 *. Float.max 1.0 (Float.abs v)] — the
     absolute slack used when comparing against a value of magnitude
-    [v]. One constant serves incumbent acceptance, node pruning and the
-    [proved_optimal] gap test, so they cannot disagree at any cost
-    scale. *)
+    [v]. One relative epsilon serves incumbent acceptance, node pruning
+    and the [proved_optimal] gap test, so they cannot disagree at any
+    cost scale. *)
 
 val solve :
   ?pool:Pool.t -> ?health:Health.log -> Lp.problem -> integer_vars:int array -> options -> outcome
