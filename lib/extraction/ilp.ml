@@ -11,7 +11,7 @@ let encode g =
   let t_offset = n in
   let objective = Array.make nvars 0.0 in
   Array.blit g.Egraph.costs 0 objective 0 n;
-  let upper = Array.make nvars 1.0 in
+  let lower = Array.make nvars 0.0 and upper = Array.make nvars 1.0 in
   let constraints = ref [] in
   let addc c = constraints := c :: !constraints in
   (* (1b) exactly one root e-node *)
@@ -64,14 +64,7 @@ let encode g =
       g.Egraph.children.(i)
   done;
   {
-    problem =
-      {
-        Lp.nvars;
-        objective;
-        constraints = List.rev !constraints;
-        lower = Array.make nvars 0.0;
-        upper;
-      };
+    problem = { Lp.nvars; objective; constraints = List.rev !constraints; lower; upper };
     s_offset = 0;
     t_offset;
     integer_vars = Array.init n Fun.id;

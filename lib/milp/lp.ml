@@ -66,32 +66,32 @@ type tableau = {
   nz : int array;  (* scratch: the pivot row's nonzero columns *)
 }
 
-(* Each row's right-hand side in x' (b - A.lower), and its relation once
-   that side is made non-negative. *)
-let shifted_rows p =
-  Array.of_list
-    (List.map
-       (fun c ->
-         let rhs = List.fold_left (fun acc (j, a) -> acc -. (a *. p.lower.(j))) c.rhs c.coeffs in
-         let rel = if rhs < 0.0 then (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq) else c.rel in
-         (c, rhs, rel))
-       p.constraints)
-
-(* Le gets a slack; Ge a surplus and an artificial; Eq an artificial. *)
-let column_counts rows =
-  Array.fold_left
-    (fun (nslack, nart) (_, _, rel) ->
-      match rel with
-      | Le -> (nslack + 1, nart)
-      | Ge -> (nslack + 1, nart + 1)
-      | Eq -> (nslack, nart + 1))
-    (0, 0) rows
-
-let build_tableau p rows =
+let build_tableau p =
+  let rows = Array.of_list p.constraints in
   let m = Array.length rows in
-  let nslack, nart = column_counts rows in
-  let ncols = p.nvars + nslack + nart in
-  let art_start = p.nvars + nslack in
+  (* right-hand sides over x' = x - lower; a row whose side is negative
+     is negated, so its relation flips *)
+  let rhs =
+    Array.map
+      (fun c -> List.fold_left (fun acc (j, a) -> acc -. (a *. p.lower.(j))) c.rhs c.coeffs)
+      rows
+  in
+  let rel i =
+    if rhs.(i) < 0.0 then (match rows.(i).rel with Le -> Ge | Ge -> Le | Eq -> Eq)
+    else rows.(i).rel
+  in
+  (* Le gets a slack; Ge a surplus and an artificial; Eq an artificial. *)
+  let nslack = ref 0 and nart = ref 0 in
+  for i = 0 to m - 1 do
+    match rel i with
+    | Le -> incr nslack
+    | Ge ->
+        incr nslack;
+        incr nart
+    | Eq -> incr nart
+  done;
+  let ncols = p.nvars + !nslack + !nart in
+  let art_start = p.nvars + !nslack in
   let t = Array.make_matrix (m + 1) ncols 0.0 in
   let value = Array.make m 0.0 in
   let basis = Array.make m (-1) in
@@ -101,11 +101,11 @@ let build_tableau p rows =
   done;
   let next_slack = ref p.nvars and next_art = ref art_start in
   Array.iteri
-    (fun i (c, rhs, rel) ->
-      let sign = if rhs < 0.0 then -1.0 else 1.0 in
+    (fun i c ->
+      let sign = if rhs.(i) < 0.0 then -1.0 else 1.0 in
       List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) c.coeffs;
-      value.(i) <- sign *. rhs;
-      match rel with
+      value.(i) <- sign *. rhs.(i);
+      match rel i with
       | Le ->
           t.(i).(!next_slack) <- 1.0;
           basis.(i) <- !next_slack;
@@ -277,85 +277,87 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost =
   in
   loop 0 false
 
+let tableau_cells p =
+  let rows = List.length p.constraints in
+  (* columns <= nvars + one slack + one artificial per row *)
+  rows * (p.nvars + (2 * rows) + 1)
+
 let solve ?(deadline = Timer.no_deadline) p =
   if !Obs.on then Metrics.incr "lp.solves";
   if p.nvars = 0 then Optimal { x = [||]; obj = 0.0 }
   else if Array.exists2 ( > ) p.lower p.upper then Infeasible
-  else
-    let rows = shifted_rows p in
-    let nslack, nart = column_counts rows in
-    if Array.length rows * (p.nvars + nslack + nart) > max_tableau_cells then Timeout
-    else if Fault_plan.stall_solver deadline then
-      (* injected stall: the solver makes no progress until its deadline
-         passes, exactly like a pathological simplex instance *)
-      Timeout
-    else begin
-      let tb = build_tableau p rows in
-      let has_artificials = tb.art_start < tb.ncols in
-      let phase1_outcome =
-        if not has_artificials then Popt
+  else if tableau_cells p > max_tableau_cells then Timeout
+  else if Fault_plan.stall_solver deadline then
+    (* injected stall: the solver makes no progress until its deadline
+       passes, exactly like a pathological simplex instance *)
+    Timeout
+  else begin
+    let tb = build_tableau p in
+    let has_artificials = tb.art_start < tb.ncols in
+    let phase1_outcome =
+      if not has_artificials then Popt
+      else begin
+        let cost1 = Array.make tb.ncols 0.0 in
+        for j = tb.art_start to tb.ncols - 1 do
+          cost1.(j) <- 1.0
+        done;
+        run_phase ~deadline tb cost1
+      end
+    in
+    match phase1_outcome with
+    | Ptimeout -> Timeout
+    | Punbounded -> Infeasible (* phase 1 is bounded below by 0; treat as numerical failure *)
+    | Popt ->
+        let art_value = ref 0.0 in
+        for i = 0 to tb.m - 1 do
+          if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.value.(i)
+        done;
+        if !art_value > feas_tol then Infeasible
         else begin
-          let cost1 = Array.make tb.ncols 0.0 in
-          for j = tb.art_start to tb.ncols - 1 do
-            cost1.(j) <- 1.0
-          done;
-          run_phase ~deadline tb cost1
-        end
-      in
-      match phase1_outcome with
-      | Ptimeout -> Timeout
-      | Punbounded -> Infeasible (* phase 1 is bounded below by 0; treat as numerical failure *)
-      | Popt ->
-          let art_value = ref 0.0 in
+          (* Drive remaining (zero-valued) artificials out of the basis;
+             the entering column keeps its bound value. *)
           for i = 0 to tb.m - 1 do
-            if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.value.(i)
-          done;
-          if !art_value > feas_tol then Infeasible
-          else begin
-            (* Drive remaining (zero-valued) artificials out of the basis;
-               the entering column keeps its bound value. *)
-            for i = 0 to tb.m - 1 do
-              if tb.basis.(i) >= tb.art_start then begin
-                let found = ref (-1) in
-                (try
-                   for j = 0 to tb.art_start - 1 do
-                     if Float.abs tb.t.(i).(j) > eps then begin
-                       found := j;
-                       raise Exit
-                     end
-                   done
-                 with Exit -> ());
-                let j = !found in
-                if j >= 0 then begin
-                  tb.value.(i) <- (if tb.at_upper.(j) then tb.range.(j) else 0.0);
-                  tb.at_upper.(j) <- false;
-                  pivot tb i j
-                end
-                (* else: redundant row; leave the artificial basic at 0 *)
+            if tb.basis.(i) >= tb.art_start then begin
+              let found = ref (-1) in
+              (try
+                 for j = 0 to tb.art_start - 1 do
+                   if Float.abs tb.t.(i).(j) > eps then begin
+                     found := j;
+                     raise Exit
+                   end
+                 done
+               with Exit -> ());
+              let j = !found in
+              if j >= 0 then begin
+                tb.value.(i) <- (if tb.at_upper.(j) then tb.range.(j) else 0.0);
+                tb.at_upper.(j) <- false;
+                pivot tb i j
               end
-            done;
-            Array.fill tb.range tb.art_start (tb.ncols - tb.art_start) 0.0;
-            let cost2 = Array.make tb.ncols 0.0 in
-            Array.blit p.objective 0 cost2 0 p.nvars;
-            match run_phase ~deadline tb cost2 with
-            | Ptimeout -> Timeout
-            | Punbounded -> Unbounded
-            | Popt ->
-                let x =
-                  Array.init p.nvars (fun j ->
-                      if tb.at_upper.(j) then p.upper.(j) else p.lower.(j))
-                in
-                for i = 0 to tb.m - 1 do
-                  let b = tb.basis.(i) in
-                  if b < p.nvars then x.(b) <- p.lower.(b) +. tb.value.(i)
-                done;
-                (* clean round-off just outside a bound *)
-                for j = 0 to p.nvars - 1 do
-                  if x.(j) < p.lower.(j) && x.(j) > p.lower.(j) -. feas_tol then
-                    x.(j) <- p.lower.(j)
-                  else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then
-                    x.(j) <- p.upper.(j)
-                done;
-                Optimal { x; obj = eval_objective p x }
-          end
-    end
+              (* else: redundant row; leave the artificial basic at 0 *)
+            end
+          done;
+          Array.fill tb.range tb.art_start (tb.ncols - tb.art_start) 0.0;
+          let cost2 = Array.make tb.ncols 0.0 in
+          Array.blit p.objective 0 cost2 0 p.nvars;
+          match run_phase ~deadline tb cost2 with
+          | Ptimeout -> Timeout
+          | Punbounded -> Unbounded
+          | Popt ->
+              let x =
+                Array.init p.nvars (fun j ->
+                    if tb.at_upper.(j) then p.upper.(j) else p.lower.(j))
+              in
+              for i = 0 to tb.m - 1 do
+                let b = tb.basis.(i) in
+                if b < p.nvars then x.(b) <- p.lower.(b) +. tb.value.(i)
+              done;
+              (* clean round-off just outside a bound *)
+              for j = 0 to p.nvars - 1 do
+                if x.(j) < p.lower.(j) && x.(j) > p.lower.(j) -. feas_tol then
+                  x.(j) <- p.lower.(j)
+                else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then
+                  x.(j) <- p.upper.(j)
+              done;
+              Optimal { x; obj = eval_objective p x }
+        end
+  end
