@@ -142,12 +142,12 @@ let lp_optimum_dominates_random_points =
 let bounded_lp_gen =
   let open QCheck2.Gen in
   (* whole numbers too, so that degenerate vertices and ties come up *)
-  let num lo hi = oneof [ float_range lo hi; map float_of_int (int_range (truncate lo) (truncate hi)) ] in
+  let num lo hi =
+    oneof [ float_range lo hi; map float_of_int (int_range (truncate lo) (truncate hi)) ]
+  in
   let* nvars = int_range 2 4 in
   let* lower = array_repeat nvars (oneofl [ 0.0; 1.0 ]) in
-  let* upper =
-    flatten_a (Array.map (fun lo -> oneofl [ lo; 1.0; 2.5 ]) lower)
-  in
+  let* upper = flatten_a (Array.map (fun lo -> oneofl [ lo; 1.0; 2.5 ]) lower) in
   let* objective = array_repeat nvars (num (-2.0) 2.0) in
   let row =
     let* coeffs = list_repeat nvars (num (-2.0) 2.0) in
@@ -204,7 +204,9 @@ let best_vertex p =
   let rec choose k from acc =
     if k = 0 then begin
       let active = Array.of_list (List.rev acc) in
-      match gauss (Array.map (fun i -> fst planes.(i)) active) (Array.map (fun i -> snd planes.(i)) active) with
+      let a = Array.map (fun i -> fst planes.(i)) active
+      and b = Array.map (fun i -> snd planes.(i)) active in
+      match gauss a b with
       | Some x when Lp.check_feasible ~tol:1e-9 p x ->
           let v = Lp.eval_objective p x in
           (match !best with Some b when b <= v -> () | _ -> best := Some v)
