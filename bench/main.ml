@@ -14,9 +14,7 @@ let kernels () =
   Report.heading "Bechamel kernel micro-benchmarks";
   let rover = (Registry.find_instance "box_3").Registry.build () in
   let setcov = (Registry.find_instance "set_cover_small").Registry.build () in
-  let config =
-    { Smoothe_config.default with Smoothe_config.batch = 8; prop_iters = Some 12 }
-  in
+  let config = { Smoothe_config.default with Smoothe_config.batch = 8 } in
   let compiled = Relaxation.compile config rover in
   let model = Cost_model.of_egraph rover in
   let rng = Rng.create 3 in

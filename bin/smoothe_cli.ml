@@ -485,15 +485,13 @@ let extract_cmd =
 
 (* --------------------------------------------------------------- analyze *)
 
-(* Two probe forwards at the tape probe's tiny configuration (batch 2, two
-   propagation steps; {!Smoothe_extract.tape_diagnostics}): enough to prove
+(* Two probe forwards at the tape probe's tiny configuration (batch 2;
+   {!Smoothe_extract.tape_diagnostics}): enough to prove
    the iteration IR static (PL006/PL007) and to run the plan-level
    dataflow analysis — liveness, arena assignment — exactly as the
    extraction gate would before arming a replay. *)
 let plan_diagnostics g =
-  let config =
-    { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
-  in
+  let config = { Smoothe_config.default with Smoothe_config.batch = 2 } in
   match
     let compiled = Relaxation.compile config g in
     let model = Cost_model.of_egraph g in

@@ -21,7 +21,6 @@ let imul a b =
 let iadd a b = mk (a.lo +. b.lo) (a.hi +. b.hi)
 let ineg a = { lo = -.a.hi; hi = -.a.lo }
 let isub a b = iadd a (ineg b)
-let ihull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 let iscale k a = imul { lo = k; hi = k } a
 let ishift k a = mk (a.lo +. k) (a.hi +. k)
 
@@ -93,24 +92,6 @@ let check ?root (ir : Ir.t) =
         let a = nd.Ir.args.(k) in
         if a >= 0 && a < i then itv.(a) else top
       in
-      let empty_segments seg =
-        let empty = Array.fold_left (fun c l -> if l = 0 then c + 1 else c) 0 seg.Segments.lens in
-        if empty > 0 then
-          let count = Segments.count seg in
-          match nd.Ir.op with
-          | Op.Segment_softmax _ ->
-              add
-                (D.warning ~code:"GF005" (D.Tape_node i)
-                   "`segment_softmax` at node %d (built in %s): %d of %d segments are empty — \
-                    an e-class with no candidate e-nodes has no probability distribution"
-                   i nd.Ir.context empty count)
-          | _ ->
-              add
-                (D.info ~code:"GF005" (D.Tape_node i)
-                   "`%s` at node %d (built in %s): %d of %d segments are empty (reduces to the \
-                    neutral element; expected for the root's parent list)"
-                   name i nd.Ir.context empty count)
-      in
       let out =
         if Array.length nd.Ir.args <> Op.arity nd.Ir.op then top
         else
@@ -119,7 +100,6 @@ let check ?root (ir : Ir.t) =
           | Op.Add -> iadd (arg 0) (arg 1)
           | Op.Sub -> isub (arg 0) (arg 1)
           | Op.Mul -> imul (arg 0) (arg 1)
-          | Op.One_minus -> ishift 1.0 (ineg (arg 0))
           | Op.Scale k -> iscale k (arg 0)
           | Op.Add_scalar k -> ishift k (arg 0)
           | Op.Relu ->
@@ -137,27 +117,26 @@ let check ?root (ir : Ir.t) =
                 (Stdlib.log (Float.max a.lo Tensor.log_floor))
                 (Stdlib.log (Float.max a.hi Tensor.log_floor))
           | Op.Segment_softmax seg ->
-              empty_segments seg;
+              let empty =
+                Array.fold_left (fun c l -> if l = 0 then c + 1 else c) 0 seg.Segments.lens
+              in
+              if empty > 0 then
+                add
+                  (D.warning ~code:"GF005" (D.Tape_node i)
+                     "`segment_softmax` at node %d (built in %s): %d of %d segments are empty — \
+                      an e-class with no candidate e-nodes has no probability distribution"
+                     i nd.Ir.context empty (Segments.count seg));
               (* outputs are mathematically in (0,1]: strictly positive *)
               { lo = Float.min_float; hi = 1.0 }
-          | Op.Segment_prod seg ->
-              empty_segments seg;
-              let a = arg 0 in
-              if a.lo >= 0.0 && a.hi <= 1.0 then { lo = 0.0; hi = 1.0 }
-              else if a.lo >= 0.0 then { lo = 0.0; hi = Float.infinity }
-              else top
-          | Op.Segment_max seg ->
-              empty_segments seg;
-              let a = arg 0 in
-              (* empty segments contribute 0 *)
-              { lo = min a.lo 0.0; hi = max a.hi 0.0 }
           | Op.Gather _ | Op.Mean_rows | Op.Slice_row _ -> arg 0
-          | Op.Override_columns pins ->
-              Array.fold_left (fun acc (_, v) -> ihull acc { lo = v; hi = v }) (arg 0) pins
           | Op.Sum_all ->
               let a = arg 0 and s = ir.(nd.Ir.args.(0)).Ir.shape in
               let l = float_of_int (s.Op.batch * s.Op.width) in
               mk (min 0.0 (bmul l a.lo)) (max 0.0 (bmul l a.hi))
+          | Op.Propagate _ ->
+              (* p = cp q with q a probability whenever cp is one *)
+              let a = arg 0 in
+              if a.lo >= 0.0 && a.hi <= 1.0 then { lo = 0.0; hi = 1.0 } else top
           | Op.Dot_const _ | Op.Linear | Op.Matrix_of_entries _ | Op.Expm_trace -> top
       in
       itv.(i) <- out

@@ -17,8 +17,8 @@
     - [GF004] warning: a [log_safe] whose operand interval admits
       values ≤ 0 — the value is clamped but the gradient reaches
       [1/floor] there
-    - [GF005] warning ([segment_softmax]) / info (other segment
-      reductions): reduction over provably empty segments *)
+    - [GF005] warning: a [segment_softmax] over provably empty
+      segments (a class with no candidates has no distribution) *)
 
 val check : ?root:int -> Ad.Ir.t -> Diagnostic.t list
 (** [root] is the loss node's IR index (see {!Ad.node_id}); defaults to

@@ -142,14 +142,10 @@ let sub a b = apply Op.Sub [| a; b |]
 let mul a b = apply Op.Mul [| a; b |]
 let scale k a = apply (Op.Scale k) [| a |]
 let add_scalar k a = apply (Op.Add_scalar k) [| a |]
-let one_minus a = apply Op.One_minus [| a |]
 let relu a = apply Op.Relu [| a |]
 let log_safe a = apply Op.Log_safe [| a |]
 let gather a idx = apply (Op.Gather idx) [| a |]
 let segment_softmax a seg = apply (Op.Segment_softmax seg) [| a |]
-let segment_prod a seg = apply (Op.Segment_prod seg) [| a |]
-let segment_max a seg = apply (Op.Segment_max seg) [| a |]
-let override_columns a pins = apply (Op.Override_columns (Array.of_list pins)) [| a |]
 let mean_rows a = apply Op.Mean_rows [| a |]
 let slice_row a b = apply (Op.Slice_row b) [| a |]
 let sum_all a = apply Op.Sum_all [| a |]
@@ -163,6 +159,7 @@ let mse ~pred ~target =
 
 let matrix_of_entries cp ~dim entries = apply (Op.Matrix_of_entries { dim; entries }) [| cp |]
 let expm_trace a = apply Op.Expm_trace [| a |]
+let propagate cp s = apply (Op.Propagate s) [| cp |]
 
 let finite_difference ~f ~x ~eps =
   let g = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in

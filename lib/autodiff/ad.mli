@@ -3,9 +3,9 @@
     This is the reproduction's stand-in for PyTorch autograd. SmoothE
     (§3) needs gradients of a scalar loss — cost model plus NOTEARS
     acyclicity penalty — with respect to the free e-node logits θ,
-    through segment softmax, the iterative probability propagation φ of
-    Eq. (5)–(7) (unrolled on the tape), MLP cost models, and the matrix
-    exponential of Eq. (8).
+    through segment softmax, the probability propagation φ of
+    Eq. (5)–(7) (one sweep, one tape node), MLP cost models, and the
+    matrix exponential of Eq. (8).
 
     Usage: allocate a {!tape}, lift inputs with {!const}/{!param}, build
     the loss with the operators below, call {!backward} on the scalar
@@ -16,8 +16,8 @@
     Every operator is one {!Op.t} applied to its operands: the value
     comes from [Op.forward], and the sweep calls [Op.backward] on each
     node — the kernels [Plan] replays — so a pull allocates no
-    temporaries beyond the scratch its op declares ([segment_prod]'s
-    product of others, the matmul intermediates of [linear] and
+    temporaries beyond the scratch its op declares ([propagate]'s
+    adjoint accumulators, the matmul intermediates of [linear] and
     [expm_trace]). An operand whose shape breaks the op's shape rule
     raises [Invalid_argument] naming the op.
 
@@ -100,9 +100,6 @@ val sub : v -> v -> v
 val mul : v -> v -> v
 val scale : float -> v -> v
 val add_scalar : float -> v -> v
-val one_minus : v -> v
-(** [one_minus x] is [1 - x] — the "not chosen" probability of Eq. (6). *)
-
 val relu : v -> v
 
 val log_safe : v -> v
@@ -118,15 +115,10 @@ val gather : v -> int array -> v
 val segment_softmax : v -> Segments.t -> v
 (** Per-segment softmax (Eq. 3b): θ logits → conditional probabilities. *)
 
-val segment_prod : v -> Segments.t -> v
-val segment_max : v -> Segments.t -> v
-(** Adjoint flows to each segment's argmax only (subgradient), matching
-    PyTorch [max] semantics used for the fully-correlated assumption of
-    Eq. (7); {!Op.Segment_max} states the tie rule. *)
-
-val override_columns : v -> (int * float) list -> v
-(** Pin given columns to constants across the batch (no gradient through
-    them) — used to fix the root e-class probability at 1. *)
+val propagate : v -> Propagation.schedule -> v
+(** [propagate cp s] is the (B,N) marginals p of Eq. (5)–(7) from the
+    (B,N) conditional probabilities, in one sweep over the classes;
+    {!Op.Propagate} states its subgradients. *)
 
 val mean_rows : v -> v
 (** (B,N) → (1,N) batch mean — the batched matrix-exponential

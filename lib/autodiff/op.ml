@@ -8,16 +8,12 @@ type t =
   | Add
   | Sub
   | Mul
-  | One_minus
   | Scale of float
   | Add_scalar of float
   | Relu
   | Log_safe
   | Gather of int array
   | Segment_softmax of Segments.t
-  | Segment_prod of Segments.t
-  | Segment_max of Segments.t
-  | Override_columns of (int * float) array
   | Mean_rows
   | Slice_row of int
   | Sum_all
@@ -25,6 +21,7 @@ type t =
   | Linear
   | Matrix_of_entries of { dim : int; entries : (int * int * int) array }
   | Expm_trace
+  | Propagate of Propagation.schedule
 
 let name = function
   | Const -> "const"
@@ -32,16 +29,12 @@ let name = function
   | Add -> "add"
   | Sub -> "sub"
   | Mul -> "mul"
-  | One_minus -> "one_minus"
   | Scale _ -> "scale"
   | Add_scalar _ -> "add_scalar"
   | Relu -> "relu"
   | Log_safe -> "log_safe"
   | Gather _ -> "gather"
   | Segment_softmax _ -> "segment_softmax"
-  | Segment_prod _ -> "segment_prod"
-  | Segment_max _ -> "segment_max"
-  | Override_columns _ -> "override_columns"
   | Mean_rows -> "mean_rows"
   | Slice_row _ -> "slice_row"
   | Sum_all -> "sum_all"
@@ -49,14 +42,14 @@ let name = function
   | Linear -> "linear"
   | Matrix_of_entries _ -> "matrix_of_entries"
   | Expm_trace -> "expm_trace"
+  | Propagate _ -> "propagate"
 
 let arity = function
   | Const | Param -> 0
   | Add | Sub | Mul -> 2
   | Linear -> 3
-  | One_minus | Scale _ | Add_scalar _ | Relu | Log_safe | Gather _ | Segment_softmax _
-  | Segment_prod _ | Segment_max _ | Override_columns _ | Mean_rows | Slice_row _ | Sum_all
-  | Dot_const _ | Matrix_of_entries _ | Expm_trace ->
+  | Scale _ | Add_scalar _ | Relu | Log_safe | Gather _ | Segment_softmax _ | Mean_rows
+  | Slice_row _ | Sum_all | Dot_const _ | Matrix_of_entries _ | Expm_trace | Propagate _ ->
       1
 
 let is_leaf = function Const | Param -> true | _ -> false
@@ -67,18 +60,13 @@ let equal a b =
   match a, b with
   | Scale x, Scale y | Add_scalar x, Add_scalar y -> bits_equal x y
   | Gather x, Gather y -> x == y || x = y
-  | Segment_softmax x, Segment_softmax y
-  | Segment_prod x, Segment_prod y
-  | Segment_max x, Segment_max y ->
+  | Segment_softmax x, Segment_softmax y ->
       x == y || (x.Segments.starts = y.Segments.starts && x.Segments.lens = y.Segments.lens)
-  | Override_columns x, Override_columns y ->
-      x == y
-      || Array.length x = Array.length y
-         && Array.for_all2 (fun (c1, v1) (c2, v2) -> c1 = c2 && bits_equal v1 v2) x y
   | Dot_const x, Dot_const y ->
       x == y || (Array.length x = Array.length y && Array.for_all2 bits_equal x y)
   | Matrix_of_entries x, Matrix_of_entries y ->
       x.dim = y.dim && (x.entries == y.entries || x.entries = y.entries)
+  | Propagate x, Propagate y -> x == y || x = y
   | _ -> a = b  (* constant constructors, [Slice_row], or two different ops *)
 
 (* ---- Shape rules ---------------------------------------------------- *)
@@ -103,26 +91,16 @@ let shape op (xs : shape array) =
     | Add | Sub | Mul ->
         if xs.(0) <> xs.(1) then err "SC001" "%s vs %s" (str xs.(0)) (str xs.(1));
         Some xs.(0)
-    | One_minus | Scale _ | Add_scalar _ | Relu | Log_safe -> Some xs.(0)
+    | Scale _ | Add_scalar _ | Relu | Log_safe -> Some xs.(0)
     | Gather idx ->
         let lo, hi = bounds Fun.id idx in
         if Array.length idx > 0 && (lo < 0 || hi >= xs.(0).width) then
           err "SC002" "index range [%d,%d] outside operand width %d" lo hi xs.(0).width;
         Some { xs.(0) with width = Array.length idx }
-    | Segment_softmax seg | Segment_prod seg | Segment_max seg ->
+    | Segment_softmax seg ->
         if seg.Segments.width <> xs.(0).width then
           err "SC003" "segmentation covers %d elements but the operand is %s" seg.Segments.width
             (str xs.(0));
-        Some
-          (match op with
-          | Segment_softmax _ -> xs.(0)
-          | _ -> { xs.(0) with width = Segments.count seg })
-    | Override_columns pins ->
-        Array.iter
-          (fun (col, _) ->
-            if col < 0 || col >= xs.(0).width then
-              err "SC010" "pinned column %d outside width %d" col xs.(0).width)
-          pins;
         Some xs.(0)
     | Mean_rows -> Some { xs.(0) with batch = 1 }
     | Slice_row r ->
@@ -155,6 +133,11 @@ let shape op (xs : shape array) =
     | Expm_trace ->
         if xs.(0).batch <> xs.(0).width then err "SC005" "matrix %s is not square" (str xs.(0));
         Some { batch = 1; width = 1 }
+    | Propagate s ->
+        if Propagation.width s <> xs.(0).width then
+          err "SC003" "propagation covers %d e-nodes but the operand is %s" (Propagation.width s)
+            (str xs.(0));
+        Some xs.(0)
   in
   match !errs with [] -> Ok out | es -> Error (List.rev es)
 
@@ -163,23 +146,28 @@ let shape op (xs : shape array) =
 let reads_arg op k =
   match op with
   | Mul -> true
-  | Relu | Log_safe | Segment_prod _ -> k = 0
+  | Relu | Log_safe | Propagate _ -> k = 0
   | Linear -> k < 2
   | _ -> false
 
-let reads_out = function Segment_softmax _ -> true | _ -> false
+let reads_out = function Segment_softmax _ | Propagate _ -> true | _ -> false
 
 (* ---- Kernels ---------------------------------------------------------- *)
 
-type state = Stateless | Argmax of int array | Exponential of Tensor.t
-type scratch = No_scratch | Bufs of Tensor.t array | Workspace of Tensor.Matfun.ws
+type state = Stateless | Exponential of Tensor.t | Swept of Propagation.state
+
+type scratch =
+  | No_scratch
+  | Bufs of Tensor.t array
+  | Workspace of Tensor.Matfun.ws
+  | Sweep of Propagation.scratch
 
 let state op xs =
   match op with
-  | Segment_max seg -> Argmax (Array.make (xs.(0).Tensor.batch * Segments.count seg) (-1))
   | Expm_trace ->
       let d = xs.(0).Tensor.width in
       Exponential (Tensor.create ~batch:d ~width:d)
+  | Propagate s -> Swept (Propagation.state s ~batch:xs.(0).Tensor.batch)
   | _ -> Stateless
 
 let forward_scratch op xs =
@@ -188,7 +176,6 @@ let forward_scratch op xs =
 let backward_scratch op xs ~k =
   let buf batch width = Tensor.create ~batch ~width in
   match op, k with
-  | Segment_prod _, _ -> Bufs [| buf xs.(0).Tensor.batch xs.(0).Tensor.width |]
   | Linear, (0 | 1) ->
       let x = xs.(0) and w = xs.(1) in
       let b = x.Tensor.batch and nf = x.Tensor.width and h = w.Tensor.batch in
@@ -197,12 +184,14 @@ let backward_scratch op xs ~k =
   | Expm_trace, _ ->
       let d = xs.(0).Tensor.width in
       Bufs [| buf d d |]
+  | Propagate s, _ -> Sweep (Propagation.scratch s ~batch:xs.(0).Tensor.batch)
   | _ -> No_scratch
 
-let argmax = function Argmax a -> a | _ -> invalid_arg "Op: segment_max without its argmax"
 let exponential = function Exponential e -> e | _ -> invalid_arg "Op: expm_trace without e^A"
 let bufs = function Bufs b -> b | _ -> invalid_arg "Op: backward scratch missing"
 let workspace = function Workspace ws -> ws | _ -> invalid_arg "Op: expm workspace missing"
+let swept = function Swept st -> st | _ -> invalid_arg "Op: propagate without its state"
+let sweep = function Sweep sc -> sc | _ -> invalid_arg "Op: propagate scratch missing"
 
 let forward op st sc ~out xs =
   match op with
@@ -210,16 +199,12 @@ let forward op st sc ~out xs =
   | Add -> Tensor.add_into ~out xs.(0) xs.(1)
   | Sub -> Tensor.sub_into ~out xs.(0) xs.(1)
   | Mul -> Tensor.mul_into ~out xs.(0) xs.(1)
-  | One_minus -> Tensor.one_minus_into ~out xs.(0)
   | Scale k -> Tensor.scale_into ~out k xs.(0)
   | Add_scalar k -> Tensor.add_scalar_into ~out k xs.(0)
   | Relu -> Tensor.relu_into ~out xs.(0)
   | Log_safe -> Tensor.log_safe_into ~out xs.(0)
   | Gather idx -> Segments.gather_into ~out xs.(0) idx
   | Segment_softmax seg -> Segments.softmax_into ~out xs.(0) seg
-  | Segment_prod seg -> Segments.prod_into ~out xs.(0) seg
-  | Segment_max seg -> Segments.max_into ~out ~arg:(argmax st) xs.(0) seg
-  | Override_columns pins -> Tensor.override_columns_into ~out pins xs.(0)
   | Mean_rows -> Tensor.mean_rows_into ~out xs.(0)
   | Slice_row r -> Tensor.slice_row_into ~out xs.(0) r
   | Sum_all -> Tensor.sum_all_into ~out xs.(0)
@@ -232,6 +217,7 @@ let forward op st sc ~out xs =
       let e = exponential st in
       Tensor.copy_into ~out:e (Tensor.Matfun.expm_into (workspace sc) xs.(0));
       (Tensor.unsafe_data out).(0) <- Tensor.Matfun.trace e
+  | Propagate s -> Propagation.forward s (swept st) ~out xs.(0)
 
 let backward op st sc ~y ~g xs ~k ~into =
   match op with
@@ -239,15 +225,11 @@ let backward op st sc ~y ~g xs ~k ~into =
   | Add | Add_scalar _ -> Tensor.add_inplace into g
   | Sub -> if k = 0 then Tensor.add_inplace into g else Tensor.axpy (-1.0) g into
   | Mul -> Tensor.mul_grad ~into ~g xs.(1 - k)
-  | One_minus -> Tensor.axpy (-1.0) g into
   | Scale c -> Tensor.axpy c g into
   | Relu -> Tensor.relu_grad ~into ~g xs.(0)
   | Log_safe -> Tensor.log_safe_grad ~into ~g xs.(0)
   | Gather idx -> Segments.scatter_add ~into idx g
   | Segment_softmax seg -> Segments.softmax_grad ~into ~g ~y seg
-  | Segment_prod seg -> Segments.prod_grad ~into ~g ~scratch:(bufs sc).(0) xs.(0) seg
-  | Segment_max _ -> Segments.max_grad ~into ~g ~arg:(argmax st)
-  | Override_columns pins -> Tensor.override_columns_grad ~into ~g pins
   | Mean_rows -> Tensor.mean_rows_grad ~into ~g
   | Slice_row r -> Tensor.slice_row_grad ~into ~g r
   | Sum_all -> Tensor.sum_all_grad ~into ~g
@@ -271,3 +253,4 @@ let backward op st sc ~y ~g xs ~k ~into =
       let et = (bufs sc).(0) in
       Tensor.transpose_into ~out:et (exponential st);
       Tensor.axpy (Tensor.unsafe_data g).(0) et into
+  | Propagate s -> Propagation.backward s (swept st) (sweep sc) ~cp:xs.(0) ~p:y ~g ~into

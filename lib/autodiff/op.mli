@@ -25,10 +25,6 @@ type t =
   | Add
   | Sub
   | Mul
-  | One_minus
-      (** [1 - x], the "not chosen" probability of Eq. (6). Smooth, with
-          adjoint [-g]. It rounds as [1 + (-x)]: an exact negation, then
-          one addition, so a NaN input's sign flips. *)
   | Scale of float
   | Add_scalar of float
   | Relu
@@ -43,18 +39,6 @@ type t =
       (** Per-segment softmax (Eq. 3b). Smooth, but a saturated segment
           (one output exactly 1, the rest exactly 0) gives an adjoint of
           exactly 0 for every element. *)
-  | Segment_prod of Segments.t
-      (** Per-segment product (Eq. 6). The adjoint of each element is
-          the product of the others, computed without division, so a
-          zero is exact: [x = [0; 2; 3]] gives [[6; 0; 0]]. *)
-  | Segment_max of Segments.t
-      (** Per-segment maximum (Eq. 7). On a tie the lowest index takes
-          the whole adjoint and the others get 0; [-0] and [+0] tie. An
-          empty segment yields 0 and passes no adjoint. *)
-  | Override_columns of (int * float) array
-      (** Pins each listed column to its constant across the batch. A
-          pinned column's adjoint is exactly [+0] (a literal [+. 0.]
-          turns a prior [-0] into [+0]). *)
   | Mean_rows  (** (B,N) → (1,N) batch mean (Eq. 11) *)
   | Slice_row of int  (** (B,N) → (1,N) copy of one row *)
   | Sum_all  (** (B,N) → (1,1) *)
@@ -65,6 +49,17 @@ type t =
           [x.(col)] to [A.(i, j)] (§3.4's A_t) *)
   | Expm_trace
       (** [tr(e^A)] as (1,1); adjoint [g · (e^A)ᵀ] *)
+  | Propagate of Propagation.schedule
+      (** (B,N) conditional probabilities cp → (B,N) marginals p of
+          Eq. (5)–(7): one visit per e-class in topological order,
+          Jacobi rounds inside a cyclic component. The backward is the
+          reverse sweep. Its subgradients: on a tie in the correlated
+          maximum the lowest parent edge takes the whole adjoint; a
+          parent at p = 1 is a zero factor, and each edge's adjoint is
+          the exact product of the other factors (prefix and suffix, no
+          division); the pinned root's q receives a +0 adjoint, so its
+          cp gradient comes only through p_root = cp_root; a cyclic
+          component is differentiated through its truncated rounds. *)
 
 val name : t -> string
 (** The op's name in diagnostics and errors ("segment_softmax"). *)
@@ -82,19 +77,19 @@ val shape : t -> shape array -> (shape option, (string * string) list) result
 (** [shape op operands] is the output shape, [None] for a leaf (shaped
     by its tensor), or every violated precondition as [(code, detail)]:
     [SC001] binary operands disagree, [SC002] gather index outside the
-    operand, [SC003] segmentation width, [SC004] linear/dot dimensions,
-    [SC005] non-square [expm_trace], [SC006] scatter target or source
-    out of range, [SC010] row or column outside the operand. Operands
-    must number {!arity}. *)
+    operand, [SC003] segmentation or propagation width, [SC004]
+    linear/dot dimensions, [SC005] non-square [expm_trace], [SC006]
+    scatter target or source out of range, [SC010] row outside the
+    operand. Operands must number {!arity}. *)
 
 val reads_arg : t -> int -> bool
 (** [reads_arg op k]: does some backward pull of [op] read operand
-    [k]'s forward value? ([Mul] both, [Relu]/[Log_safe]/[Segment_prod]
+    [k]'s forward value? ([Mul] both, [Relu]/[Log_safe]/[Propagate]
     their input, [Linear] its input and weight.) *)
 
 val reads_out : t -> bool
 (** Does the backward read the op's own forward output?
-    ([Segment_softmax].) *)
+    ([Segment_softmax], [Propagate].) *)
 
 (** {1 Kernels}
 
@@ -104,15 +99,16 @@ val reads_out : t -> bool
     a plan allocates all of it once at compile time and replays. *)
 
 type state
-(** What a node's forward leaves for its backward: [Segment_max]'s
-    argmax cells, [Expm_trace]'s exponential. *)
+(** What a node's forward leaves for its backward: [Propagate]'s q and
+    argmax edge per round and class, [Expm_trace]'s exponential. *)
 
 val state : t -> Tensor.t array -> state
 
 type scratch
 (** Temporaries one kernel call stages through: [Expm_trace]'s
-    workspace forward; [Segment_prod]'s product of others, [Linear]'s
-    transposes and products, [Expm_trace]'s transpose backward. *)
+    workspace forward; [Propagate]'s adjoint accumulators and product
+    of others, [Linear]'s transposes and products, [Expm_trace]'s
+    transpose backward. *)
 
 val forward_scratch : t -> Tensor.t array -> scratch
 val backward_scratch : t -> Tensor.t array -> k:int -> scratch

@@ -55,13 +55,7 @@ let assumption_error g ~cp assumption =
   let theta =
     Tensor.of_array ~batch:1 ~width:n (Array.map (fun p -> log (Float.max p 1e-12)) cp)
   in
-  let config =
-    {
-      Smoothe_config.default with
-      Smoothe_config.assumption;
-      prop_iters = Some (Egraph.num_classes g + 2);
-    }
-  in
+  let config = { Smoothe_config.default with Smoothe_config.assumption } in
   let compiled = Relaxation.compile config g in
   let fwd =
     Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta

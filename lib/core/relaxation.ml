@@ -7,6 +7,7 @@ type scc_block = {
 type compiled = {
   g : Egraph.t;
   prop_iters : int;
+  schedule : Propagation.schedule;
   blocks : scc_block array;
 }
 
@@ -70,11 +71,25 @@ let build_full_block g =
     [| { dim = m; classes; entries = Vec.to_array entries } |]
   end
 
+(* A cyclic component runs |S| + 3 local rounds: the size
+   [Smoothe_config.derive_prop_iters] charges it, plus that derivation's
+   margin of 3, under the same cap of 96. *)
+let schedule ?(local_rounds = fun size -> min 96 (size + 3)) assumption g =
+  Propagation.make ~rule:assumption ~root:g.Egraph.root ~nodes:g.Egraph.class_seg
+    ~parent_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
+    ~components:(Array.of_list (List.rev (Array.to_list g.Egraph.sccs)))
+    ~local_rounds
+
 let compile config g =
   let blocks =
     if config.Smoothe_config.scc_decomposition then build_blocks g else build_full_block g
   in
-  { g; prop_iters = Smoothe_config.derive_prop_iters config g; blocks }
+  {
+    g;
+    prop_iters = Smoothe_config.derive_prop_iters g;
+    schedule = schedule config.Smoothe_config.assumption g;
+    blocks;
+  }
 
 type forward = {
   tape : Ad.tape;
@@ -85,43 +100,6 @@ type forward = {
   penalty : Ad.v;
   loss : Ad.v;
 }
-
-(* One parallel-schedule update of the class probabilities q from the
-   node probabilities p (§3.3): under independence Eq. (6), under full
-   correlation Eq. (7), hybrid averages the two. The root is pinned at
-   probability 1. *)
-let step_q config g tape p =
-  let parent_p = Ad.gather p g.Egraph.parent_edge_node in
-  let seg = g.Egraph.parent_seg in
-  let q =
-    match config.Smoothe_config.assumption with
-    | Smoothe_config.Independent ->
-        Ad.one_minus (Ad.segment_prod (Ad.one_minus parent_p) seg)
-    | Smoothe_config.Correlated -> Ad.segment_max parent_p seg
-    | Smoothe_config.Hybrid ->
-        let ind = Ad.one_minus (Ad.segment_prod (Ad.one_minus parent_p) seg) in
-        let cor = Ad.segment_max parent_p seg in
-        Ad.scale 0.5 (Ad.add ind cor)
-  in
-  ignore tape;
-  Ad.override_columns q [ (g.Egraph.root, 1.0) ]
-
-let propagate compiled ~config tape cp =
-  let g = compiled.g in
-  let batch = (Ad.value cp).Tensor.batch in
-  let m = Egraph.num_classes g in
-  (* q⁰: root = 1, everything else 0. *)
-  let q0 = Tensor.create ~batch ~width:m in
-  for b = 0 to batch - 1 do
-    Tensor.set q0 b g.Egraph.root 1.0
-  done;
-  let q = ref (Ad.const tape q0) in
-  let p = ref (Ad.mul cp (Ad.gather !q g.Egraph.node_class)) in
-  for _ = 1 to compiled.prop_iters do
-    q := step_q config g tape !p;
-    p := Ad.mul cp (Ad.gather !q g.Egraph.node_class)
-  done;
-  !p
 
 let penalty_of_cp compiled tape cp_rows =
   (* cp_rows: (1, N) — either the batch mean (Eq. 11) or one seed. *)
@@ -146,7 +124,7 @@ let forward ?(temperature = 1.0) compiled ~config ~model ~theta =
     if temperature = 1.0 then theta_v else Ad.scale (1.0 /. Float.max 1e-6 temperature) theta_v
   in
   let cp = Ad.segment_softmax logits g.Egraph.class_seg in
-  let p = propagate compiled ~config tape cp in
+  let p = Ad.propagate cp compiled.schedule in
   let per_seed_cost = Cost_model.relaxed model tape p in
   let batch = theta.Tensor.batch in
   let penalty =

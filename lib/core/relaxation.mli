@@ -6,9 +6,11 @@
 
     + θ logits → conditional probabilities cp by per-class softmax
       (Eq. 3);
-    + cp → marginal probabilities p by the unrolled parallel propagation
-      schedule of Eq. (5)–(7) under the configured correlation
-      assumption, with the root e-class pinned to probability 1;
+    + cp → marginal probabilities p of Eq. (5)–(7) under the configured
+      correlation assumption, with the root e-class pinned to
+      probability 1: one {!Propagation} sweep over the classes in
+      topological order, with local rounds inside cyclic components,
+      recorded as a single tape node;
     + p → per-seed cost through the cost model (any differentiable f);
     + cp → NOTEARS acyclicity penalty h(A_t) of Eq. (8)–(10), evaluated
       per strongly-connected component and — when enabled — on the
@@ -25,10 +27,22 @@ type scc_block = {
 type compiled = {
   g : Egraph.t;
   prop_iters : int;
+      (** the paper's unroll depth K ({!Smoothe_config.derive_prop_iters}),
+          charged by the memory model, not run *)
+  schedule : Propagation.schedule;  (** built for the config's assumption *)
   blocks : scc_block array;  (** only components that can host a cycle *)
 }
 
+val schedule :
+  ?local_rounds:(int -> int) -> Smoothe_config.assumption -> Egraph.t -> Propagation.schedule
+(** The propagation sweep over [g]'s SCC condensation, parents first.
+    A cyclic component of size s runs [local_rounds s] rounds; the
+    default, min 96 (s + 3), is what {!Smoothe_config.derive_prop_iters}
+    charges a component plus its margin. *)
+
 val compile : Smoothe_config.t -> Egraph.t -> compiled
+(** Builds the propagation schedule once; [forward] on the result
+    propagates under [config.assumption] as it was at compile time. *)
 
 type forward = {
   tape : Ad.tape;

@@ -1,4 +1,4 @@
-type assumption = Independent | Correlated | Hybrid
+type assumption = Propagation.rule = Independent | Correlated | Hybrid
 
 let assumption_name = function
   | Independent -> "independent"
@@ -31,7 +31,6 @@ type t = {
   max_iters : int;
   patience : int;
   lambda_ : float;
-  prop_iters : int option;
   time_limit : float;
   init_std : float;
   repair_sampling : bool;
@@ -53,7 +52,6 @@ let default =
     max_iters = 150;
     patience = 30;
     lambda_ = 100.0;
-    prop_iters = None;
     time_limit = 120.0;
     init_std = 0.5;
     repair_sampling = false;
@@ -67,8 +65,9 @@ let default =
     plan = Plan_off;
   }
 
-(* The propagation needs enough unrolled steps for probability mass to
-   reach the deepest e-class, i.e. the *longest* root-to-class path.
+(* The paper's parallel propagation needs enough unrolled steps for
+   probability mass to reach the deepest e-class, i.e. the *longest*
+   root-to-class path.
    Cycles would make that unbounded, so we measure the longest path on
    the SCC condensation, charging each component its own size (mass
    circulating inside an SCC settles in about |SCC| rounds). *)
@@ -95,9 +94,4 @@ let class_depth g =
   done;
   !deepest
 
-let derive_prop_iters cfg g =
-  match cfg.prop_iters with
-  | Some k -> max 1 k
-  | None ->
-      let d = class_depth g + 3 in
-      min 96 (max 4 d)
+let derive_prop_iters g = min 96 (max 4 (class_depth g + 3))

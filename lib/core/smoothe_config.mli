@@ -6,7 +6,7 @@
     exponential both on (§4.3), per-iteration sampling with
     patience-based stopping (§3.5). *)
 
-type assumption =
+type assumption = Propagation.rule =
   | Independent  (** parent e-nodes independent: Eq. (6) *)
   | Correlated  (** fully positively correlated: Eq. (7) *)
   | Hybrid  (** arithmetic mean of the two *)
@@ -34,7 +34,6 @@ type t = {
   max_iters : int;  (** hard iteration cap (§3.5 stop condition 2) *)
   patience : int;  (** stop after this many non-improving samples (§3.5 condition 1) *)
   lambda_ : float;  (** NOTEARS penalty weight λ of Eq. (10) *)
-  prop_iters : int option;  (** propagation-unroll depth; [None] = derive from the e-graph *)
   time_limit : float;  (** seconds; <= 0 = unlimited *)
   init_std : float;  (** stddev of the Gaussian θ initialisation per seed *)
   repair_sampling : bool;
@@ -62,7 +61,10 @@ type t = {
 
 val default : t
 
-val derive_prop_iters : t -> Egraph.t -> int
-(** The unroll depth actually used: the configured value, or the
-    root-to-leaf depth of the class condensation plus slack, clamped to
-    [4, 32]. *)
+val derive_prop_iters : Egraph.t -> int
+(** The paper's unroll depth K (§3.3): the longest root-to-class path
+    of the class condensation, each component charged its size, plus a
+    margin of 3, clamped to [4, 96]. It is what {!Device.footprint}
+    charges for the paper's unrolled GPU memory and what the CLI
+    reports as [prop_iters=]; the CPU propagation does not run K
+    rounds (see {!Propagation}). *)

@@ -83,8 +83,7 @@ type chosen = {
 
 let select_configuration log config device g =
   let fingerprint (cfg, (dev : Device.t), _) =
-    ( Smoothe_config.derive_prop_iters cfg g,
-      cfg.Smoothe_config.scc_decomposition,
+    ( cfg.Smoothe_config.scc_decomposition,
       cfg.Smoothe_config.batched_matexp,
       cfg.Smoothe_config.batch,
       dev.Device.device_name )
@@ -139,13 +138,10 @@ let preflight_lint log g =
         Health.record log ~member Health.Preflight (Diagnostic.render d))
     findings
 
-(* One forward tape at a tiny batch and shallow propagation: enough to
-   record every op kind the real run would use, cheap enough to lint
-   every bundled instance. *)
+(* One forward tape at a tiny batch: enough to record every op kind the
+   real run would use, cheap enough to lint every bundled instance. *)
 let tape_diagnostics g =
-  let config =
-    { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
-  in
+  let config = { Smoothe_config.default with Smoothe_config.batch = 2 } in
   match
     let compiled = Relaxation.compile config g in
     let theta = Tensor.create ~batch:2 ~width:(Egraph.num_nodes g) in

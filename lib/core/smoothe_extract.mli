@@ -18,8 +18,8 @@ type history_point = Checkpoint.history_point = {
 
 val tape_diagnostics : Egraph.t -> Diagnostic.t list
 (** Shape and gradient-flow findings ({!Shape_check}, {!Grad_flow}) on
-    one forward tape recorded at batch 2 and two propagation steps:
-    every op kind a real run would use, at negligible cost. A tape that
+    one forward tape recorded at batch 2: every op kind a real run would
+    use, at negligible cost. A tape that
     cannot be built is one [AN001] error. *)
 
 type run = {
@@ -27,7 +27,7 @@ type run = {
   iterations : int;
   best_seed : int;  (** which seed produced the incumbent; -1 if none *)
   batch_used : int;  (** after device memory derating *)
-  prop_iters : int;
+  prop_iters : int;  (** the paper's unroll depth K, as the memory model charges it *)
   history : history_point list;  (** chronological *)
   oom : bool;  (** no derating step could fit even one seed *)
   recoveries : int;  (** numeric recoveries applied during the run *)

@@ -9,7 +9,11 @@
     reproduction, so a device is modelled as a memory capacity plus a
     tensor backend; the memory accounting below mirrors what the PyTorch
     implementation materialises per seed (tape activations for the
-    unrolled propagation plus matrix-exponential workspaces).
+    unrolled propagation plus matrix-exponential workspaces). It keeps
+    charging the paper's K unrolled rounds although this reproduction
+    propagates in one sweep ({!Propagation}): the model stands for the
+    paper's GPU memory, so Table 5's batch sizes and OOM entries stay
+    comparable.
 
     The absolute byte scale is calibrated (see {!val-calibration_scale})
     so that the reproduction's largest e-graphs trip the same relative

@@ -162,169 +162,6 @@ let sum x seg =
   sum_into ~out x seg;
   out
 
-let prod_into ~out x seg =
-  check_width "prod" seg x;
-  let nsegs = count seg in
-  check_out "prod_into" out ~batch:x.Tensor.batch ~width:nsegs;
-  count_op "tensor.segment_ops.prod";
-  let src = data x and dst = data out in
-  let starts = seg.starts and lens = seg.lens and w = seg.width in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      by_rows w x.Tensor.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for s = 0 to nsegs - 1 do
-              let start = base + Array.unsafe_get starts s and len = Array.unsafe_get lens s in
-              let acc = ref 1.0 in
-              for i = start to start + len - 1 do
-                acc := !acc *. Array.unsafe_get src i
-              done;
-              Array.unsafe_set dst ((b * nsegs) + s) !acc
-            done
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to x.Tensor.batch - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let start = base + starts.(s) and len = lens.(s) in
-          let acc = ref 1.0 in
-          for i = start to start + len - 1 do
-            acc := !acc *. read src i
-          done;
-          dst.((b * nsegs) + s) <- !acc
-        done
-      done
-
-let prod x seg =
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:(count seg) in
-  prod_into ~out x seg;
-  out
-
-(* product-of-others via prefix/suffix sweeps: robust when a segment
-   contains zeros, where dividing the full product back out would fail.
-   Zero-length segments cover no positions, so the total-coverage
-   argument above still holds. The forward sweep leaves the product of
-   the elements before i in dst.(i); the backward sweep multiplies in
-   the product of the elements after i. *)
-let prod_grad_scratch_into ~out x seg =
-  check_width "prod_grad_scratch" seg x;
-  check_out "prod_grad_scratch_into" out ~batch:x.Tensor.batch ~width:x.Tensor.width;
-  count_op "tensor.segment_ops.prod_grad_scratch";
-  let src = data x and dst = data out in
-  let starts = seg.starts and lens = seg.lens and nsegs = count seg and w = seg.width in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      by_rows w x.Tensor.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for s = 0 to nsegs - 1 do
-              let start = base + Array.unsafe_get starts s and len = Array.unsafe_get lens s in
-              let acc = ref 1.0 in
-              for i = start to start + len - 1 do
-                Array.unsafe_set dst i !acc;
-                acc := !acc *. Array.unsafe_get src i
-              done;
-              let acc = ref 1.0 in
-              for i = start + len - 1 downto start do
-                Array.unsafe_set dst i (Array.unsafe_get dst i *. !acc);
-                acc := !acc *. Array.unsafe_get src i
-              done
-            done
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to x.Tensor.batch - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let start = base + starts.(s) and len = lens.(s) in
-          let acc = ref 1.0 in
-          for i = start to start + len - 1 do
-            dst.(i) <- !acc;
-            acc := !acc *. read src i
-          done;
-          let acc = ref 1.0 in
-          for i = start + len - 1 downto start do
-            dst.(i) <- dst.(i) *. !acc;
-            acc := !acc *. read src i
-          done
-        done
-      done
-
-let prod_grad_scratch x seg =
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
-  prod_grad_scratch_into ~out x seg;
-  out
-
-(* The first maximum wins ties ([>] never replaces an equal value), so
-   the argmax — the subgradient's target — is the same on both
-   backends. *)
-let max_into ~out ~arg x seg =
-  check_width "max" seg x;
-  let nsegs = count seg in
-  check_out "max_into" out ~batch:x.Tensor.batch ~width:nsegs;
-  if Array.length arg <> x.Tensor.batch * nsegs then
-    invalid_arg "Segments.max_into: argmax array length mismatch";
-  count_op "tensor.segment_ops.max";
-  let src = data x and dst = data out in
-  let starts = seg.starts and lens = seg.lens and w = seg.width in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      by_rows w x.Tensor.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for s = 0 to nsegs - 1 do
-              let start = base + Array.unsafe_get starts s and len = Array.unsafe_get lens s in
-              let cell = (b * nsegs) + s in
-              if len = 0 then begin
-                Array.unsafe_set dst cell 0.0;
-                Array.unsafe_set arg cell (-1)
-              end
-              else begin
-                let best = ref (Array.unsafe_get src start) and besti = ref start in
-                for i = start + 1 to start + len - 1 do
-                  let v = Array.unsafe_get src i in
-                  if v > !best then begin
-                    best := v;
-                    besti := i
-                  end
-                done;
-                Array.unsafe_set dst cell !best;
-                Array.unsafe_set arg cell !besti
-              end
-            done
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to x.Tensor.batch - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let start = base + starts.(s) and len = lens.(s) in
-          let cell = (b * nsegs) + s in
-          if len = 0 then begin
-            dst.(cell) <- 0.0;
-            arg.(cell) <- -1
-          end
-          else begin
-            let best = ref (read src start) and besti = ref start in
-            for i = start + 1 to start + len - 1 do
-              let v = read src i in
-              if v > !best then begin
-                best := v;
-                besti := i
-              end
-            done;
-            dst.(cell) <- !best;
-            arg.(cell) <- !besti
-          end
-        done
-      done
-
-let max x seg =
-  let nsegs = count seg in
-  let out = Tensor.create ~batch:x.Tensor.batch ~width:nsegs in
-  let arg = Array.make (x.Tensor.batch * nsegs) (-1) in
-  max_into ~out ~arg x seg;
-  out, arg
-
 let gather_into ~out src idx =
   let n = Array.length idx in
   check_out "gather_into" out ~batch:src.Tensor.batch ~width:n;
@@ -432,56 +269,4 @@ let softmax_grad ~into ~g ~y seg =
             dd.(p) <- acc +. (read yd p *. (read gd p -. dv))
           done
         done
-      done
-
-(* into_p += g_{segment of p} * (product of the other elements of that
-   segment), the latter staged in [scratch] by [prod_grad_scratch_into] *)
-let prod_grad ~into ~g ~scratch x seg =
-  check_width "prod_grad" seg into;
-  let nsegs = count seg in
-  check_out "prod_grad" g ~batch:into.Tensor.batch ~width:nsegs;
-  check_out "prod_grad" x ~batch:into.Tensor.batch ~width:seg.width;
-  prod_grad_scratch_into ~out:scratch x seg;
-  let gd = data g and od = data scratch and dd = data into in
-  let starts = seg.starts and lens = seg.lens and w = seg.width in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      by_rows w into.Tensor.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for s = 0 to nsegs - 1 do
-              let st = base + Array.unsafe_get starts s and ln = Array.unsafe_get lens s in
-              let gv = Array.unsafe_get gd ((b * nsegs) + s) in
-              for p = st to st + ln - 1 do
-                Array.unsafe_set dd p (Array.unsafe_get dd p +. (gv *. Array.unsafe_get od p))
-              done
-            done
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to into.Tensor.batch - 1 do
-        let base = b * w in
-        for s = 0 to nsegs - 1 do
-          let st = base + starts.(s) and ln = lens.(s) in
-          for p = st to st + ln - 1 do
-            let acc = read dd p in
-            dd.(p) <- acc +. (read gd ((b * nsegs) + s) *. read od p)
-          done
-        done
-      done
-
-(* into_{arg c} += g_c for every non-empty (row, segment) cell c *)
-let max_grad ~into ~g ~arg =
-  if Array.length arg <> Tensor.numel g then
-    invalid_arg "Segments.max_grad: argmax array length mismatch";
-  let gd = data g and dd = data into in
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      for c = 0 to Array.length arg - 1 do
-        let p = Array.unsafe_get arg c in
-        if p >= 0 then dd.(p) <- dd.(p) +. Array.unsafe_get gd c
-      done
-  | Tensor.Backend.Scalar ->
-      for c = 0 to Array.length arg - 1 do
-        let p = arg.(c) in
-        if p >= 0 then dd.(p) <- read dd p +. read gd c
       done

@@ -38,21 +38,6 @@ val softmax : Tensor.t -> t -> Tensor.t
 val sum : Tensor.t -> t -> Tensor.t
 (** Per-segment sums. *)
 
-val prod : Tensor.t -> t -> Tensor.t
-(** Per-segment products; an empty segment yields 1 (the neutral
-    element), which is exactly what Eq. (6) needs for e-classes with no
-    parents. *)
-
-val prod_grad_scratch : Tensor.t -> t -> Tensor.t
-(** For each element, the product of the *other* elements in its segment
-    (prefix×suffix trick, zero-safe) — the partial derivative of
-    {!prod} with respect to that element. Shape (B, width). *)
-
-val max : Tensor.t -> t -> Tensor.t * int array
-(** Per-segment maxima and the flat argmax positions (batch-major,
-    length B × count; -1 for empty segments). An empty segment yields 0
-    — Eq. (7) over no parents means "never chosen". *)
-
 val gather : Tensor.t -> int array -> Tensor.t
 (** [gather src idx] with [src : (B, M)] returns [(B, |idx|)] where
     output column [e] reads source column [idx.(e)]. *)
@@ -73,13 +58,6 @@ val scatter_add : into:Tensor.t -> int array -> Tensor.t -> unit
 
 val softmax_into : out:Tensor.t -> Tensor.t -> t -> unit
 val sum_into : out:Tensor.t -> Tensor.t -> t -> unit
-val prod_into : out:Tensor.t -> Tensor.t -> t -> unit
-val prod_grad_scratch_into : out:Tensor.t -> Tensor.t -> t -> unit
-
-val max_into : out:Tensor.t -> arg:int array -> Tensor.t -> t -> unit
-(** [arg] must have length B × count; empty segments store 0 in [out]
-    and -1 in [arg]. *)
-
 val gather_into : out:Tensor.t -> Tensor.t -> int array -> unit
 
 (** {1 Gradient kernels}
@@ -94,11 +72,3 @@ val softmax_grad : into:Tensor.t -> g:Tensor.t -> y:Tensor.t -> t -> unit
 (** [into_i += y_i (g_i - Σ_{j in seg(i)} g_j y_j)], where [y] is the
     forward {!softmax} output. *)
 
-val prod_grad : into:Tensor.t -> g:Tensor.t -> scratch:Tensor.t -> Tensor.t -> t -> unit
-(** [prod_grad ~into ~g ~scratch x seg]: [into_i += g_{seg(i)} *
-    others_i], staging the product of the others
-    ({!prod_grad_scratch}) in [scratch], shaped like [x]. *)
-
-val max_grad : into:Tensor.t -> g:Tensor.t -> arg:int array -> unit
-(** [into_{arg.(c)} += g_c] for every cell [c] with [arg.(c) >= 0] —
-    the argmax array {!max_into} filled. *)

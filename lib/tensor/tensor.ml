@@ -171,18 +171,6 @@ let mul_into ~out a b =
           done)
   | Backend.Scalar -> scalar_map2 ~out a b ( *. )
 
-(* [1 + (-x)], not [1 - x]: the two differ in the sign of a NaN *)
-let one_minus_into ~out a =
-  check_same_shape "one_minus_into" out a;
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let da = a.data and dd = out.data in
-      Parallel.chunks (numel a) (fun lo hi ->
-          for i = lo to hi - 1 do
-            Array.unsafe_set dd i (1.0 +. (-.Array.unsafe_get da i))
-          done)
-  | Backend.Scalar -> scalar_map ~out a (fun x -> 1.0 +. (-.x))
-
 let scale_into ~out k a =
   check_same_shape "scale_into" out a;
   match Backend.current () with
@@ -244,17 +232,6 @@ let log_safe_into ~out a =
 let copy_into ~out src =
   check_same_shape "copy_into" out src;
   Array.blit src.data 0 out.data 0 (numel src)
-
-let override_columns_into ~out pins a =
-  copy_into ~out a;
-  for k = 0 to Array.length pins - 1 do
-    let col, c = pins.(k) in
-    if col < 0 || col >= a.width then
-      invalid_arg (Printf.sprintf "Tensor.override_columns_into: column %d of %d" col a.width);
-    for b = 0 to a.batch - 1 do
-      out.data.((b * a.width) + col) <- c
-    done
-  done
 
 let fresh a f =
   let out = create ~batch:a.batch ~width:a.width in
@@ -344,39 +321,6 @@ let relu_grad ~into ~g x =
           done)
   | Backend.Scalar ->
       scalar_acc ~into g x (fun acc gv xv -> acc +. (gv *. if xv > 0.0 then 1.0 else 0.0))
-
-(* Pinned columns gain a literal [+. 0.0] rather than being skipped:
-   it turns a -0 into +0 exactly as adding a copy of [g] with those
-   columns zeroed does. Pins are few (the root e-class), so each
-   element scans them. *)
-let override_columns_grad ~into ~g pins =
-  check_same_shape "override_columns_grad" into g;
-  let w = g.width and npins = Array.length pins in
-  let pinned p =
-    let hit = ref false in
-    for k = 0 to npins - 1 do
-      if fst (Array.unsafe_get pins k) = p then hit := true
-    done;
-    !hit
-  in
-  match Backend.current () with
-  | Backend.Vectorized ->
-      let dd = into.data and gd = g.data in
-      Parallel.chunks ~grain:(Stdlib.max 1 (Parallel.default_grain / Stdlib.max 1 w))
-        ~cost:(Stdlib.max 1 w) g.batch (fun blo bhi ->
-          for b = blo to bhi - 1 do
-            let base = b * w in
-            for p = 0 to w - 1 do
-              let gv = if pinned p then 0.0 else Array.unsafe_get gd (base + p) in
-              Array.unsafe_set dd (base + p) (Array.unsafe_get dd (base + p) +. gv)
-            done
-          done)
-  | Backend.Scalar ->
-      for i = 0 to numel g - 1 do
-        let acc = Backend.scalar_read into.data i in
-        let gv = if pinned (i mod w) then 0.0 else Backend.scalar_read g.data i in
-        Array.set into.data i (acc +. gv)
-      done
 
 (* ---- Row, reduction and assembly ops ------------------------------
 

@@ -103,16 +103,9 @@ val add_scalar_into : out:t -> float -> t -> unit
 val relu_into : out:t -> t -> unit
 val exp_into : out:t -> t -> unit
 
-val one_minus_into : out:t -> t -> unit
-(** [1 + (-x)] elementwise: one rounding, and a NaN's sign flips. *)
-
 val log_safe_into : out:t -> t -> unit
 (** Natural log clamped below at [log log_floor], keeping the entropy
     regulariser and its gradient finite. *)
-
-val override_columns_into : out:t -> (int * float) array -> t -> unit
-(** Copy of the input with each [(col, c)] column set to [c] in every
-    row; later pins of the same column win. *)
 
 (** {1 Accumulating kernels}
 
@@ -139,9 +132,6 @@ val log_safe_grad : into:t -> g:t -> t -> unit
 val relu_grad : into:t -> g:t -> t -> unit
 (** [relu_grad ~into ~g x]: [into += g * (x > 0 ? 1 : 0)]; the mask
     multiply keeps [g *. 0.] signed zeros. *)
-
-val override_columns_grad : into:t -> g:t -> (int * float) array -> unit
-(** [into += g] outside the pinned columns and [into += 0.] on them. *)
 
 (** {1 Row, reduction and assembly ops}
 

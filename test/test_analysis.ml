@@ -186,9 +186,7 @@ let test_shape_recorded_vs_inferred () =
   Alcotest.(check int) "no errors" 0 (Diagnostic.errors ds)
 
 let forward_ir g =
-  let config =
-    { Smoothe_config.default with Smoothe_config.batch = 2; prop_iters = Some 2 }
-  in
+  let config = { Smoothe_config.default with Smoothe_config.batch = 2 } in
   let compiled = Relaxation.compile config g in
   let theta = Tensor.create ~batch:2 ~width:(Egraph.num_nodes g) in
   let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in

@@ -48,16 +48,13 @@ let pointwise_grads =
       ("mul self", fun _ _ v -> Ad.mul v v);
       ("scale", fun _ _ v -> Ad.scale 2.5 v);
       ("add_scalar", fun _ _ v -> Ad.add_scalar 3.0 v);
-      ("one_minus", fun _ _ v -> Ad.one_minus v);
       ("sum_all", fun _ _ v -> Ad.sum_all v);
       ("mean_all", fun _ _ v -> Ad.mean_all v);
       ("mean_rows", fun _ _ v -> Ad.mean_rows v);
       ("slice_row", fun _ _ v -> Ad.slice_row v 1);
       ("gather", fun _ _ v -> Ad.gather v [| 0; 2; 2; 4; 1 |]);
       ("dot_const", fun _ _ v -> Ad.dot_const v [| 0.5; -1.0; 2.0; 0.0; 3.0 |]);
-      ( "override_columns",
-        fun _ _ v -> Ad.mul (Ad.override_columns v [ (1, 1.0); (3, 0.25) ]) v );
-      ("compose mul(1-x, x)", fun _ _ v -> Ad.mul (Ad.one_minus v) v);
+      ("compose mul(1-x, x)", fun _ _ v -> Ad.mul (Ad.add_scalar 1.0 (Ad.scale (-1.0) v)) v);
     ]
 
 let log_safe_grad =
@@ -83,18 +80,12 @@ let relu_grad =
       in
       grad_check ~build:(fun _ v -> Ad.relu v) x)
 
-let segment_grads =
+let segment_softmax_grad =
   let seg = Segments.of_lens [| 2; 1; 3 |] in
-  List.map
-    (fun (name, build) ->
-      qtest ("grad: " ^ name) seeded_gen (fun seed ->
-          let rng = Rng.create seed in
-          let x = Tensor.init ~batch:2 ~width:6 (fun _ _ -> Rng.float rng 2.0 -. 1.0) in
-          grad_check ~build:(fun _ v -> build v) x))
-    [
-      ("segment_softmax", fun v -> Ad.mul (Ad.segment_softmax v seg) (Ad.segment_softmax v seg));
-      ("segment_prod", fun v -> Ad.segment_prod v seg);
-    ]
+  qtest "grad: segment_softmax" seeded_gen (fun seed ->
+      let rng = Rng.create seed in
+      let x = Tensor.init ~batch:2 ~width:6 (fun _ _ -> Rng.float rng 2.0 -. 1.0) in
+      grad_check ~build:(fun _ v -> Ad.mul (Ad.segment_softmax v seg) (Ad.segment_softmax v seg)) x)
 
 let segment_softmax_weighted_grad =
   qtest "grad: weighted segment_softmax" seeded_gen (fun seed ->
@@ -103,14 +94,6 @@ let segment_softmax_weighted_grad =
       let x = Tensor.init ~batch:1 ~width:6 (fun _ _ -> Rng.float rng 2.0 -. 1.0) in
       let u = [| 1.0; -2.0; 0.5; 3.0; 0.0; -1.0 |] in
       grad_check ~build:(fun _ v -> Ad.dot_const (Ad.segment_softmax v seg) u) x)
-
-let segment_max_grad =
-  (* max is kinked at ties; perturb to break them *)
-  qtest "grad: segment_max (ties broken)" seeded_gen (fun seed ->
-      let seg = Segments.of_lens [| 2; 4 |] in
-      let rng = Rng.create seed in
-      let x = Tensor.init ~batch:2 ~width:6 (fun b i -> float_of_int ((b * 7) + (i * 3) mod 11) /. 4.0 +. Rng.float rng 0.01) in
-      grad_check ~build:(fun _ v -> Ad.segment_max v seg) x)
 
 let linear_grads =
   qtest "grad: linear layer (input, weight, bias)" seeded_gen (fun seed ->
@@ -186,7 +169,7 @@ let test_const_blocks_grad () =
 let test_node_count () =
   let tape = Ad.tape () in
   let x = Ad.param tape (Tensor.create ~batch:1 ~width:3) in
-  ignore (Ad.add x (Ad.one_minus x));
+  ignore (Ad.add x (Ad.relu x));
   Alcotest.(check int) "nodes on tape" 3 (Ad.node_count tape)
 
 let test_double_backward_raises () =
@@ -230,43 +213,6 @@ let test_ir_records_ops () =
        (fun nd -> Array.for_all (fun a -> a >= 0) nd.Ad.Ir.args)
        ir)
 
-(* [one_minus] must round exactly as a negation followed by
-   [add_scalar 1.0]. The reference negates with [scale (-1.0)], which is
-   exact for every non-NaN input. Each row of [x] holds signed zeros,
-   values around the log floor and a denormal; the rows meet output
-   adjoints 1, -0 and 0.5. Value and gradient must match bitwise,
-   interpreted and replayed. *)
-let test_one_minus_matches_composite () =
-  let xs = [| 0.0; -0.0; 1e-13; -1e-13; 5e-324; 1e-12; 0.5; -0.5; 1.0; -2.0 |] in
-  let adjoints = [| 1.0; -0.0; 0.5 |] in
-  let batch = Array.length adjoints and width = Array.length xs in
-  let x = Tensor.init ~batch ~width (fun _ i -> xs.(i)) in
-  let c = Tensor.init ~batch ~width (fun b _ -> adjoints.(b)) in
-  let run one_minus =
-    let tape = Ad.tape () in
-    let v = Ad.param tape x in
-    let y = one_minus v in
-    let loss = Ad.sum_all (Ad.mul y (Ad.const tape c)) in
-    let cap = Plan.capture tape ~root:loss in
-    Ad.backward loss;
-    match Plan.compile ~outputs:[| Ad.node_id y |] ~grads:[| Ad.node_id v |] cap with
-    | Error e -> Alcotest.fail ("compile: " ^ e)
-    | Ok plan ->
-        Plan.run_forward plan;
-        Plan.run_backward plan;
-        [
-          ("interpreted value", Ad.value y);
-          ("interpreted gradient", Ad.grad v);
-          ("replayed value", Plan.value plan (Ad.node_id y));
-          ("replayed gradient", Plan.grad_of plan (Ad.node_id v));
-        ]
-  in
-  List.iter2
-    (fun (what, got) (_, want) ->
-      Alcotest.(check bool) what true (Tensor.bits_equal got want))
-    (run Ad.one_minus)
-    (run (fun v -> Ad.add_scalar 1.0 (Ad.scale (-1.0) v)))
-
 (* ------------------------------------------------ subgradients at kinks *)
 
 (* Finite differences say nothing at a kink, so each op's written
@@ -295,13 +241,54 @@ let kink name ~x ~expected build =
             true
             (Tensor.bits_equal interp (Plan.grad_of plan (Ad.node_id v))))
 
+(* The propagation's conventions (Op.Propagate), on e-graphs small
+   enough to work by hand. Each node is (class, name, child classes, cp,
+   expected cp gradient); class 0 is the root, and the loss is Σ p. *)
+let propagation_kink name rule nodes =
+  let b = Egraph.Builder.create () in
+  let ids = Array.init 2 (fun _ -> Egraph.Builder.add_class b) in
+  List.iter
+    (fun (cls, op, children, _, _) ->
+      ignore
+        (Egraph.Builder.add_node b ~cls:ids.(cls) ~op ~cost:1.0
+           ~children:(List.map (Array.get ids) children)))
+    nodes;
+  let g = Egraph.Builder.freeze b ~root:ids.(0) in
+  let field f = Array.map (fun op -> f (List.find (fun (_, o, _, _, _) -> o = op) nodes)) g.Egraph.ops in
+  let sched = Relaxation.schedule rule g in
+  kink name
+    ~x:(field (fun (_, _, _, cp, _) -> cp))
+    ~expected:(field (fun (_, _, _, _, e) -> e))
+    (fun _ v -> Ad.sum_all (Ad.propagate v sched))
+
+let propagation_kinks =
+  [
+    (* p_r0 = p_r1 = 0.5: q = 0.5 takes r0's value, and only r0 gets
+       c0's cp = 1 back *)
+    propagation_kink "propagate tie: the lower parent edge takes the adjoint"
+      Smoothe_config.Correlated
+      [ (0, "r0", [ 1 ], 0.5, 2.0); (0, "r1", [ 1 ], 0.5, 1.0); (1, "c0", [], 1.0, 0.5) ];
+    (* 1 - p = [0; 0.5; 0.25]: r0 gets the product of the others, 0.125,
+       where dividing the product by its own factor would give 0/0 *)
+    propagation_kink "propagate zero factor: a parent at p = 1 gets the others' product"
+      Smoothe_config.Independent
+      [
+        (0, "r0", [ 1 ], 1.0, 1.125);
+        (0, "r1", [ 1 ], 0.5, 1.0);
+        (0, "r2", [ 1 ], 0.75, 1.0);
+        (1, "c0", [], 1.0, 1.0);
+      ];
+    (* the root sits in a cycle through c0, but its q is pinned: c0 gets
+       only its own q = 0.5 back, and r0 gets p_r0's adjoint, 1 + 1 *)
+    propagation_kink "propagate root: pinned q, cp gradient only through p_root"
+      Smoothe_config.Independent
+      [ (0, "r0", [ 1 ], 0.5, 2.0); (1, "c0", [ 0 ], 0.25, 0.5); (1, "c1", [], 0.75, 0.5) ];
+  ]
+
 let kink_tests =
   [
     kink "relu at +0 and -0 gives 0" ~x:[| 0.0; -0.0; 1.0; -1.0 |] ~expected:[| 0.0; 0.0; 1.0; 0.0 |]
       (fun _ v -> Ad.sum_all (Ad.relu v));
-    kink "segment_max tie: lowest index takes the adjoint"
-      ~x:[| 2.0; 2.0; 1.0; -0.0; 0.0 |] ~expected:[| 1.0; 0.0; 0.0; 1.0; 0.0 |]
-      (fun _ v -> Ad.sum_all (Ad.segment_max v (Segments.of_lens [| 3; 2 |])));
     (let floor_grad = 1.0 /. Tensor.log_floor in
      kink "log_safe at and below the floor gives g / floor"
        ~x:[| Tensor.log_floor; 1e-13; 0.0; -1.0 |]
@@ -309,12 +296,8 @@ let kink_tests =
        (fun _ v -> Ad.dot_const (Ad.log_safe v) [| 1.0; 1.0; 1.0; 2.0 |]));
     kink "saturated segment_softmax gives exactly 0" ~x:[| 0.0; -1000.0 |] ~expected:[| 0.0; 0.0 |]
       (fun _ v -> Ad.dot_const (Ad.segment_softmax v (Segments.of_lens [| 2 |])) [| 3.0; -2.0 |]);
-    kink "segment_prod of [0; 2; 3] gives [6; 0; 0]" ~x:[| 0.0; 2.0; 3.0 |]
-      ~expected:[| 6.0; 0.0; 0.0 |] (fun _ v -> Ad.sum_all (Ad.segment_prod v (Segments.of_lens [| 3 |])));
-    kink "pinned override_columns column gives +0" ~x:[| 1.0; 1.0; 1.0 |]
-      ~expected:[| 1.0; 0.0; 3.0 |] (fun _ v ->
-        Ad.dot_const (Ad.override_columns v [ (1, 0.5) ]) [| 1.0; -2.0; 3.0 |]);
   ]
+  @ propagation_kinks
 
 (* --------------------------------------------------------------- optim *)
 
@@ -355,8 +338,6 @@ let () =
            Alcotest.test_case "node count" `Quick test_node_count;
            Alcotest.test_case "double backward raises" `Quick test_double_backward_raises;
            Alcotest.test_case "ir records ops" `Quick test_ir_records_ops;
-           Alcotest.test_case "one_minus rounds as 1 + (-x)" `Quick
-             test_one_minus_matches_composite;
          ] );
        ("kinks", kink_tests);
        ( "optim",
@@ -369,10 +350,9 @@ let () =
         ( "gradients",
           pointwise_grads
           @ [ relu_grad; log_safe_grad; entropy_grad ]
-          @ segment_grads
           @ [
+              segment_softmax_grad;
               segment_softmax_weighted_grad;
-              segment_max_grad;
               linear_grads;
               matrix_of_entries_grad;
               mse_grad;

@@ -8,8 +8,7 @@
    may never map two overlapping live ranges to one slot, and any forced
    mis-assignment must be caught by the independent verifier. *)
 
-let default_cfg =
-  { Smoothe_config.default with Smoothe_config.batch = 4; prop_iters = Some 4 }
+let default_cfg = { Smoothe_config.default with Smoothe_config.batch = 4 }
 
 let ids_of (fwd : Relaxation.forward) =
   let root = Ad.node_id fwd.Relaxation.loss in
@@ -320,25 +319,22 @@ let op_slot : Op.t -> int = function
   | Add -> 2
   | Sub -> 3
   | Mul -> 4
-  | One_minus -> 5
-  | Scale _ -> 6
-  | Add_scalar _ -> 7
-  | Relu -> 8
-  | Log_safe -> 9
-  | Gather _ -> 10
-  | Segment_softmax _ -> 11
-  | Segment_prod _ -> 12
-  | Segment_max _ -> 13
-  | Override_columns _ -> 14
-  | Mean_rows -> 15
-  | Slice_row _ -> 16
-  | Sum_all -> 17
-  | Dot_const _ -> 18
-  | Linear -> 19
-  | Matrix_of_entries _ -> 20
-  | Expm_trace -> 21
+  | Scale _ -> 5
+  | Add_scalar _ -> 6
+  | Relu -> 7
+  | Log_safe -> 8
+  | Gather _ -> 9
+  | Segment_softmax _ -> 10
+  | Mean_rows -> 11
+  | Slice_row _ -> 12
+  | Sum_all -> 13
+  | Dot_const _ -> 14
+  | Linear -> 15
+  | Matrix_of_entries _ -> 16
+  | Expm_trace -> 17
+  | Propagate _ -> 18
 
-let op_slots = 22
+let op_slots = 19
 
 let test_replay_covers_every_op () =
   let covered = Array.make op_slots false in
@@ -368,11 +364,11 @@ let mk_ir nodes = Array.of_list nodes
 let nd ?(args = [||]) op batch width = { Ad.Ir.op; args; shape = { Op.batch; width }; context = "" }
 
 let test_stability_codes () =
-  let a = mk_ir [ nd Op.Param 1 4; nd Op.One_minus ~args:[| 0 |] 1 4 ] in
+  let a = mk_ir [ nd Op.Param 1 4; nd Op.Log_safe ~args:[| 0 |] 1 4 ] in
   Alcotest.(check int) "identical IRs are stable" 0
     (List.length (Plan_check.stability a a));
   let longer =
-    mk_ir [ nd Op.Param 1 4; nd Op.One_minus ~args:[| 0 |] 1 4; nd Op.One_minus ~args:[| 1 |] 1 4 ]
+    mk_ir [ nd Op.Param 1 4; nd Op.Log_safe ~args:[| 0 |] 1 4; nd Op.Log_safe ~args:[| 1 |] 1 4 ]
   in
   (match Plan_check.stability a longer with
   | [ d ] -> Alcotest.(check string) "length divergence is PL006" "PL006" d.Diagnostic.code
@@ -445,7 +441,7 @@ let test_context_chain_in_diagnostics () =
   let x = Ad.param tape (Tensor.of_array ~batch:1 ~width:2 [| 1.0; 2.0 |]) in
   let mk label =
     Ad.with_context "outer.loop" @@ fun () ->
-    Ad.with_context label @@ fun () -> Ad.sum_all (Ad.one_minus x)
+    Ad.with_context label @@ fun () -> Ad.sum_all (Ad.log_safe x)
   in
   let _a = mk "inner.first" in
   let ir1 = Ad.ir tape in
@@ -453,7 +449,7 @@ let test_context_chain_in_diagnostics () =
   let x2 = Ad.param tape2 (Tensor.of_array ~batch:1 ~width:2 [| 1.0; 2.0 |]) in
   let _b =
     Ad.with_context "outer.loop" @@ fun () ->
-    Ad.with_context "inner.second" @@ fun () -> Ad.sum_all (Ad.one_minus x2)
+    Ad.with_context "inner.second" @@ fun () -> Ad.sum_all (Ad.log_safe x2)
   in
   let ir2 = Ad.ir tape2 in
   Alcotest.(check bool) "IR records the joined chain" true

@@ -77,8 +77,6 @@ let accumulated acc f =
   f d;
   d
 
-let pins_of (a : Tensor.t) = [| (0, 1.0); (a.Tensor.width - 1, -0.0) |]
-
 let dense_cases =
   [
     ("add", fun a b _ -> [ Tensor.add a b; into_of (fun ~out -> Tensor.add_into ~out a b) a ]);
@@ -95,10 +93,7 @@ let dense_cases =
         ] );
     ("relu", fun a _ _ -> [ Tensor.relu a; into_of (fun ~out -> Tensor.relu_into ~out a) a ]);
     ("exp", fun a _ _ -> [ Tensor.exp a; into_of (fun ~out -> Tensor.exp_into ~out a) a ]);
-    ("one_minus_into", fun a _ _ -> [ into_of (fun ~out -> Tensor.one_minus_into ~out a) a ]);
     ("log_safe_into", fun a _ _ -> [ into_of (fun ~out -> Tensor.log_safe_into ~out a) a ]);
-    ( "override_columns_into",
-      fun a _ _ -> [ into_of (fun ~out -> Tensor.override_columns_into ~out (pins_of a) a) a ] );
     ( "copy_into",
       fun a _ _ -> [ Tensor.copy a; into_of (fun ~out -> Tensor.copy_into ~out a) a ] );
     ("add_inplace", fun a _ acc -> [ accumulated acc (fun d -> Tensor.add_inplace d a) ]);
@@ -108,9 +103,6 @@ let dense_cases =
     ( "log_safe_grad",
       fun a b acc -> [ accumulated acc (fun d -> Tensor.log_safe_grad ~into:d ~g:a b) ] );
     ("relu_grad", fun a b acc -> [ accumulated acc (fun d -> Tensor.relu_grad ~into:d ~g:a b) ]);
-    ( "override_columns_grad",
-      fun a _ acc ->
-        [ accumulated acc (fun d -> Tensor.override_columns_grad ~into:d ~g:a (pins_of a)) ] );
   ]
 
 let hard_triple_gen =
@@ -138,16 +130,6 @@ let map_tensor f (t : Tensor.t) =
 let dense_grads_match_composites =
   qtest "gradient kernels match their composites bitwise" hard_triple_gen (fun (g, x, acc) ->
       let composite delta = accumulated acc (fun d -> Tensor.add_inplace d delta) in
-      let pinned_g =
-        let c = Tensor.copy g in
-        Array.iter
-          (fun (col, _) ->
-            for b = 0 to c.Tensor.batch - 1 do
-              Tensor.set c b col 0.0
-            done)
-          (pins_of g);
-        c
-      in
       List.for_all
         (fun mode ->
           Tensor.Backend.with_mode mode @@ fun () ->
@@ -161,9 +143,6 @@ let dense_grads_match_composites =
           && Tensor.bits_equal
                (accumulated acc (fun d -> Tensor.relu_grad ~into:d ~g x))
                (composite (Tensor.mul g (map_tensor (fun v -> if v > 0.0 then 1.0 else 0.0) x)))
-          && Tensor.bits_equal
-               (accumulated acc (fun d -> Tensor.override_columns_grad ~into:d ~g (pins_of g)))
-               (composite pinned_g)
           && Tensor.bits_equal
                (into_of (fun ~out -> Tensor.log_safe_into ~out x) x)
                (map_tensor (fun v -> Stdlib.log (Float.max v 1e-12)) x))
@@ -344,20 +323,6 @@ let seg_sum_matches_naive =
       done;
       !ok)
 
-let seg_prod_matches_naive =
-  qtest "segment prod matches naive" seg_gen (fun (seg, t) ->
-      let out = Segments.prod t seg in
-      let owners = owners seg in
-      let ok = ref true in
-      for b = 0 to t.Tensor.batch - 1 do
-        for s = 0 to Segments.count seg - 1 do
-          let acc = ref 1.0 in
-          Array.iteri (fun i o -> if o = s then acc := !acc *. Tensor.get t b i) owners;
-          if not (Test_util.float_close !acc (Tensor.get out b s)) then ok := false
-        done
-      done;
-      !ok)
-
 let seg_softmax_sums_to_one =
   qtest "segment softmax sums to 1 per segment" seg_gen (fun (seg, t) ->
       let out = Segments.softmax t seg in
@@ -368,39 +333,6 @@ let seg_softmax_sums_to_one =
           if Segments.seg_len seg s > 0 then
             if not (Test_util.float_close 1.0 (Tensor.get sums b s)) then ok := false
         done
-      done;
-      !ok)
-
-let seg_max_argmax_consistent =
-  qtest "segment max value matches its argmax element" seg_gen (fun (seg, t) ->
-      let out, arg = Segments.max t seg in
-      let data = Tensor.unsafe_data t in
-      let nsegs = Segments.count seg in
-      let ok = ref true in
-      for b = 0 to t.Tensor.batch - 1 do
-        for s = 0 to nsegs - 1 do
-          let flat = (b * nsegs) + s in
-          if Segments.seg_len seg s = 0 then begin
-            if arg.(flat) <> -1 then ok := false
-          end
-          else if not (Test_util.float_close data.(arg.(flat)) (Tensor.get out b s)) then
-            ok := false
-        done
-      done;
-      !ok)
-
-let seg_prod_grad_scratch_correct =
-  qtest "product-of-others matches per-element recompute" seg_gen (fun (seg, t) ->
-      let others = Segments.prod_grad_scratch t seg in
-      let owners = owners seg in
-      let ok = ref true in
-      for b = 0 to t.Tensor.batch - 1 do
-        Array.iteri
-          (fun i o ->
-            let acc = ref 1.0 in
-            Array.iteri (fun j o' -> if o' = o && j <> i then acc := !acc *. Tensor.get t b j) owners;
-            if not (Test_util.float_close !acc (Tensor.get others b i)) then ok := false)
-          owners
       done;
       !ok)
 
@@ -416,9 +348,6 @@ let hard_seg_gen =
             let width = List.fold_left ( + ) 0 lens in
             (seg, hard_tensor rng ~batch:b ~width, seed))
           (int_bound 1_000_000)))
-
-let argmax_tensor arg =
-  Tensor.of_array ~batch:1 ~width:(Array.length arg) (Array.map float_of_int arg)
 
 (* every kernel run on one (segments, x, rng) triple; returns each form *)
 let seg_cases =
@@ -437,26 +366,6 @@ let seg_cases =
         let out = per_seg x seg in
         Segments.sum_into ~out x seg;
         [ Segments.sum x seg; out ] );
-    ( "segment prod",
-      fun x seg _ ->
-        let out = per_seg x seg in
-        Segments.prod_into ~out x seg;
-        [ Segments.prod x seg; out ] );
-    ( "segment prod_grad_scratch",
-      fun x seg _ ->
-        let out = same_as x in
-        Segments.prod_grad_scratch_into ~out x seg;
-        [ Segments.prod_grad_scratch x seg; out ] );
-    ( "segment max",
-      fun x seg _ ->
-        let out, arg = Segments.max x seg in
-        let out' = per_seg x seg and arg' = Array.make (Array.length arg) 7 in
-        Segments.max_into ~out:out' ~arg:arg' x seg;
-        [ out; out' ] );
-    ( "segment argmax",
-      fun x seg _ ->
-        let _, arg = Segments.max x seg in
-        [ argmax_tensor arg ] );
     ( "segment gather",
       fun x _ rng ->
         let w = x.Tensor.width in
@@ -476,19 +385,6 @@ let seg_cases =
         let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
         let g = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
         Segments.softmax_grad ~into ~g ~y:(Segments.softmax x seg) seg;
-        [ into ] );
-    ( "segment prod_grad",
-      fun x seg rng ->
-        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
-        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:(Segments.count seg) in
-        Segments.prod_grad ~into ~g ~scratch:(same_as x) x seg;
-        [ into ] );
-    ( "segment max_grad",
-      fun x seg rng ->
-        let into = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
-        let g = hard_tensor rng ~batch:x.Tensor.batch ~width:(Segments.count seg) in
-        let _, arg = Segments.max x seg in
-        Segments.max_grad ~into ~g ~arg;
         [ into ] );
   ]
 
@@ -510,39 +406,49 @@ let seg_grads_match_composites =
   qtest "segment gradient kernels match their composites bitwise" hard_seg_gen
     (fun (seg, x, seed) ->
       let rng = Rng.create seed in
-      let b = x.Tensor.batch and w = x.Tensor.width and n = Segments.count seg in
+      let b = x.Tensor.batch and w = x.Tensor.width in
       let acc = hard_tensor rng ~batch:b ~width:w in
       let g_full = hard_tensor rng ~batch:b ~width:w in
-      let g_seg = hard_tensor rng ~batch:b ~width:n in
       let owner = owners seg in
       let composite delta = accumulated acc (fun d -> Tensor.add_inplace d delta) in
       List.for_all
         (fun mode ->
           Tensor.Backend.with_mode mode @@ fun () ->
           let y = Segments.softmax x seg in
-          let spread = Segments.gather g_seg owner in
-          let _, arg = Segments.max x seg in
-          let max_expected =
-            accumulated acc (fun d ->
-                let dd = Tensor.unsafe_data d and gd = Tensor.unsafe_data g_seg in
-                Array.iteri (fun c p -> if p >= 0 then dd.(p) <- dd.(p) +. gd.(c)) arg)
-          in
           Tensor.bits_equal
             (accumulated acc (fun into -> Segments.softmax_grad ~into ~g:g_full ~y seg))
             (composite
                (Tensor.mul y
                   (Tensor.sub g_full
-                     (Segments.gather (Segments.sum (Tensor.mul g_full y) seg) owner))))
-          && Tensor.bits_equal
-               (accumulated acc (fun into ->
-                    Segments.prod_grad ~into ~g:g_seg
-                      ~scratch:(Tensor.create ~batch:b ~width:w)
-                      x seg))
-               (composite (Tensor.mul spread (Segments.prod_grad_scratch x seg)))
-          && Tensor.bits_equal
-               (accumulated acc (fun into -> Segments.max_grad ~into ~g:g_seg ~arg))
-               max_expected)
+                     (Segments.gather (Segments.sum (Tensor.mul g_full y) seg) owner)))))
         [ Tensor.Backend.Vectorized; Tensor.Backend.Scalar ])
+
+(* The propagation sweep, forward and backward, on random e-graphs with
+   cycles under every rule, over hard values (ties, signed zeros, p at
+   exactly 1): the Scalar path must give the Vectorized bits. *)
+let propagate_backends_agree =
+  qtest ~count:200 "backends agree on propagate"
+    QCheck2.Gen.(triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 3) (int_bound 1_000_000))
+    (fun (g, batch, seed) ->
+      let rule =
+        [| Propagation.Independent; Propagation.Correlated; Propagation.Hybrid |].(seed mod 3)
+      in
+      let s = Relaxation.schedule rule g in
+      let n = Egraph.num_nodes g in
+      let run mode =
+        Tensor.Backend.with_mode mode @@ fun () ->
+        let rng = Rng.create seed in
+        let cp = hard_tensor rng ~batch ~width:n in
+        let g = hard_tensor rng ~batch ~width:n in
+        let into = hard_tensor rng ~batch ~width:n in
+        let p = Tensor.create ~batch ~width:n in
+        let st = Propagation.state s ~batch in
+        Propagation.forward s st ~out:p cp;
+        Propagation.backward s st (Propagation.scratch s ~batch) ~cp ~p ~g ~into;
+        (p, into)
+      in
+      let p1, d1 = run Tensor.Backend.Vectorized and p2, d2 = run Tensor.Backend.Scalar in
+      Tensor.bits_equal p1 p2 && Tensor.bits_equal d1 d2)
 
 let test_gather_scatter () =
   let src = Tensor.of_array ~batch:2 ~width:3 [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
@@ -587,12 +493,10 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_segments_structure;
           seg_sum_matches_naive;
-          seg_prod_matches_naive;
           seg_softmax_sums_to_one;
-          seg_max_argmax_consistent;
-          seg_prod_grad_scratch_correct;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           seg_grads_match_composites;
+          propagate_backends_agree;
         ]
         @ seg_backends_agree );
     ]
