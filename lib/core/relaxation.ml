@@ -74,11 +74,11 @@ let build_full_block g =
 (* A cyclic component runs |S| + 3 local rounds: the size
    [Smoothe_config.derive_prop_iters] charges it, plus that derivation's
    margin of 3, under the same cap of 96. *)
-let schedule ?(local_rounds = fun size -> min 96 (size + 3)) assumption g =
+let schedule assumption g =
   Propagation.make ~rule:assumption ~root:g.Egraph.root ~nodes:g.Egraph.class_seg
     ~parent_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
     ~components:(Array.of_list (List.rev (Array.to_list g.Egraph.sccs)))
-    ~local_rounds
+    ~local_rounds:(fun size -> min 96 (size + 3))
 
 let compile config g =
   let blocks =

@@ -33,12 +33,11 @@ type compiled = {
   blocks : scc_block array;  (** only components that can host a cycle *)
 }
 
-val schedule :
-  ?local_rounds:(int -> int) -> Smoothe_config.assumption -> Egraph.t -> Propagation.schedule
+val schedule : Smoothe_config.assumption -> Egraph.t -> Propagation.schedule
 (** The propagation sweep over [g]'s SCC condensation, parents first.
-    A cyclic component of size s runs [local_rounds s] rounds; the
-    default, min 96 (s + 3), is what {!Smoothe_config.derive_prop_iters}
-    charges a component plus its margin. *)
+    A cyclic component of size s runs min 96 (s + 3) rounds: what
+    {!Smoothe_config.derive_prop_iters} charges a component, plus its
+    margin. *)
 
 val compile : Smoothe_config.t -> Egraph.t -> compiled
 (** Builds the propagation schedule once; [forward] on the result

@@ -409,7 +409,7 @@ let sample config g model (st : Checkpoint.snapshot) ~now out =
   end;
   (relaxed_loss, sampled_cost)
 
-let oom_run config device g =
+let oom_run device g =
   {
     result =
       {
@@ -419,7 +419,7 @@ let oom_run config device g =
     iterations = 0;
     best_seed = -1;
     batch_used = 0;
-    prop_iters = (Relaxation.compile config g).Relaxation.prop_iters;
+    prop_iters = Smoothe_config.derive_prop_iters g;
     history = [];
     oom = true;
     recoveries = 0;
@@ -451,7 +451,7 @@ let extract ?(config = Smoothe_config.default) ?model ?(device = Device.a100) ?h
       Health.record log ~member Health.Degraded
         (Printf.sprintf "OOM on every derating step (requested device %s)"
            device.Device.device_name);
-      finish (oom_run config device g)
+      finish (oom_run device g)
   | Some { c_config; c_device; c_compiled; c_max_batch; c_desc; c_rung } ->
       let config = c_config and device = c_device and compiled = c_compiled in
       let batch = min config.Smoothe_config.batch c_max_batch in

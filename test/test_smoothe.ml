@@ -126,7 +126,12 @@ let cyclic_propagation_converges =
          QCheck2.assume
            (List.for_all2 (close 1e-12) reference
               (List.map (jacobi_phi assumption g ~rounds:1000) rows));
-         let s = Relaxation.schedule ~local_rounds:(fun _ -> 500) assumption g in
+         let s =
+           Propagation.make ~rule:assumption ~root:g.Egraph.root ~nodes:g.Egraph.class_seg
+             ~parent_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
+             ~components:(Array.of_list (List.rev (Array.to_list g.Egraph.sccs)))
+             ~local_rounds:(fun _ -> 500)
+         in
          let p = Ad.value (Ad.propagate cp s) in
          List.for_all2 (close 1e-9) reference [ Tensor.row p 0; Tensor.row p 1 ]))
 
@@ -197,7 +202,7 @@ let full_loss_gradient_matches_fd =
   qtest ~count:10 "end-to-end loss gradient matches finite differences"
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      (* independence assumption only: segment_max would add kinks *)
+      (* independence assumption only: the correlated maximum would add kinks *)
       let g = Fig1.egraph () in
       let config =
         { cfg with Smoothe_config.assumption = Smoothe_config.Independent; batch = 2 }
@@ -803,16 +808,15 @@ let () =
           propagation_matches_reference Smoothe_config.Independent;
           propagation_matches_reference Smoothe_config.Correlated;
           propagation_matches_reference Smoothe_config.Hybrid;
+          Alcotest.test_case "cp sums to 1 per class" `Quick test_cp_sums_to_one_per_class;
+          Alcotest.test_case "root probability pinned" `Quick test_root_probability_one;
+          full_loss_gradient_matches_fd;
+          full_loss_gradient_cyclic;
           Alcotest.test_case "propagation = exact φ on bundled instances" `Quick
             test_propagation_exact_on_instances;
           cyclic_propagation_converges;
           propagation_gradient_matches_fd 0.0;
           propagation_gradient_matches_fd 0.35;
-          propagation_matches_reference Smoothe_config.Hybrid;
-          Alcotest.test_case "cp sums to 1 per class" `Quick test_cp_sums_to_one_per_class;
-          Alcotest.test_case "root probability pinned" `Quick test_root_probability_one;
-          full_loss_gradient_matches_fd;
-          full_loss_gradient_cyclic;
         ] );
       ( "penalty",
         [

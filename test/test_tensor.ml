@@ -493,10 +493,10 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_segments_structure;
           seg_sum_matches_naive;
+          propagate_backends_agree;
           seg_softmax_sums_to_one;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           seg_grads_match_composites;
-          propagate_backends_agree;
         ]
         @ seg_backends_agree );
     ]
