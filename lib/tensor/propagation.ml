@@ -35,7 +35,9 @@ let make ~rule ~root ~nodes ~parent_node ~parents ~components ~local_rounds =
       node_class.(n) <- c
     done
   done;
-  Array.iter (fun k -> if k < 0 || k >= width then fail "parent node %d outside %d" k width) parent_node;
+  Array.iter
+    (fun k -> if k < 0 || k >= width then fail "parent node %d outside %d" k width)
+    parent_node;
   let ncomp = Array.length components in
   let comp_of = Array.make m (-1) in
   Array.iteri
@@ -130,10 +132,12 @@ let[@inline] rd scalar a i = if scalar then Tensor.Backend.scalar_read a i else 
 (* ---- Forward ---------------------------------------------------------- *)
 
 (* q of class [c] from its parents' current p (the row at [base] of
-   [p]), stored at [q.(qi)] with the argmax edge at [arg.(qi)]. This is
-   the round op's arithmetic: ind = 1 + (-Π (1 + (-x))) in edge order,
-   cor = the first maximum (0 and -1 without parents), hybrid
-   0.5 (ind + cor), the root pinned at 1. *)
+   [p]), stored at [q.(qi)] with the argmax edge at [arg.(qi)]:
+   ind = 1 + (-Π (1 + (-x))) multiplied in edge order, cor = the first
+   maximum in edge order (0 and -1 without parents), hybrid
+   0.5 (ind + cor), the root pinned at 1. Computing 1 - x as 1 + (-x)
+   flips a NaN's sign; the order fixes the rounding, so an acyclic
+   class gets the bits an exact topological evaluation gets. *)
 let class_q s ~scalar ~p ~base ~q ~arg ~qi c =
   if c = s.root then begin
     q.(qi) <- 1.0;

@@ -254,7 +254,9 @@ let propagation_kink name rule nodes =
            ~children:(List.map (Array.get ids) children)))
     nodes;
   let g = Egraph.Builder.freeze b ~root:ids.(0) in
-  let field f = Array.map (fun op -> f (List.find (fun (_, o, _, _, _) -> o = op) nodes)) g.Egraph.ops in
+  let field f =
+    Array.map (fun op -> f (List.find (fun (_, o, _, _, _) -> o = op) nodes)) g.Egraph.ops
+  in
   let sched = Relaxation.schedule rule g in
   kink name
     ~x:(field (fun (_, _, _, cp, _) -> cp))

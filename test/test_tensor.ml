@@ -428,7 +428,8 @@ let seg_grads_match_composites =
    exactly 1): the Scalar path must give the Vectorized bits. *)
 let propagate_backends_agree =
   qtest ~count:200 "backends agree on propagate"
-    QCheck2.Gen.(triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 3) (int_bound 1_000_000))
+    QCheck2.Gen.(
+      triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 3) (int_bound 1_000_000))
     (fun (g, batch, seed) ->
       let rule =
         [| Propagation.Independent; Propagation.Correlated; Propagation.Hybrid |].(seed mod 3)
