@@ -87,6 +87,25 @@ let segment_softmax_grad =
       let x = Tensor.init ~batch:2 ~width:6 (fun _ _ -> Rng.float rng 2.0 -. 1.0) in
       grad_check ~build:(fun _ v -> Ad.mul (Ad.segment_softmax v seg) (Ad.segment_softmax v seg)) x)
 
+(* The propagation sweep's reductions, one per segment
+   (Test_util.star_propagation): Eq. (6)'s product and Eq. (7)'s
+   maximum, each child's q taken over its segment of x *)
+let star_grad name rule lens x_of =
+  let sched = Test_util.star_propagation rule (Segments.of_lens lens) in
+  qtest ("grad: " ^ name) seeded_gen (fun seed ->
+      let rng = Rng.create seed in
+      let x = Tensor.init ~batch:2 ~width:(Propagation.width sched) (x_of rng) in
+      grad_check ~build:(fun _ v -> Ad.propagate v sched) x)
+
+let segment_prod_grad =
+  star_grad "segment_prod" Propagation.Independent [| 2; 1; 3 |] (fun rng _ _ ->
+      Rng.float rng 2.0 -. 1.0)
+
+let segment_max_grad =
+  (* max is kinked at ties; perturb to break them *)
+  star_grad "segment_max (ties broken)" Propagation.Correlated [| 2; 4 |] (fun rng b i ->
+      (float_of_int ((b * 7) + (i * 3) mod 11) /. 4.0) +. Rng.float rng 0.01)
+
 let segment_softmax_weighted_grad =
   qtest "grad: weighted segment_softmax" seeded_gen (fun seed ->
       let seg = Segments.of_lens [| 3; 3 |] in
@@ -213,6 +232,49 @@ let test_ir_records_ops () =
        (fun nd -> Array.for_all (fun a -> a >= 0) nd.Ad.Ir.args)
        ir)
 
+(* The sweep's Eq. (6) takes each 1 - x as a negation followed by
+   adding 1.0 (Propagation's class_q), which rounds as the tape's
+   [add_scalar 1.0 (scale (-1.0) x)]. On [Test_util.star_propagation]
+   with one parent per child, a child's q is 1 - (1 - x) of one element.
+   Each row of x holds signed zeros, values around the log floor and a
+   denormal; the rows meet output adjoints 1, -0 and 0.5. The children's
+   p and cp's gradient must match the composite's bitwise, interpreted
+   and replayed. *)
+let test_one_minus_matches_composite () =
+  let xs = [| 0.0; -0.0; 1e-13; -1e-13; 5e-324; 1e-12; 0.5; -0.5; 1.0; -2.0 |] in
+  let adjoints = [| 1.0; -0.0; 0.5 |] in
+  let batch = Array.length adjoints and width = Array.length xs in
+  let seg = Segments.of_lens (Array.make width 1) in
+  let sched = Test_util.star_propagation Propagation.Independent seg in
+  let cp = Test_util.star_cp (Tensor.init ~batch ~width (fun _ i -> xs.(i))) seg in
+  let c = Tensor.init ~batch ~width (fun b _ -> adjoints.(b)) in
+  let x_cols = Array.init width Fun.id and child_cols = Array.init width (fun i -> width + i) in
+  let one_minus v = Ad.add_scalar 1.0 (Ad.scale (-1.0) v) in
+  let run children =
+    let tape = Ad.tape () in
+    let v = Ad.param tape cp in
+    let y = children v in
+    let loss = Ad.sum_all (Ad.mul y (Ad.const tape c)) in
+    let cap = Plan.capture tape ~root:loss in
+    Ad.backward loss;
+    match Plan.compile ~outputs:[| Ad.node_id y |] ~grads:[| Ad.node_id v |] cap with
+    | Error e -> Alcotest.fail ("compile: " ^ e)
+    | Ok plan ->
+        Plan.run_forward plan;
+        Plan.run_backward plan;
+        [
+          ("interpreted value", Ad.value y);
+          ("interpreted gradient", Ad.grad v);
+          ("replayed value", Plan.value plan (Ad.node_id y));
+          ("replayed gradient", Plan.grad_of plan (Ad.node_id v));
+        ]
+  in
+  List.iter2
+    (fun (what, got) (_, want) ->
+      Alcotest.(check bool) what true (Tensor.bits_equal got want))
+    (run (fun v -> Ad.gather (Ad.propagate v sched) child_cols))
+    (run (fun v -> Ad.mul (Ad.gather v child_cols) (one_minus (one_minus (Ad.gather v x_cols)))))
+
 (* ------------------------------------------------ subgradients at kinks *)
 
 (* Finite differences say nothing at a kink, so each op's written
@@ -263,23 +325,30 @@ let propagation_kink name rule nodes =
     ~expected:(field (fun (_, _, _, _, e) -> e))
     (fun _ v -> Ad.sum_all (Ad.propagate v sched))
 
+(* The loss Σ q over the children of [Test_util.star_propagation rule
+   (of_lens lens)]: x's gradient is each segment's reduction
+   differentiated, and each child's cp gradient its q. *)
+let star_loss rule lens _ v =
+  let seg = Segments.of_lens lens in
+  let w = seg.Segments.width in
+  Ad.dot_const
+    (Ad.propagate v (Test_util.star_propagation rule seg))
+    (Array.init (w + Segments.count seg) (fun i -> if i < w then 0.0 else 1.0))
+
 let propagation_kinks =
   [
-    (* p_r0 = p_r1 = 0.5: q = 0.5 takes r0's value, and only r0 gets
-       c0's cp = 1 back *)
-    propagation_kink "propagate tie: the lower parent edge takes the adjoint"
-      Smoothe_config.Correlated
-      [ (0, "r0", [ 1 ], 0.5, 2.0); (0, "r1", [ 1 ], 0.5, 1.0); (1, "c0", [], 1.0, 0.5) ];
-    (* 1 - p = [0; 0.5; 0.25]: r0 gets the product of the others, 0.125,
-       where dividing the product by its own factor would give 0/0 *)
-    propagation_kink "propagate zero factor: a parent at p = 1 gets the others' product"
-      Smoothe_config.Independent
-      [
-        (0, "r0", [ 1 ], 1.0, 1.125);
-        (0, "r1", [ 1 ], 0.5, 1.0);
-        (0, "r2", [ 1 ], 0.75, 1.0);
-        (1, "c0", [], 1.0, 1.0);
-      ];
+    (* maxima over [2; 2; 1] and [-0; 0]: the first element of each tie
+       takes the adjoint, and the second q is -0 (0 > -0 is false) *)
+    kink "segment_max tie: lowest index takes the adjoint"
+      ~x:[| 2.0; 2.0; 1.0; -0.0; 0.0; 1.0; 1.0 |]
+      ~expected:[| 1.0; 0.0; 0.0; 1.0; 0.0; 2.0; 0.0 |]
+      (star_loss Propagation.Correlated [| 3; 2 |]);
+    (* the factors 1 - x are [0; 2; 3], so each element gets the product
+       of the others, where dividing the product by its own factor would
+       give 0/0; q = 1 - 0 *)
+    kink "segment_prod of [0; 2; 3] gives [6; 0; 0]" ~x:[| 1.0; -1.0; -2.0; 1.0 |]
+      ~expected:[| 6.0; 0.0; 0.0; 1.0 |]
+      (star_loss Propagation.Independent [| 3 |]);
     (* the root sits in a cycle through c0, but its q is pinned: c0 gets
        only its own q = 0.5 back, and r0 gets p_r0's adjoint, 1 + 1 *)
     propagation_kink "propagate root: pinned q, cp gradient only through p_root"
@@ -340,6 +409,8 @@ let () =
            Alcotest.test_case "node count" `Quick test_node_count;
            Alcotest.test_case "double backward raises" `Quick test_double_backward_raises;
            Alcotest.test_case "ir records ops" `Quick test_ir_records_ops;
+           Alcotest.test_case "one_minus rounds as 1 + (-x)" `Quick
+             test_one_minus_matches_composite;
          ] );
        ("kinks", kink_tests);
        ( "optim",
@@ -354,7 +425,9 @@ let () =
           @ [ relu_grad; log_safe_grad; entropy_grad ]
           @ [
               segment_softmax_grad;
+              segment_prod_grad;
               segment_softmax_weighted_grad;
+              segment_max_grad;
               linear_grads;
               matrix_of_entries_grad;
               mse_grad;

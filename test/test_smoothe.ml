@@ -34,42 +34,6 @@ let reference_phi assumption g cp_row =
     order;
   p
 
-(* Every row of the relaxation's p against [reference_phi], bit for
-   bit: an acyclic class's value is final after one visit, and the sweep
-   computes it with the reference's arithmetic. *)
-let propagation_exact ~batch ~seed assumption g =
-  let config = { cfg with Smoothe_config.assumption; batch } in
-  let compiled = Relaxation.compile config g in
-  let rng = Rng.create seed in
-  let theta = Tensor.init ~batch ~width:(Egraph.num_nodes g) (fun _ _ -> Rng.gaussian rng) in
-  let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
-  List.for_all
-    (fun b ->
-      let expected = reference_phi assumption g (Tensor.row (Ad.value fwd.Relaxation.cp) b) in
-      Tensor.bits_equal (Tensor.of_row expected)
-        (Tensor.of_row (Tensor.row (Ad.value fwd.Relaxation.p) b)))
-    (List.init batch Fun.id)
-
-let propagation_matches_reference assumption =
-  qtest ~count:60
-    (Printf.sprintf "propagation = exact topological φ (%s)"
-       (Smoothe_config.assumption_name assumption))
-    QCheck2.Gen.(pair (Test_util.arb_egraph ~max_classes:7 ()) (int_bound 1_000_000))
-    (fun (g, seed) -> propagation_exact ~batch:3 ~seed assumption g)
-
-let test_propagation_exact_on_instances () =
-  List.iter
-    (fun name ->
-      let g = (Registry.find_instance name).Registry.build () in
-      List.iter
-        (fun a ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (%s)" name (Smoothe_config.assumption_name a))
-            true
-            (propagation_exact ~batch:16 ~seed:5 a g))
-        Smoothe_config.[ Independent; Correlated; Hybrid ])
-    [ "box_3"; "fir_5"; "ffmpeg_1"; "mcm_8"; "set_cover_mid"; "mat-mul_3x3" ]
-
 (* Plain-array Jacobi over every class at once, as §3.3's parallel
    schedule runs it: q⁰ = 0 with the root at 1, then [rounds] rounds
    of Eq. (5)-(7) from the previous round's p. *)
@@ -97,6 +61,49 @@ let jacobi_phi assumption g ~rounds cp_row =
     Array.iteri (fun i cp -> p.(i) <- cp *. q.(g.Egraph.node_class.(i))) cp_row
   done;
   p
+
+(* Every row of the relaxation's p against [reference_phi], bit for
+   bit: an acyclic class's value is final after one visit, and the sweep
+   computes it with the reference's arithmetic. With [unrolled], the K
+   rounds of §3.3's schedule ([jacobi_phi] at the compiled [prop_iters])
+   must give the same bits too: K covers the class depth, and every
+   round after a class's last parent settles recomputes its value. *)
+let propagation_exact ?(unrolled = false) ~batch ~seed assumption g =
+  let config = { cfg with Smoothe_config.assumption; batch } in
+  let compiled = Relaxation.compile config g in
+  let rng = Rng.create seed in
+  let theta = Tensor.init ~batch ~width:(Egraph.num_nodes g) (fun _ _ -> Rng.gaussian rng) in
+  let fwd = Relaxation.forward compiled ~config ~model:(Cost_model.of_egraph g) ~theta in
+  List.for_all
+    (fun b ->
+      let cp_row = Tensor.row (Ad.value fwd.Relaxation.cp) b in
+      let expected = Tensor.of_row (reference_phi assumption g cp_row) in
+      Tensor.bits_equal expected (Tensor.of_row (Tensor.row (Ad.value fwd.Relaxation.p) b))
+      && ((not unrolled)
+         || Tensor.bits_equal expected
+              (Tensor.of_row
+                 (jacobi_phi assumption g ~rounds:compiled.Relaxation.prop_iters cp_row))))
+    (List.init batch Fun.id)
+
+let propagation_matches_reference assumption =
+  qtest ~count:60
+    (Printf.sprintf "unrolled propagation = exact topological φ (%s)"
+       (Smoothe_config.assumption_name assumption))
+    QCheck2.Gen.(pair (Test_util.arb_egraph ~max_classes:7 ()) (int_bound 1_000_000))
+    (fun (g, seed) -> propagation_exact ~unrolled:true ~batch:3 ~seed assumption g)
+
+let test_propagation_exact_on_instances () =
+  List.iter
+    (fun name ->
+      let g = (Registry.find_instance name).Registry.build () in
+      List.iter
+        (fun a ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (%s)" name (Smoothe_config.assumption_name a))
+            true
+            (propagation_exact ~batch:16 ~seed:5 a g))
+        Smoothe_config.[ Independent; Correlated; Hybrid ])
+    [ "box_3"; "fir_5"; "ffmpeg_1"; "mcm_8"; "set_cover_mid"; "mat-mul_3x3" ]
 
 let assumption_of_seed seed =
   Smoothe_config.[| Independent; Correlated; Hybrid |].(seed mod 3)

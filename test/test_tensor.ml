@@ -323,6 +323,89 @@ let seg_sum_matches_naive =
       done;
       !ok)
 
+(* The propagation sweep on [Test_util.star_propagation rule seg], where
+   each class's reduction sees one segment of [x]: returns p, and adds
+   into [into] cp's adjoint for p's adjoint [g]. Both are shaped like p,
+   [x]'s width plus one column per segment. *)
+let star_sweep rule seg (x : Tensor.t) ~g ~into =
+  let s = Test_util.star_propagation rule seg in
+  let cp = Test_util.star_cp x seg in
+  let batch = x.Tensor.batch in
+  let p = Tensor.create ~batch ~width:(Propagation.width s) in
+  let st = Propagation.state s ~batch in
+  Propagation.forward s st ~out:p cp;
+  Propagation.backward s st (Propagation.scratch s ~batch) ~cp ~p ~g ~into;
+  p
+
+(* [q b s], segment s's reduction in row b, and [d b i], its partial
+   derivative with respect to element i: a unit adjoint on each child's
+   p, whose cp is 1, reaches x only through its class's q *)
+let star_partials rule seg (x : Tensor.t) =
+  let w = x.Tensor.width and batch = x.Tensor.batch in
+  let n = w + Segments.count seg in
+  let into = Tensor.create ~batch ~width:n in
+  let g = Tensor.init ~batch ~width:n (fun _ i -> if i < w then 0.0 else 1.0) in
+  let p = star_sweep rule seg x ~g ~into in
+  ((fun b s -> Tensor.get p b (w + s)), fun b i -> Tensor.get into b i)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Eq. (6)'s product over each segment, in element order, bit for bit *)
+let seg_prod_matches_naive =
+  qtest "segment prod matches naive" seg_gen (fun (seg, t) ->
+      let q, _ = star_partials Propagation.Independent seg t in
+      let owners = owners seg in
+      let ok = ref true in
+      for b = 0 to t.Tensor.batch - 1 do
+        for s = 0 to Segments.count seg - 1 do
+          let acc = ref 1.0 in
+          Array.iteri (fun i o -> if o = s then acc := !acc *. (1.0 +. -.Tensor.get t b i)) owners;
+          if not (same_float (1.0 +. -. !acc) (q b s)) then ok := false
+        done
+      done;
+      !ok)
+
+(* Eq. (7): exactly one element of a non-empty segment takes the
+   adjoint, and it holds the maximum; an empty segment gives 0 *)
+let seg_max_argmax_consistent =
+  qtest "segment max value matches its argmax element" seg_gen (fun (seg, t) ->
+      let q, d = star_partials Propagation.Correlated seg t in
+      let owners = owners seg in
+      let ok = ref true in
+      for b = 0 to t.Tensor.batch - 1 do
+        for s = 0 to Segments.count seg - 1 do
+          let members =
+            List.filter (fun i -> owners.(i) = s) (List.init (Array.length owners) Fun.id)
+          in
+          if List.exists (fun i -> Tensor.get t b i > q b s) members then ok := false;
+          match List.filter (fun i -> d b i <> 0.0) members with
+          | [] -> if members <> [] || q b s <> 0.0 then ok := false
+          | [ i ] -> if d b i <> 1.0 || not (same_float (Tensor.get t b i) (q b s)) then ok := false
+          | _ -> ok := false
+        done
+      done;
+      !ok)
+
+(* Eq. (6)'s partials: each element gets the product of the other
+   factors 1 - x of its segment, which the sweep forms by prefix and
+   suffix *)
+let seg_prod_grad_scratch_correct =
+  qtest "product-of-others matches per-element recompute" seg_gen (fun (seg, t) ->
+      let _, d = star_partials Propagation.Independent seg t in
+      let owners = owners seg in
+      let ok = ref true in
+      for b = 0 to t.Tensor.batch - 1 do
+        Array.iteri
+          (fun i o ->
+            let acc = ref 1.0 in
+            Array.iteri
+              (fun j o' -> if o' = o && j <> i then acc := !acc *. (1.0 -. Tensor.get t b j))
+              owners;
+            if not (Test_util.float_close !acc (d b i)) then ok := false)
+          owners
+      done;
+      !ok)
+
 let seg_softmax_sums_to_one =
   qtest "segment softmax sums to 1 per segment" seg_gen (fun (seg, t) ->
       let out = Segments.softmax t seg in
@@ -349,6 +432,15 @@ let hard_seg_gen =
             (seg, hard_tensor rng ~batch:b ~width, seed))
           (int_bound 1_000_000)))
 
+(* [star_sweep] for hard adjoints added into a hard [into]: p and the
+   accumulated adjoint *)
+let star_case rule x seg rng =
+  let batch = x.Tensor.batch and n = x.Tensor.width + Segments.count seg in
+  let g = hard_tensor rng ~batch ~width:n in
+  let into = hard_tensor rng ~batch ~width:n in
+  let p = star_sweep rule seg x ~g ~into in
+  (p, into)
+
 (* every kernel run on one (segments, x, rng) triple; returns each form *)
 let seg_cases =
   let same_as (x : Tensor.t) = Tensor.create ~batch:x.Tensor.batch ~width:x.Tensor.width in
@@ -366,6 +458,8 @@ let seg_cases =
         let out = per_seg x seg in
         Segments.sum_into ~out x seg;
         [ Segments.sum x seg; out ] );
+    ("segment prod", fun x seg rng -> [ fst (star_case Propagation.Independent x seg rng) ]);
+    ("segment max", fun x seg rng -> [ fst (star_case Propagation.Correlated x seg rng) ]);
     ( "segment gather",
       fun x _ rng ->
         let w = x.Tensor.width in
@@ -386,6 +480,8 @@ let seg_cases =
         let g = hard_tensor rng ~batch:x.Tensor.batch ~width:x.Tensor.width in
         Segments.softmax_grad ~into ~g ~y:(Segments.softmax x seg) seg;
         [ into ] );
+    ("segment prod_grad", fun x seg rng -> [ snd (star_case Propagation.Independent x seg rng) ]);
+    ("segment max_grad", fun x seg rng -> [ snd (star_case Propagation.Correlated x seg rng) ]);
   ]
 
 let seg_backends_agree =
@@ -494,8 +590,11 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_segments_structure;
           seg_sum_matches_naive;
-          propagate_backends_agree;
+          seg_prod_matches_naive;
           seg_softmax_sums_to_one;
+          seg_max_argmax_consistent;
+          seg_prod_grad_scratch_correct;
+          propagate_backends_agree;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           seg_grads_match_composites;
         ]

@@ -78,6 +78,27 @@ let arb_egraph ?(max_classes = 8) ?(cycle_prob = 0.0) () =
       random_egraph ~cycle_prob rng ~classes)
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 max_classes))
 
+(* The propagation sweep over a two-level e-graph shaped by [seg], so
+   each of the sweep's per-class reductions sees one segment: the root
+   class holds one e-node per element of [seg], and segment [s] lists
+   the parent e-nodes of class s + 1, which holds one e-node of its own.
+   The sweep's input is [star_cp x seg]: x's elements as the root's cp
+   (their p, as the root's q is 1), then a cp of 1 per child, whose p is
+   then its class's q, the rule applied to its segment of x. *)
+let star_propagation rule (seg : Segments.t) =
+  let m = Segments.count seg in
+  Propagation.make ~rule ~root:0
+    ~nodes:(Segments.of_lens (Array.append [| seg.Segments.width |] (Array.make m 1)))
+    ~parent_node:(Array.init seg.Segments.width Fun.id)
+    ~parents:(Segments.of_lens (Array.append [| 0 |] seg.Segments.lens))
+    ~components:(Array.init (m + 1) (fun c -> [| c |]))
+    ~local_rounds:(fun _ -> 1)
+
+let star_cp (x : Tensor.t) (seg : Segments.t) =
+  let w = x.Tensor.width in
+  Tensor.init ~batch:x.Tensor.batch ~width:(w + Segments.count seg) (fun b i ->
+      if i < w then Tensor.get x b i else 1.0)
+
 let float_close ?(tol = 1e-6) a b =
   if Float.is_finite a && Float.is_finite b then
     Float.abs (a -. b) <= tol *. (1.0 +. Float.abs a +. Float.abs b)
