@@ -6,21 +6,12 @@
     chosen node's child classes are selected in turn — satisfying the
     completeness constraints by construction. Acyclicity is *not*
     guaranteed by this schedule; the paper relies on the NOTEARS penalty
-    having pushed cyclic selections away. Samples that still close a
-    cycle score [infinity].
+    having pushed cyclic selections away.
 
     [repair] additionally implements a cycle-breaking retry (our
-    extension, off by default): when validation reports a cycle, the
-    argmax of a class on the offending path is demoted to the class's
-    next-best cp and decoding retries. *)
-
-val sample_seed : ?repair:bool -> Egraph.t -> cp:Tensor.t -> seed:int -> Egraph.Solution.s
-(** Decode one batch row of the (B, N) cp tensor. The result satisfies
-    completeness; it may be cyclic (check with
-    {!Egraph.Solution.validate}) unless [repair] succeeded. *)
-
-val sample_all : ?repair:bool -> Egraph.t -> cp:Tensor.t -> Egraph.Solution.s array
-(** All seeds of the batch. *)
+    extension, off by default): when a seed's selection closes a cycle,
+    the class that closes it is demoted to its next-best cp member and
+    the seed is decoded again, at most 16 times. *)
 
 val best_of_batch :
   ?repair:bool ->
@@ -28,7 +19,19 @@ val best_of_batch :
   model:Cost_model.t ->
   cp:Tensor.t ->
   (int * Egraph.Solution.s * float) option
-(** Decode every seed, score valid decodes with the model, and return
-    (seed index, solution, cost) of the cheapest — the selection rule of
-    §4.2's seed batching. [None] when every seed decoded to an invalid
-    selection. *)
+(** Decode every seed (row) of the (B, N) cp tensor, score the valid
+    decodes with {!Cost_model.dense}, and return (seed index, solution,
+    cost) of the cheapest — the selection rule of §4.2's seed batching.
+    The contract:
+    - A class's member is its argmax cp; on a cp tie the first-listed
+      (lowest-id) member wins.
+    - A seed whose selection is cyclic is not a candidate, nor is one
+      whose cost is not finite. [None] when no seed is a candidate.
+    - On a cost tie the lowest seed wins.
+    - Under [repair] the demoted class is the one whose chosen node
+      closes the cycle: the class on top of a depth-first search from
+      the root, over the chosen nodes' children in array order, when it
+      first meets a class still on its stack.
+    - Each seed is one depth-first walk over its cp row in place;
+      scratch is allocated once per call, not per seed.
+    @raise Invalid_argument when cp's width is not the node count. *)

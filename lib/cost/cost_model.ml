@@ -86,21 +86,25 @@ let relaxed m tape p =
 
 let dense m x =
   if Array.length x <> Array.length m.u then invalid_arg "Cost_model.dense: dimension mismatch";
+  let u = m.u in
   (* unselected nodes contribute nothing, even under a non-finite
      coefficient — 0 * nan would otherwise poison every solution's cost
-     instead of only the solutions that actually select the bad node *)
+     instead of only the solutions that actually select the bad node.
+     [for] loops over local refs: an [Array.iteri] closure would box one
+     float per term *)
   let lin = ref 0.0 in
-  Array.iteri (fun i u -> if x.(i) <> 0.0 then lin := !lin +. (u *. x.(i))) m.u;
+  for i = 0 to Array.length u - 1 do
+    if x.(i) <> 0.0 then lin := !lin +. (u.(i) *. x.(i))
+  done;
   match m.kind with
   | Linear -> !lin
   | Mlp_corrected mlp -> !lin +. Mlp.predict mlp x
   | Pairwise { ia; ib; w } ->
       let quad = ref 0.0 in
-      Array.iteri
-        (fun k wk ->
-          let xa = x.(ia.(k)) and xb = x.(ib.(k)) in
-          if xa <> 0.0 && xb <> 0.0 then quad := !quad +. (wk *. xa *. xb))
-        w;
+      for k = 0 to Array.length w - 1 do
+        let xa = x.(ia.(k)) and xb = x.(ib.(k)) in
+        if xa <> 0.0 && xb <> 0.0 then quad := !quad +. (w.(k) *. xa *. xb)
+      done;
       !lin +. !quad
 
 let dense_solution m g s =

@@ -94,16 +94,16 @@ module Solution : sig
   val of_node_choice : egraph -> int array -> s
   (** [of_node_choice g pick] where [pick.(j)] is a node id (a candidate
       choice for every class): materialises the selection reachable from
-      the root — the decode step shared by the samplers and the genetic
-      baseline. *)
+      the root — the decode step shared by the greedy heuristics and
+      the genetic and annealing baselines. *)
 
   type validity = Valid | No_root | Incomplete of int | Cyclic
 
   val validate : egraph -> s -> validity
   (** Checks completeness constraints (a) and (b) and acyclicity (c)
       restricted to classes reachable from the root through the
-      selection. [Incomplete c] names a selected class whose chosen
-      node has an unselected child class. *)
+      selection. [Incomplete c] names an unselected class that is a
+      child class of a reachable selected class's chosen node. *)
 
   val is_valid : egraph -> s -> bool
 

@@ -17,13 +17,6 @@ module P = Serve_protocol
 
 type verdict = Value | Typed of string
 
-(* [Gc.minor_words] is exact between collections, where the minor count
-   of [Gc.counters] is not; the major words less the promoted ones are
-   the blocks allocated straight in the major heap *)
-let allocated () =
-  let _, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
 let show s =
   if String.length s <= 80 then Printf.sprintf "%S" s
   else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 80) (String.length s)
@@ -31,12 +24,12 @@ let show s =
 (* the contract on one input; returns the verdict for further checks *)
 let holds name decode input =
   let bound = (256.0 *. float_of_int (String.length input)) +. 65536.0 in
-  let before = allocated () in
+  let before = Test_util.allocated_words () in
   let verdict =
     try decode input
     with e -> Alcotest.failf "%s raised %s on %s" name (Printexc.to_string e) (show input)
   in
-  let words = allocated () -. before in
+  let words = Test_util.allocated_words () -. before in
   if words > bound then
     Alcotest.failf "%s allocated %.0f words on %s (bound %.0f)" name words (show input) bound;
   verdict

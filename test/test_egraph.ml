@@ -153,7 +153,11 @@ let test_solution_validity_cases () =
   let partial = { Egraph.Solution.choice = Array.make (Egraph.num_classes g) None } in
   partial.Egraph.Solution.choice.(g.Egraph.root) <- Some root_node;
   (match Egraph.Solution.validate g partial with
-  | Egraph.Solution.Incomplete _ -> ()
+  | Egraph.Solution.Incomplete c ->
+      Alcotest.(check bool) "payload is a child class of the root's node" true
+        (Array.mem c g.Egraph.children.(root_node));
+      Alcotest.(check bool) "payload has no choice" true
+        (partial.Egraph.Solution.choice.(c) = None)
   | _ -> Alcotest.fail "expected Incomplete");
   Test_util.check_close ~msg:"invalid cost infinite" infinity
     (Egraph.Solution.dag_cost g partial)

@@ -432,14 +432,134 @@ let test_full_block_when_scc_off () =
 
 (* -------------------------------------------------------------- sampler *)
 
+(* The reference decode: every class takes its rank-th best cp member
+   (rank 0: the first-listed argmax), then the selection reachable from
+   the root is materialised. *)
+let reference_decode g ~row ~ranks =
+  let pick =
+    Array.init (Egraph.num_classes g) (fun c ->
+        let members = g.Egraph.class_nodes.(c) in
+        if ranks.(c) = 0 then begin
+          let best = ref members.(0) in
+          Array.iter (fun k -> if row.(k) > row.(!best) then best := k) members;
+          !best
+        end
+        else begin
+          let pairs = Array.map (fun k -> k, row.(k)) members in
+          Array.sort (fun (_, a) (_, b) -> compare b a) pairs;
+          let r = min ranks.(c) (Array.length members - 1) in
+          fst pairs.(r)
+        end)
+  in
+  Egraph.Solution.of_node_choice g pick
+
+(* One class on a directed cycle of the selected class graph: the class
+   a recursive depth-first search from the root is in when it meets a
+   class on its path. *)
+let reference_cycle_class g s =
+  let m = Egraph.num_classes g in
+  let colour = Array.make m 0 in
+  let witness = ref None in
+  let rec dfs c =
+    if !witness = None then begin
+      match s.Egraph.Solution.choice.(c) with
+      | None -> colour.(c) <- 2
+      | Some node ->
+          colour.(c) <- 1;
+          Array.iter
+            (fun child ->
+              if !witness = None then
+                if colour.(child) = 1 then witness := Some c
+                else if colour.(child) = 0 then dfs child)
+            g.Egraph.children.(node);
+          if colour.(c) = 1 then colour.(c) <- 2
+    end
+  in
+  dfs g.Egraph.root;
+  !witness
+
+(* Decode one seed; under repair, demote the cycle's class and decode
+   again, at most 16 times. *)
+let reference_sample ~repair g ~cp ~seed =
+  let row = Tensor.row cp seed in
+  let ranks = Array.make (Egraph.num_classes g) 0 in
+  let first = reference_decode g ~row ~ranks in
+  if not repair then first
+  else begin
+    let rec attempt s tries =
+      match Egraph.Solution.validate g s with
+      | Egraph.Solution.Valid | Egraph.Solution.No_root | Egraph.Solution.Incomplete _ -> s
+      | Egraph.Solution.Cyclic when tries <= 0 -> s
+      | Egraph.Solution.Cyclic -> (
+          match reference_cycle_class g s with
+          | None -> s
+          | Some c ->
+              if ranks.(c) + 1 >= Array.length g.Egraph.class_nodes.(c) then s
+              else begin
+                ranks.(c) <- ranks.(c) + 1;
+                attempt (reference_decode g ~row ~ranks) (tries - 1)
+              end)
+    in
+    attempt first 16
+  end
+
+(* Score every seed's decode with [Cost_model.dense_solution] and keep
+   the cheapest finite one, the lowest seed on a tie. *)
+let reference_best ~repair g ~model ~cp =
+  let best = ref None in
+  for seed = 0 to cp.Tensor.batch - 1 do
+    let s = reference_sample ~repair g ~cp ~seed in
+    let cost = Cost_model.dense_solution model g s in
+    if Float.is_finite cost then
+      match !best with
+      | Some (_, _, c) when c <= cost -> ()
+      | Some _ | None -> best := Some (seed, s, cost)
+  done;
+  !best
+
+let row_cp cp b = Tensor.init ~batch:1 ~width:cp.Tensor.width (fun _ i -> Tensor.get cp b i)
+
+let sampler_matches_reference =
+  qtest ~count:300 "walk matches the reference decode"
+    QCheck2.Gen.(
+      quad (Test_util.arb_egraph ~cycle_prob:0.3 ()) (int_range 1 8) (int_bound 1_000_000) bool)
+    (fun (g, batch, seed, fusion) ->
+      let rng = Rng.create seed in
+      let n = Egraph.num_nodes g in
+      (* costs whose sums round differently in another order *)
+      let decimals = [| 0.1; 0.2; 0.3; 0.7; 1.1 |] in
+      let g = Egraph.set_costs g (Array.init n (fun _ -> decimals.(Rng.int rng 5))) in
+      (* few cp levels: ties within a class and equal costs across seeds *)
+      let levels = [| 0.0; 0.25; 0.5; 1.0 |] in
+      let cp = Tensor.init ~batch ~width:n (fun _ _ -> levels.(Rng.int rng 4)) in
+      let model = if fusion then Cost_model.fusion_of_egraph rng g else Cost_model.of_egraph g in
+      let same a b =
+        match a, b with
+        | None, None -> true
+        | Some (sa, xa, ca), Some (sb, xb, cb) ->
+            sa = sb
+            && xa.Egraph.Solution.choice = xb.Egraph.Solution.choice
+            && Int64.equal (Int64.bits_of_float ca) (Int64.bits_of_float cb)
+        | Some _, None | None, Some _ -> false
+      in
+      List.for_all
+        (fun repair ->
+          same (Sampler.best_of_batch ~repair g ~model ~cp) (reference_best ~repair g ~model ~cp))
+        [ false; true ])
+
 let sampler_completeness =
   qtest "samples satisfy completeness (valid on DAGs)"
     QCheck2.Gen.(pair (Test_util.arb_egraph ~max_classes:7 ()) (int_bound 1_000_000))
     (fun (g, seed) ->
       let rng = Rng.create seed in
+      let model = Cost_model.of_egraph g in
       let cp = Tensor.init ~batch:3 ~width:(Egraph.num_nodes g) (fun _ _ -> Rng.uniform rng) in
-      let samples = Sampler.sample_all g ~cp in
-      Array.for_all (fun s -> Egraph.Solution.is_valid g s) samples)
+      List.for_all
+        (fun b ->
+          match Sampler.best_of_batch g ~model ~cp:(row_cp cp b) with
+          | Some (_, s, _) -> Egraph.Solution.is_valid g s
+          | None -> false)
+        [ 0; 1; 2 ])
 
 let sampler_picks_argmax =
   qtest "sampler picks the argmax-cp member of each selected class"
@@ -447,34 +567,38 @@ let sampler_picks_argmax =
     (fun (g, seed) ->
       let rng = Rng.create seed in
       let cp = Tensor.init ~batch:1 ~width:(Egraph.num_nodes g) (fun _ _ -> Rng.uniform rng) in
-      let s = Sampler.sample_seed g ~cp ~seed:0 in
-      let row = Tensor.row cp 0 in
-      let ok = ref true in
-      Array.iteri
-        (fun c choice ->
-          match choice with
-          | None -> ()
-          | Some n ->
-              Array.iter
-                (fun k -> if row.(k) > row.(n) +. 1e-12 then ok := false)
-                g.Egraph.class_nodes.(c))
-        s.Egraph.Solution.choice;
-      !ok)
+      match Sampler.best_of_batch g ~model:(Cost_model.of_egraph g) ~cp with
+      | None -> false
+      | Some (_, s, _) ->
+          let row = Tensor.row cp 0 in
+          let ok = ref true in
+          Array.iteri
+            (fun c choice ->
+              match choice with
+              | None -> ()
+              | Some n ->
+                  Array.iter
+                    (fun k -> if row.(k) > row.(n) +. 1e-12 then ok := false)
+                    g.Egraph.class_nodes.(c))
+            s.Egraph.Solution.choice;
+          !ok)
 
 let test_repair_breaks_cycle () =
   let g = two_cycle_egraph () in
   let n = Egraph.num_nodes g in
+  let model = Cost_model.of_egraph g in
   (* cp strongly prefers the cyclic pair *)
   let cp = Tensor.create ~batch:1 ~width:n in
   Array.iteri
     (fun i op ->
       Tensor.set cp 0 i (if op = "fwd" || op = "back" then 0.9 else 0.1))
     g.Egraph.ops;
-  let plain = Sampler.sample_seed ~repair:false g ~cp ~seed:0 in
   Alcotest.(check bool) "plain sample cyclic" true
-    (Egraph.Solution.validate g plain = Egraph.Solution.Cyclic);
-  let repaired = Sampler.sample_seed ~repair:true g ~cp ~seed:0 in
-  Alcotest.(check bool) "repaired valid" true (Egraph.Solution.is_valid g repaired)
+    (Sampler.best_of_batch ~repair:false g ~model ~cp = None);
+  match Sampler.best_of_batch ~repair:true g ~model ~cp with
+  | None -> Alcotest.fail "repair found no valid sample"
+  | Some (_, repaired, _) ->
+      Alcotest.(check bool) "repaired valid" true (Egraph.Solution.is_valid g repaired)
 
 let test_best_of_batch () =
   let g = Fig1.egraph () in
@@ -487,11 +611,39 @@ let test_best_of_batch () =
       Alcotest.(check bool) "seed in range" true (seed >= 0 && seed < 6);
       Test_util.check_close ~msg:"cost matches solution" (Egraph.Solution.dag_cost g s) cost;
       (* it is the minimum over all seeds *)
-      Array.iteri
-        (fun _ s' ->
-          let c' = Cost_model.dense_solution model g s' in
-          Alcotest.(check bool) "minimal" true (cost <= c' +. 1e-9))
-        (Sampler.sample_all g ~cp)
+      for b = 0 to 5 do
+        match Sampler.best_of_batch g ~model ~cp:(row_cp cp b) with
+        | None -> Alcotest.fail "seed without a valid sample on an acyclic e-graph"
+        | Some (_, _, c') -> Alcotest.(check bool) "minimal" true (cost <= c' +. 1e-9)
+      done
+
+(* Scratch is per call: 15 more seeds on box_3 (M = 234 classes) cost
+   fewer words than one more class-sized array. Both calls decode the
+   same winning row, so they return equal solutions. *)
+let test_sampler_allocates_per_call () =
+  let g = (Registry.find_instance "box_3").Registry.build () in
+  let model = Cost_model.of_egraph g in
+  let config = { cfg with Smoothe_config.batch = 16 } in
+  let compiled = Relaxation.compile config g in
+  let rng = Rng.create 3 in
+  let theta = Tensor.init ~batch:16 ~width:(Egraph.num_nodes g) (fun _ _ -> Rng.gaussian rng) in
+  let cp = Ad.value (Relaxation.forward compiled ~config ~model ~theta).Relaxation.cp in
+  let was_on = !Obs.on in
+  Obs.on := false;
+  Fun.protect ~finally:(fun () -> Obs.on := was_on) @@ fun () ->
+  match Sampler.best_of_batch g ~model ~cp with
+  | None -> Alcotest.fail "no valid seed at random theta"
+  | Some (winner, _, _) ->
+      let one = row_cp cp winner in
+      let words cp =
+        let before = Test_util.allocated_words () in
+        ignore (Sys.opaque_identity (Sampler.best_of_batch g ~model ~cp));
+        Test_util.allocated_words () -. before
+      in
+      let w16 = words cp and w1 = words one in
+      let m = Egraph.num_classes g in
+      if w16 -. w1 >= float_of_int m then
+        Alcotest.failf "batch 16 allocated %.0f words, batch 1 %.0f (bound: %d more)" w16 w1 m
 
 (* ------------------------------------------------------------- full loop *)
 
@@ -850,6 +1002,8 @@ let () =
           sampler_picks_argmax;
           Alcotest.test_case "repair breaks cycles" `Quick test_repair_breaks_cycle;
           Alcotest.test_case "best of batch" `Quick test_best_of_batch;
+          sampler_matches_reference;
+          Alcotest.test_case "scratch per call" `Quick test_sampler_allocates_per_call;
         ] );
       ( "extract",
         [

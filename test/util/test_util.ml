@@ -99,6 +99,15 @@ let star_cp (x : Tensor.t) (seg : Segments.t) =
   Tensor.init ~batch:x.Tensor.batch ~width:(w + Segments.count seg) (fun b i ->
       if i < w then Tensor.get x b i else 1.0)
 
+(* Words allocated so far, blocks made straight in the major heap
+   included. [Gc.minor_words] is exact between collections, where the
+   minor count of [Gc.counters] (and so [Gc.allocated_bytes]) is not;
+   the major words less the promoted ones are the blocks allocated
+   straight in the major heap. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let float_close ?(tol = 1e-6) a b =
   if Float.is_finite a && Float.is_finite b then
     Float.abs (a -. b) <= tol *. (1.0 +. Float.abs a +. Float.abs b)
