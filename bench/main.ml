@@ -29,6 +29,21 @@ let kernels () =
     Tensor.init ~batch:64 ~width:64 (fun i j -> if i = j then 0.1 else 0.3 /. 64.0)
   in
   let lp_enc = Ilp.encode ((Registry.find_instance "mcm_8").Registry.build ()) in
+  (* a depth-1 B&B child of mcm_8: the most fractional root variable
+     fixed to 0, re-solved from the root's tableau *)
+  let lp_resolve =
+    match Lp.solve_root lp_enc.Ilp.problem with
+    | Lp.Optimal { x; _ }, Some root ->
+        let frac j = Float.abs (x.(j) -. Float.round x.(j)) in
+        let j = ref 0 in
+        Array.iteri (fun k _ -> if frac k > frac !j then j := k) x;
+        let upper = Array.copy lp_enc.Ilp.problem.Lp.upper in
+        upper.(!j) <- 0.0;
+        let child = { lp_enc.Ilp.problem with Lp.upper } in
+        let scratch = Lp.scratch root in
+        fun () -> ignore (Lp.resolve root scratch child)
+    | _ -> failwith "kernels: mcm_8's root LP is not optimal"
+  in
   let tests =
     [
       (* Tables 2/3: one SmoothE optimisation step (forward + backward) *)
@@ -45,6 +60,8 @@ let kernels () =
       (* Eq. 1: the LP relaxation at the root of the ILP branch-and-bound *)
       Test.make ~name:"lp_relaxation_mcm8(table2)"
         (Staged.stage (fun () -> ignore (Lp.solve lp_enc.Ilp.problem)));
+      (* the same LP's depth-1 child, as B&B solves every node after the root *)
+      Test.make ~name:"lp_resolve_mcm8(table2)" (Staged.stage lp_resolve);
       (* the egg worklist heuristic (baseline of every table) *)
       Test.make ~name:"greedy_worklist(table4)"
         (Staged.stage (fun () -> ignore (Greedy.class_costs setcov)));

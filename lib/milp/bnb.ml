@@ -89,7 +89,9 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
   Array.iter
     (fun j ->
       if p.Lp.upper.(j) > 1.0 +. int_tol then
-        invalid_arg "Bnb.solve: integer variables must be binary (upper bound 1)")
+        invalid_arg "Bnb.solve: integer variables must be binary (upper bound 1)";
+      if p.Lp.lower.(j) < -.int_tol then
+        invalid_arg "Bnb.solve: integer variables must be binary (lower bound 0)")
     integer_vars;
   Trace.with_span ~cat:"milp"
     ~attrs:
@@ -195,6 +197,24 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
     else Heap.fold (fun acc n -> Float.min acc n.bound) infinity frontier
   in
   let pool = match pool with Some p -> p | None -> Pool.get () in
+  (* The root's optimal tableau, kept for the rest of the call, and one
+     scratch tableau per wave slice, made on first use and reused. *)
+  let root = ref None in
+  let scratch = Array.make (min (Pool.size pool) wave_width) None in
+  let solve_slice k nodes =
+    match !root with
+    | None -> Array.map (fun node -> Lp.solve ~deadline (apply_fixes p node.fixes)) nodes
+    | Some r ->
+        let s =
+          match scratch.(k) with
+          | Some s -> s
+          | None ->
+              let s = Lp.scratch r in
+              scratch.(k) <- Some s;
+              s
+        in
+        Array.map (fun node -> Lp.resolve ~deadline r s (apply_fixes p node.fixes)) nodes
+  in
   let wave = Vec.create () in
   let rec loop () =
     if Heap.is_empty frontier then exhausted := true
@@ -210,16 +230,29 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
       done;
       if Vec.is_empty wave then loop ()
       else begin
-        (* LP-solve the wave concurrently. Each task is a pure function
-           of its node (fresh sub-problem, no shared state), and
-           [Pool.run_array] joins in input order, so the results arrive
-           exactly as a sequential left-to-right solve would produce
-           them whatever the pool size. *)
+        (* The root is alone in the first wave; its tableau is where
+           every later node's re-solve starts. A later wave runs as one
+           contiguous slice per pool slot, solved in order on that
+           slice's scratch. A node's result depends only on the root
+           and its fixes, and [Pool.run_array] joins in input order, so
+           the results arrive exactly as a sequential left-to-right
+           solve would produce them whatever the pool size. *)
         let results =
-          Pool.run_array pool
-            (Array.map
-               (fun node () -> Lp.solve ~deadline (apply_fixes p node.fixes))
-               (Vec.to_array wave))
+          if !nodes = 0 then begin
+            let res, handle = Lp.solve_root ~deadline (apply_fixes p (Vec.get wave 0).fixes) in
+            root := handle;
+            [| res |]
+          end
+          else
+            let all = Vec.to_array wave in
+            let n = Array.length all in
+            let slices = min (Array.length scratch) n in
+            let slice k =
+              let lo = k * n / slices in
+              Array.sub all lo (((k + 1) * n / slices) - lo)
+            in
+            Pool.run_array pool (Array.init slices (fun k () -> solve_slice k (slice k)))
+            |> Array.to_list |> Array.concat
         in
         (* Incumbent updates, rounding and branching stay sequential and
            in wave order: the only state they touch is deterministic. *)

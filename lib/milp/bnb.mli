@@ -11,14 +11,25 @@
     effort, mirroring the commercial-vs-open-source quality split the
     paper observes; see DESIGN.md for the substitution argument.
 
+    Node LPs: the root is solved alone by the cold path ({!Lp.solve_root})
+    and its optimal tableau is kept for the rest of the call. Every later
+    node is re-solved by dual simplex from that tableau with the node's
+    fixes applied ({!Lp.resolve}), not from the slack basis, and falls
+    back to a cold solve only when the re-solve gives up. Each pool slot
+    re-solves into one scratch tableau, reused across waves and dropped
+    when the call returns, so a call on J domains holds at most 1 + J
+    tableaux.
+
     Node exploration is wave-parallel: each iteration pops a fixed-width
     wave of frontier nodes (in a strict total order — bound or depth,
     with a push-sequence tie-break) and LP-solves them concurrently on a
-    {!Pool}; incumbent updates and branching are then applied
-    sequentially in wave order. Because the wave width never depends on
-    the pool size and {!Pool.run_array} joins in input order, the
-    explored node sequence — and with it the incumbent, bound, node
-    count and trace costs — is bit-identical at any [--jobs]. *)
+    {!Pool}, one contiguous slice per slot; incumbent updates and
+    branching are then applied sequentially in wave order. A node's
+    result depends only on the root's tableau and its own fixes, the
+    wave width never depends on the pool size, and {!Pool.run_array}
+    joins in input order, so the explored node sequence — and with it
+    the incumbent, bound, node count and trace costs — is bit-identical
+    at any [--jobs]. *)
 
 type branch_rule = Most_fractional | First_fractional
 type search_order = Best_bound | Depth_first

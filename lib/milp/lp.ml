@@ -177,6 +177,9 @@ let shift tb e step =
 
 type phase_result = Popt | Punbounded | Ptimeout
 
+(* Both simplex loops give up after this many iterations. *)
+let iter_cap tb = (50 * (tb.m + tb.ncols)) + 1000
+
 (* Minimise cᵀx' over the current tableau. *)
 let run_phase ?(deadline = Timer.no_deadline) tb cost =
   (* reduced costs c_j - c_B B^{-1} A_j, read off the tableau once *)
@@ -197,7 +200,7 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost =
   let gain j =
     if tb.range.(j) > 0.0 then if tb.at_upper.(j) then d.(j) else -.d.(j) else 0.0
   in
-  let iter_cap = (50 * (tb.m + tb.ncols)) + 1000 in
+  let iter_cap = iter_cap tb in
   let rec loop iter bland =
     if Timer.poll deadline iter then Ptimeout
     else if iter > iter_cap then Ptimeout
@@ -282,15 +285,37 @@ let tableau_cells p =
   (* columns <= nvars + one slack + one artificial per row *)
   rows * (p.nvars + (2 * rows) + 1)
 
-let solve ?(deadline = Timer.no_deadline) p =
-  if !Obs.on then Metrics.incr "lp.solves";
-  if p.nvars = 0 then Optimal { x = [||]; obj = 0.0 }
-  else if Array.exists2 ( > ) p.lower p.upper then Infeasible
-  else if tableau_cells p > max_tableau_cells then Timeout
+(* The optimal point the tableau describes, with round-off just outside a
+   bound cleaned. *)
+let optimal p tb =
+  let x = Array.init p.nvars (fun j -> if tb.at_upper.(j) then p.upper.(j) else p.lower.(j)) in
+  for i = 0 to tb.m - 1 do
+    let b = tb.basis.(i) in
+    if b < p.nvars then x.(b) <- p.lower.(b) +. tb.value.(i)
+  done;
+  for j = 0 to p.nvars - 1 do
+    if x.(j) < p.lower.(j) && x.(j) > p.lower.(j) -. feas_tol then x.(j) <- p.lower.(j)
+    else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then x.(j) <- p.upper.(j)
+  done;
+  Optimal { x; obj = eval_objective p x }
+
+(* The root's optimal tableau over x' = x - lower, with the bounds it
+   was solved at and the phase-2 costs. Read-only once built, so any
+   number of re-solves may start from it concurrently. *)
+type root = { tb : tableau; lower : float array; upper : float array; cost : float array }
+type scratch = tableau
+
+(* The cold path: phase 1 from the slack basis, then phase 2. An optimal
+   result comes with its final tableau. *)
+let cold ~deadline p =
+  if p.nvars = 0 then (Optimal { x = [||]; obj = 0.0 }, None)
+  else if Array.exists2 ( > ) p.lower p.upper then (Infeasible, None)
+  else if tableau_cells p > max_tableau_cells then (Timeout, None)
   else if Fault_plan.stall_solver deadline then
     (* injected stall: the solver makes no progress until its deadline
        passes, exactly like a pathological simplex instance *)
-    Timeout
+    (Timeout, None)
+  else if Timer.expired deadline then (Timeout, None) (* no tableau to build *)
   else begin
     let tb = build_tableau p in
     let has_artificials = tb.art_start < tb.ncols in
@@ -305,14 +330,16 @@ let solve ?(deadline = Timer.no_deadline) p =
       end
     in
     match phase1_outcome with
-    | Ptimeout -> Timeout
-    | Punbounded -> Infeasible (* phase 1 is bounded below by 0; treat as numerical failure *)
+    | Ptimeout -> (Timeout, None)
+    | Punbounded ->
+        (* phase 1 is bounded below by 0; treat as numerical failure *)
+        (Infeasible, None)
     | Popt ->
         let art_value = ref 0.0 in
         for i = 0 to tb.m - 1 do
           if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.value.(i)
         done;
-        if !art_value > feas_tol then Infeasible
+        if !art_value > feas_tol then (Infeasible, None)
         else begin
           (* Drive remaining (zero-valued) artificials out of the basis;
              the entering column keeps its bound value. *)
@@ -340,24 +367,159 @@ let solve ?(deadline = Timer.no_deadline) p =
           let cost2 = Array.make tb.ncols 0.0 in
           Array.blit p.objective 0 cost2 0 p.nvars;
           match run_phase ~deadline tb cost2 with
-          | Ptimeout -> Timeout
-          | Punbounded -> Unbounded
+          | Ptimeout -> (Timeout, None)
+          | Punbounded -> (Unbounded, None)
           | Popt ->
-              let x =
-                Array.init p.nvars (fun j ->
-                    if tb.at_upper.(j) then p.upper.(j) else p.lower.(j))
-              in
-              for i = 0 to tb.m - 1 do
-                let b = tb.basis.(i) in
-                if b < p.nvars then x.(b) <- p.lower.(b) +. tb.value.(i)
-              done;
-              (* clean round-off just outside a bound *)
-              for j = 0 to p.nvars - 1 do
-                if x.(j) < p.lower.(j) && x.(j) > p.lower.(j) -. feas_tol then
-                  x.(j) <- p.lower.(j)
-                else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then
-                  x.(j) <- p.upper.(j)
-              done;
-              Optimal { x; obj = eval_objective p x }
+              let lower = Array.copy p.lower and upper = Array.copy p.upper in
+              (optimal p tb, Some { tb; lower; upper; cost = cost2 })
         end
+  end
+
+let solve_root ?(deadline = Timer.no_deadline) p =
+  if !Obs.on then Metrics.incr "lp.solves";
+  cold ~deadline p
+
+let solve ?deadline p = fst (solve_root ?deadline p)
+
+let scratch root =
+  let src = root.tb in
+  {
+    src with
+    t = Array.make_matrix (src.m + 1) src.ncols 0.0;
+    value = Array.make src.m 0.0;
+    basis = Array.make src.m 0;
+    range = Array.make src.ncols 0.0;
+    at_upper = Array.make src.ncols false;
+    nz = Array.make src.ncols 0;
+  }
+
+type dual_result = Dfeasible | Dinfeasible | Dgave_up
+
+(* Bounded dual simplex: the reduced costs stay dual feasible while
+   pivots drive every basic value into [0, range]. *)
+let run_dual ~deadline tb =
+  let d = tb.t.(tb.m) in
+  let iter_cap = iter_cap tb in
+  let rec loop iter =
+    if Timer.poll deadline iter || iter > iter_cap then Dgave_up
+    else begin
+      (* leaving row: the largest bound violation, the lowest row on a tie *)
+      let r = ref (-1) and worst = ref eps in
+      for i = 0 to tb.m - 1 do
+        let v = tb.value.(i) in
+        let violation = Float.max (-.v) (v -. tb.range.(tb.basis.(i))) in
+        if violation > !worst then begin
+          worst := violation;
+          r := i
+        end
+      done;
+      if !r < 0 then Dfeasible
+      else begin
+        let r = !r in
+        let leave = tb.basis.(r) in
+        let above = tb.value.(r) > tb.range.(leave) in
+        let row = tb.t.(r) in
+        (* entering column: a unit move off its bound changes the
+           leaving value by -sa (sa = a at lower, -a at upper). Of the
+           columns that move it back toward its bound, the smallest
+           |d_j / a| keeps every reduced cost's sign; a tie goes to the
+           larger |a|, then to the lower index. *)
+        let e = ref (-1) and best = ref infinity and best_a = ref 0.0 in
+        for j = 0 to tb.ncols - 1 do
+          let a = row.(j) in
+          if j <> leave && tb.range.(j) > 0.0 && Float.abs a > eps then begin
+            let sa = if tb.at_upper.(j) then -.a else a in
+            if (above && sa > 0.0) || ((not above) && sa < 0.0) then begin
+              let ratio = Float.abs (d.(j) /. a) in
+              if ratio < !best -. eps || (ratio <= !best +. eps && Float.abs a > !best_a)
+              then begin
+                best := ratio;
+                best_a := Float.abs a;
+                e := j
+              end
+            end
+          end
+        done;
+        if !e < 0 then Dinfeasible
+        else begin
+          let e = !e in
+          let target = if above then tb.range.(leave) else 0.0 in
+          let step = (tb.value.(r) -. target) /. row.(e) in
+          shift tb e step;
+          tb.value.(r) <- (if tb.at_upper.(e) then tb.range.(e) else 0.0) +. step;
+          tb.at_upper.(leave) <- above;
+          tb.at_upper.(e) <- false;
+          pivot tb r e;
+          loop (iter + 1)
+        end
+      end
+    end
+  in
+  loop 0
+
+let resolve ?(deadline = Timer.no_deadline) root tb p =
+  let src = root.tb in
+  let n = Array.length root.lower in
+  if
+    p.nvars <> n
+    || Array.length p.lower <> n
+    || Array.length p.upper <> n
+    || List.compare_length_with p.constraints src.m <> 0
+    || tb.m <> src.m
+    || tb.ncols <> src.ncols
+  then invalid_arg "Lp.resolve: problem or scratch does not match the root";
+  if !Obs.on then Metrics.incr "lp.solves";
+  let answer res =
+    if !Obs.on then Metrics.incr "lp.resolves";
+    res
+  in
+  let fall_back () =
+    if !Obs.on then Metrics.incr "lp.resolve_fallbacks";
+    fst (cold ~deadline p)
+  in
+  if Array.exists2 ( > ) p.lower p.upper then answer Infeasible
+  else if Fault_plan.stall_solver deadline then answer Timeout
+  else begin
+    for i = 0 to src.m do
+      Array.blit src.t.(i) 0 tb.t.(i) 0 src.ncols
+    done;
+    Array.blit src.value 0 tb.value 0 src.m;
+    Array.blit src.basis 0 tb.basis 0 src.m;
+    Array.blit src.range 0 tb.range 0 src.ncols;
+    Array.blit src.at_upper 0 tb.at_upper 0 src.ncols;
+    (* Move to the new bounds in x' = x - lower. The pivot's scratch
+       holds each column's basic row (-1 if nonbasic) until the first
+       pivot overwrites it. *)
+    let row_of = tb.nz in
+    Array.fill row_of 0 tb.ncols (-1);
+    for i = 0 to tb.m - 1 do
+      row_of.(tb.basis.(i)) <- i
+    done;
+    let finite = ref true in
+    for j = 0 to n - 1 do
+      let dl = p.lower.(j) -. root.lower.(j) in
+      tb.range.(j) <- p.upper.(j) -. p.lower.(j);
+      if row_of.(j) >= 0 then
+        (* basic: the value is unchanged, its offset from lower is not *)
+        tb.value.(row_of.(j)) <- tb.value.(row_of.(j)) -. dl
+      else begin
+        (* nonbasic: to the new bound on the same side, so d_j keeps its
+           sign; the basic values follow along the column *)
+        let step = if tb.at_upper.(j) then p.upper.(j) -. root.upper.(j) else dl in
+        if not (Float.is_finite step) then finite := false
+        else if step <> 0.0 then shift tb j step
+      end
+    done;
+    if not !finite then fall_back ()
+    else
+      match run_dual ~deadline tb with
+      | Dgave_up -> fall_back ()
+      | Dinfeasible -> answer Infeasible
+      | Dfeasible -> (
+          (* recomputes the reduced costs and takes up any round-off;
+             normally it makes no pivot *)
+          match run_phase ~deadline tb root.cost with
+          | Ptimeout -> fall_back ()
+          | Punbounded -> answer Unbounded
+          | Popt -> answer (optimal p tb))
   end

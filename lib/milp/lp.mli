@@ -1,4 +1,4 @@
-(** Linear programming by bounded-variable two-phase primal simplex.
+(** Linear programming by bounded-variable simplex, on two paths.
 
     Substrate for the ILP e-graph extraction baselines (Eq. 1 of the
     paper). Minimises cᵀx subject to linear constraints and box bounds
@@ -9,10 +9,20 @@
     other bound without a pivot (counted as [lp.bound_flips]; [lp.pivots]
     counts basis changes). A pivot touches only the nonzero columns of its
     row, and the reduced costs are one more row that the pivots update.
-    Uses Dantzig pricing with a switch to Bland's rule after a stall
-    threshold to guarantee termination, and supports an external deadline
-    so branch-and-bound can honour the paper's 15-minute-style time
-    limits. *)
+
+    - The cold path ({!solve}, {!solve_root}) is two-phase primal simplex
+      from the slack basis. It uses Dantzig pricing with a switch to
+      Bland's rule after a stall threshold to guarantee termination.
+    - The re-solve ({!resolve}) starts from a copy of a root's optimal
+      tableau with new bounds applied on the side each nonbasic column
+      sat at, which keeps the reduced costs' signs, and runs dual simplex
+      until the basis is primal feasible. It is how branch-and-bound
+      solves every node after the root.
+
+    Both honour an external deadline, so branch-and-bound can keep the
+    paper's 15-minute-style time limits. Every LP either path answers
+    counts in [lp.solves]; [lp.resolves] counts those the re-solve
+    answered itself. *)
 
 type relation = Le | Ge | Eq
 
@@ -42,6 +52,42 @@ type result =
           would exceed the solver's memory capacity *)
 
 val solve : ?deadline:Timer.deadline -> problem -> result
+(** The cold path. *)
+
+type root
+(** A root LP's optimal tableau and the bounds it was solved at. It is
+    read-only once built, so re-solves on several domains may share it. *)
+
+type scratch
+(** A tableau-sized buffer that {!resolve} overwrites. One per domain. *)
+
+val solve_root : ?deadline:Timer.deadline -> problem -> result * root option
+(** [solve] that also hands back the final tableau. The handle is
+    [Some] only when the result is [Optimal]. *)
+
+val scratch : root -> scratch
+(** A fresh buffer shaped like [root]'s tableau. The root, and each
+    scratch, is one tableau of at most [max_tableau_cells] cells (30
+    million), so a caller that keeps one scratch per domain holds at
+    most 1 + J tableaux on J domains. *)
+
+val resolve : ?deadline:Timer.deadline -> root -> scratch -> problem -> result
+(** [resolve root scratch p] solves [p], which must have the root's rows
+    and objective, under its own bounds. It blits the root's tableau into
+    [scratch], moves each nonbasic column to its new bound on the side it
+    sat at, runs dual simplex (leaving row: largest bound violation;
+    entering column: smallest |d_j / a_rj| among those that move the
+    leaving variable back toward its bound), then one primal pass that
+    takes up round-off. It allocates little beyond the returned point
+    (no tableau). The result
+    is a function of [root] and [p] alone, whatever [scratch] held.
+
+    It falls back to the cold path, counting [lp.resolve_fallbacks],
+    when the dual simplex hits the cold path's iteration cap or the
+    deadline, or when a nonbasic column's new bound is not finite.
+    Honours an injected solver stall like {!solve}.
+    @raise Invalid_argument if [p] or [scratch] is not shaped like
+    [root]. *)
 
 val check_feasible : ?tol:float -> problem -> float array -> bool
 (** Constraint + bound satisfaction check for a candidate point —

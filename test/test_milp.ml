@@ -229,6 +229,35 @@ let lp_matches_vertex_oracle =
       | None, Lp.Infeasible -> true
       | _ -> false)
 
+(* Branch-and-bound's re-solve against two oracles: tighten a solved
+   root's bounds at random, as fixes do, and [Lp.resolve] must agree
+   with the best vertex and with a cold solve. The scratch first holds
+   another re-solve, since a result may not depend on what it held. *)
+let lp_resolve_matches_cold =
+  qtest ~count:3000 "re-solve from the root basis = cold solve"
+    QCheck2.Gen.(pair bounded_lp_gen (array_repeat 4 (int_range 0 3)))
+    (fun (p, moves) ->
+      match Lp.solve_root p with
+      | _, None -> true
+      | _, Some root ->
+          let lower = Array.copy p.Lp.lower and upper = Array.copy p.Lp.upper in
+          for j = 0 to p.Lp.nvars - 1 do
+            match moves.(j) with
+            | 0 -> upper.(j) <- lower.(j) (* fix at lower *)
+            | 1 -> lower.(j) <- upper.(j) (* fix at upper *)
+            | 2 -> upper.(j) <- Float.min upper.(j) (lower.(j) +. 1.0)
+            | _ -> ()
+          done;
+          let q = { p with Lp.lower; upper } in
+          let scratch = Lp.scratch root in
+          ignore (Lp.resolve root scratch p);
+          let close v obj = Float.abs (obj -. v) <= 1e-6 *. Float.max 1.0 (Float.abs v) in
+          (match (best_vertex q, Lp.solve q, Lp.resolve root scratch q) with
+          | Some v, Lp.Optimal { obj = cold; _ }, Lp.Optimal { x; obj } ->
+              close v obj && close v cold && Lp.check_feasible q x
+          | None, Lp.Infeasible, Lp.Infeasible -> true
+          | _ -> false))
+
 let test_lp_bound_flip () =
   (* min -x0 - x1 with x0 + x1 <= 5 never binding: both columns flip to
      their upper bound and the basis never changes *)
@@ -274,6 +303,35 @@ let test_lp_crossed_bounds () =
       Lp.lower = [| 0.0; 1.0 |] }
   in
   Alcotest.(check bool) "lower > upper is infeasible" true (Lp.solve p = Lp.Infeasible)
+
+let test_lp_resolve_allocation () =
+  (* a depth-1 child of mcm_8's ILP, re-solved from the root into a
+     pre-made scratch, allocates its answer and nothing tableau-sized *)
+  let p = (Ilp.encode ((Registry.find_instance "mcm_8").Registry.build ())).Ilp.problem in
+  match Lp.solve_root p with
+  | Lp.Optimal { x; _ }, Some root ->
+      let frac k = Float.abs (x.(k) -. Float.round x.(k)) in
+      let j = ref 0 in
+      Array.iteri (fun k _ -> if frac k > frac !j then j := k) x;
+      Alcotest.(check bool) "root is fractional" true (frac !j > 1e-6);
+      let upper = Array.copy p.Lp.upper in
+      upper.(!j) <- 0.0;
+      let child = { p with Lp.upper } in
+      let scratch = Lp.scratch root in
+      let before = Test_util.allocated_words () in
+      let res = Lp.resolve root scratch child in
+      let words = Test_util.allocated_words () -. before in
+      let rows = List.length p.Lp.constraints in
+      (* a lower bound on the tableau: one slack or artificial per row *)
+      let tableau_words = float_of_int ((rows + 1) * (p.Lp.nvars + rows)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words < a tenth of %.0f" words tableau_words)
+        true (words < tableau_words /. 10.0);
+      (match (res, Lp.solve child) with
+      | Lp.Optimal { obj; _ }, Lp.Optimal { obj = cold; _ } ->
+          Test_util.check_close ~msg:"same objective as cold" cold obj
+      | _ -> Alcotest.fail "expected optimal")
+  | _ -> Alcotest.fail "expected an optimal root"
 
 (* ------------------------------------------------------------------ MILP *)
 
@@ -356,6 +414,22 @@ let test_bnb_rejects_general_integers () =
   Alcotest.check_raises "binaries only"
     (Invalid_argument "Bnb.solve: integer variables must be binary (upper bound 1)") (fun () ->
       ignore (Bnb.solve p ~integer_vars:[| 0 |] (Bnb.default_options Bnb.cbc_like)))
+
+let test_bnb_rejects_negative_lower () =
+  (* x in [-3, 1], x >= -1.5: a child fixing x to 0 keeps the same LP,
+     so B&B used to loop to its node limit on it *)
+  let p =
+    {
+      (lp ~nvars:1 ~objective:[| 1.0 |] ~constraints:[ constr [ (0, 1.0) ] Lp.Ge (-1.5) ]
+         ~upper:[| 1.0 |])
+      with
+      Lp.lower = [| -3.0 |];
+    }
+  in
+  let opts = { (Bnb.default_options Bnb.cplex_like) with Bnb.node_limit = 2_000 } in
+  Alcotest.check_raises "binaries only"
+    (Invalid_argument "Bnb.solve: integer variables must be binary (lower bound 0)") (fun () ->
+      ignore (Bnb.solve p ~integer_vars:[| 0 |] opts))
 
 let test_bnb_time_limit () =
   (* a moderately hard feasibility-tight instance with a microscopic
@@ -464,7 +538,14 @@ let test_bnb_jobs_bit_identical () =
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () -> Bnb.solve ~pool p ~integer_vars:(Array.init nvars Fun.id) opts)
   in
-  let a = solve_with 1 in
+  (* on one domain every counter lands in this scope *)
+  let a, resolves, fallbacks =
+    Metrics.scoped (fun () ->
+        let a = Obs.with_enabled (fun () -> solve_with 1) in
+        (a, Metrics.counter_value "lp.resolves", Metrics.counter_value "lp.resolve_fallbacks"))
+  in
+  Alcotest.(check bool) "nodes re-solved from the root" true (resolves > 0.0);
+  Alcotest.(check (float 0.0)) "no re-solve fell back" 0.0 fallbacks;
   let b = solve_with 4 in
   Alcotest.(check bool) "objective identical" true (a.Bnb.objective = b.Bnb.objective);
   Alcotest.(check bool) "bound identical" true (a.Bnb.best_bound = b.Bnb.best_bound);
@@ -541,6 +622,8 @@ let () =
           Alcotest.test_case "lower > upper" `Quick test_lp_crossed_bounds;
           lp_optimum_dominates_random_points;
           lp_matches_vertex_oracle;
+          Alcotest.test_case "re-solve allocation" `Quick test_lp_resolve_allocation;
+          lp_resolve_matches_cold;
         ] );
       ( "bnb",
         [
@@ -557,5 +640,7 @@ let () =
           Alcotest.test_case "relative tolerance at 1e10" `Quick
             test_bnb_relative_tolerance_scaled;
           bnb_bound_is_valid;
+          Alcotest.test_case "rejects negative lower bounds" `Quick
+            test_bnb_rejects_negative_lower;
         ] );
     ]
