@@ -201,19 +201,16 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
      scratch tableau per wave slice, made on first use and reused. *)
   let root = ref None in
   let scratch = Array.make (min (Pool.size pool) wave_width) None in
-  let solve_slice k nodes =
-    match !root with
-    | None -> Array.map (fun node -> Lp.solve ~deadline (apply_fixes p node.fixes)) nodes
-    | Some r ->
-        let s =
-          match scratch.(k) with
-          | Some s -> s
-          | None ->
-              let s = Lp.scratch r in
-              scratch.(k) <- Some s;
-              s
-        in
-        Array.map (fun node -> Lp.resolve ~deadline r s (apply_fixes p node.fixes)) nodes
+  let solve_slice r k nodes =
+    let s =
+      match scratch.(k) with
+      | Some s -> s
+      | None ->
+          let s = Lp.scratch r in
+          scratch.(k) <- Some s;
+          s
+    in
+    Array.map (fun node -> Lp.resolve ~deadline r s (apply_fixes p node.fixes)) nodes
   in
   let wave = Vec.create () in
   let rec loop () =
@@ -244,6 +241,8 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
             [| res |]
           end
           else
+            (* only an optimal root branches, and it comes with its tableau *)
+            let r = Option.get !root in
             let all = Vec.to_array wave in
             let n = Array.length all in
             let slices = min (Array.length scratch) n in
@@ -251,7 +250,7 @@ let solve ?pool ?health (p : Lp.problem) ~integer_vars options =
               let lo = k * n / slices in
               Array.sub all lo (((k + 1) * n / slices) - lo)
             in
-            Pool.run_array pool (Array.init slices (fun k () -> solve_slice k (slice k)))
+            Pool.run_array pool (Array.init slices (fun k () -> solve_slice r k (slice k)))
             |> Array.to_list |> Array.concat
         in
         (* Incumbent updates, rounding and branching stay sequential and

@@ -315,7 +315,6 @@ let cold ~deadline p =
     (* injected stall: the solver makes no progress until its deadline
        passes, exactly like a pathological simplex instance *)
     (Timeout, None)
-  else if Timer.expired deadline then (Timeout, None) (* no tableau to build *)
   else begin
     let tb = build_tableau p in
     let has_artificials = tb.art_start < tb.ncols in
@@ -473,12 +472,15 @@ let resolve ?(deadline = Timer.no_deadline) root tb p =
     if !Obs.on then Metrics.incr "lp.resolves";
     res
   in
+  (* a deadline that has passed counts as a fallback but leaves no time
+     for the cold path, so it answers Timeout without building a tableau *)
   let fall_back () =
     if !Obs.on then Metrics.incr "lp.resolve_fallbacks";
-    fst (cold ~deadline p)
+    if Timer.expired deadline then Timeout else fst (cold ~deadline p)
   in
   if Array.exists2 ( > ) p.lower p.upper then answer Infeasible
   else if Fault_plan.stall_solver deadline then answer Timeout
+  else if Timer.expired deadline then fall_back ()
   else begin
     for i = 0 to src.m do
       Array.blit src.t.(i) 0 tb.t.(i) 0 src.ncols

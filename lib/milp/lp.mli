@@ -83,9 +83,11 @@ val resolve : ?deadline:Timer.deadline -> root -> scratch -> problem -> result
     is a function of [root] and [p] alone, whatever [scratch] held.
 
     It falls back to the cold path, counting [lp.resolve_fallbacks],
-    when the dual simplex hits the cold path's iteration cap or the
-    deadline, or when a nonbasic column's new bound is not finite.
-    Honours an injected solver stall like {!solve}.
+    when the dual simplex hits the cold path's iteration cap or when a
+    nonbasic column's new bound is not finite. A deadline that has
+    passed, before or during the re-solve, counts there too but answers
+    [Timeout] without a cold solve. Honours an injected solver stall
+    like {!solve}.
     @raise Invalid_argument if [p] or [scratch] is not shaped like
     [root]. *)
 

@@ -232,25 +232,30 @@ let lp_matches_vertex_oracle =
 (* Branch-and-bound's re-solve against two oracles: tighten a solved
    root's bounds at random, as fixes do, and [Lp.resolve] must agree
    with the best vertex and with a cold solve. The scratch first holds
-   another re-solve, since a result may not depend on what it held. *)
+   the re-solve of another child, its basis, flags and values, since a
+   result may not depend on what the scratch held. *)
 let lp_resolve_matches_cold =
+  let moves = QCheck2.Gen.(array_repeat 4 (int_range 0 3)) in
   qtest ~count:3000 "re-solve from the root basis = cold solve"
-    QCheck2.Gen.(pair bounded_lp_gen (array_repeat 4 (int_range 0 3)))
-    (fun (p, moves) ->
+    QCheck2.Gen.(triple bounded_lp_gen moves moves)
+    (fun (p, moves, earlier) ->
+      let child moves =
+        let lower = Array.copy p.Lp.lower and upper = Array.copy p.Lp.upper in
+        for j = 0 to p.Lp.nvars - 1 do
+          match moves.(j) with
+          | 0 -> upper.(j) <- lower.(j) (* fix at lower *)
+          | 1 -> lower.(j) <- upper.(j) (* fix at upper *)
+          | 2 -> upper.(j) <- Float.min upper.(j) (lower.(j) +. 1.0)
+          | _ -> ()
+        done;
+        { p with Lp.lower; upper }
+      in
       match Lp.solve_root p with
       | _, None -> true
       | _, Some root ->
-          let lower = Array.copy p.Lp.lower and upper = Array.copy p.Lp.upper in
-          for j = 0 to p.Lp.nvars - 1 do
-            match moves.(j) with
-            | 0 -> upper.(j) <- lower.(j) (* fix at lower *)
-            | 1 -> lower.(j) <- upper.(j) (* fix at upper *)
-            | 2 -> upper.(j) <- Float.min upper.(j) (lower.(j) +. 1.0)
-            | _ -> ()
-          done;
-          let q = { p with Lp.lower; upper } in
+          let q = child moves in
           let scratch = Lp.scratch root in
-          ignore (Lp.resolve root scratch p);
+          ignore (Lp.resolve root scratch (child earlier));
           let close v obj = Float.abs (obj -. v) <= 1e-6 *. Float.max 1.0 (Float.abs v) in
           (match (best_vertex q, Lp.solve q, Lp.resolve root scratch q) with
           | Some v, Lp.Optimal { obj = cold; _ }, Lp.Optimal { x; obj } ->
@@ -303,6 +308,47 @@ let test_lp_crossed_bounds () =
       Lp.lower = [| 0.0; 1.0 |] }
   in
   Alcotest.(check bool) "lower > upper is infeasible" true (Lp.solve p = Lp.Infeasible)
+
+(* The re-solve's two ways out to [lp.resolve_fallbacks], from the root
+   of [test_lp_bound_flip], whose optimum leaves both columns nonbasic
+   at their upper bound 1. *)
+let flip_root () =
+  let p =
+    lp ~nvars:2 ~objective:[| -1.0; -1.0 |]
+      ~constraints:[ constr [ (0, 1.0); (1, 1.0) ] Lp.Le 5.0 ]
+      ~upper:[| 1.0; 1.0 |]
+  in
+  match Lp.solve_root p with
+  | _, Some root -> (p, root, Lp.scratch root)
+  | _, None -> Alcotest.fail "expected an optimal root"
+
+let counting_fallbacks f =
+  Metrics.scoped (fun () ->
+      let res = Obs.with_enabled f in
+      (res, Metrics.counter_value "lp.resolve_fallbacks"))
+
+let test_lp_resolve_past_deadline () =
+  let p, root, scratch = flip_root () in
+  let d = Timer.deadline_after 1e-9 in
+  Unix.sleepf 0.001;
+  let res, fallbacks = counting_fallbacks (fun () -> Lp.resolve ~deadline:d root scratch p) in
+  Alcotest.(check bool) "times out" true (res = Lp.Timeout);
+  Alcotest.(check (float 0.0)) "counted as a fallback" 1.0 fallbacks
+
+let test_lp_resolve_infinite_bound () =
+  (* x0 sits at its upper bound; lifting that bound to infinity leaves
+     no finite bound to move it to, so the node is solved cold, and the
+     row x0 + x1 <= 5 now binds *)
+  let p, root, scratch = flip_root () in
+  let q = { p with Lp.upper = [| infinity; 1.0 |] } in
+  let res, fallbacks = counting_fallbacks (fun () -> Lp.resolve root scratch q) in
+  (match (res, Lp.solve q) with
+  | Lp.Optimal { x; obj }, Lp.Optimal { obj = cold; _ } ->
+      Test_util.check_close ~msg:"cold objective" cold obj;
+      Test_util.check_close ~msg:"obj" (-5.0) obj;
+      Alcotest.(check bool) "feasible" true (Lp.check_feasible q x)
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check (float 0.0)) "counted as a fallback" 1.0 fallbacks
 
 let test_lp_resolve_allocation () =
   (* a depth-1 child of mcm_8's ILP, re-solved from the root into a
@@ -624,6 +670,9 @@ let () =
           lp_matches_vertex_oracle;
           Alcotest.test_case "re-solve allocation" `Quick test_lp_resolve_allocation;
           lp_resolve_matches_cold;
+          Alcotest.test_case "re-solve past its deadline" `Quick test_lp_resolve_past_deadline;
+          Alcotest.test_case "re-solve to an infinite bound" `Quick
+            test_lp_resolve_infinite_bound;
         ] );
       ( "bnb",
         [
