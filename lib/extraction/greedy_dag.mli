@@ -7,6 +7,8 @@
     e-graphs rich in reuse (impress in Table 2, the adversarial NP-hard
     datasets in Table 4) this matches the paper's observation that
     heuristic+ improves on plain greedy, while remaining a heuristic —
-    the union-of-children estimate is not optimal. *)
+    the union-of-children estimate is not optimal, and can cost more
+    than {!Greedy}: each class is costed by its own node set alone, so
+    it cannot see nodes that a sibling class already pays for. *)
 
 val extract : ?max_passes:int -> Egraph.t -> Extractor.r

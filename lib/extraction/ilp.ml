@@ -1,14 +1,19 @@
-type encoding = {
-  problem : Lp.problem;
-  s_offset : int;
-  t_offset : int;
-  integer_vars : int array;
-}
+type encoding = { problem : Lp.problem; t_var : int array; integer_vars : int array }
 
 let encode g =
   let n = Egraph.num_nodes g and m = Egraph.num_classes g in
-  let nvars = n + m in
-  let t_offset = n in
+  let scc = g.Egraph.scc_of_class in
+  (* rows (1e)-(1f) read t only for a class in a cyclic SCC of size > 1 *)
+  let in_cycle c = Array.length g.Egraph.sccs.(scc.(c)) > 1 in
+  let t_var = Array.make m (-1) in
+  let nvars = ref n in
+  for c = 0 to m - 1 do
+    if in_cycle c then begin
+      t_var.(c) <- !nvars;
+      incr nvars
+    end
+  done;
+  let nvars = !nvars in
   let objective = Array.make nvars 0.0 in
   Array.blit g.Egraph.costs 0 objective 0 n;
   let lower = Array.make nvars 0.0 and upper = Array.make nvars 1.0 in
@@ -38,16 +43,12 @@ let encode g =
   (* (1e)-(1f) big-M topological ordering, restricted to intra-SCC edges *)
   let epsilon = 1.0 /. (2.0 *. float_of_int (max 1 m)) in
   let big_a = 2.0 in
-  let scc = g.Egraph.scc_of_class in
-  let scc_size = Array.make (Array.length g.Egraph.sccs) 0 in
-  Array.iteri (fun ci members -> scc_size.(ci) <- Array.length members) g.Egraph.sccs;
   for i = 0 to n - 1 do
     let ci = g.Egraph.node_class.(i) in
     let seen = Hashtbl.create 4 in
     Array.iter
       (fun j ->
-        if (not (Hashtbl.mem seen j)) && scc.(j) = scc.(ci) && (scc_size.(scc.(j)) > 1 || j = ci)
-        then begin
+        if (not (Hashtbl.mem seen j)) && scc.(j) = scc.(ci) && (in_cycle j || j = ci) then begin
           Hashtbl.add seen j ();
           if j = ci then
             (* self-dependence: choosing i always closes a cycle *)
@@ -56,7 +57,7 @@ let encode g =
             (* t_ci - t_j - A*s_i >= eps - A *)
             addc
               {
-                Lp.coeffs = [ (t_offset + ci, 1.0); (t_offset + j, -1.0); (i, -.big_a) ];
+                Lp.coeffs = [ (t_var.(ci), 1.0); (t_var.(j), -1.0); (i, -.big_a) ];
                 rel = Lp.Ge;
                 rhs = epsilon -. big_a;
               }
@@ -65,8 +66,7 @@ let encode g =
   done;
   {
     problem = { Lp.nvars; objective; constraints = List.rev !constraints; lower; upper };
-    s_offset = 0;
-    t_offset;
+    t_var;
     integer_vars = Array.init n Fun.id;
   }
 
@@ -105,9 +105,7 @@ let warm_start_point g enc s =
         let rank = Array.make m 0.0 in
         let total = float_of_int (max 1 m) in
         Array.iteri (fun pos c -> rank.(c) <- (total -. float_of_int pos) /. (total +. 1.0)) order;
-        for c = 0 to m - 1 do
-          x.(enc.t_offset + c) <- rank.(c)
-        done);
+        Array.iteri (fun c k -> if k >= 0 then x.(k) <- rank.(c)) enc.t_var);
     if Lp.check_feasible enc.problem x then Some x else None
   end
 

@@ -1,19 +1,19 @@
 (** The ILP formulation of e-graph extraction (Eq. 1 of the paper) and
     the branch-and-bound-backed extractor built on it.
 
-    Variables: a binary s_i per e-node and a continuous t_j ∈ [0,1] per
-    e-class (topological position). Constraints: exactly one root
-    e-node (1b); a selected e-node forces a selection in each child
-    e-class (1c); and the big-M ordering constraints (1e)-(1f) that
-    forbid cycles. As an optimisation (also used by the paper's SCC
-    trick in §4.3), ordering constraints are only emitted for edges
-    inside a non-trivial strongly connected component — cross-SCC edges
-    can never participate in a cycle. *)
+    Variables: a binary s_i per e-node, at index i, and a continuous
+    t_j ∈ [0,1] (topological position) per e-class j that the ordering
+    rows read. Constraints: exactly one root e-node (1b); a selected
+    e-node forces a selection in each child e-class (1c); and the big-M
+    ordering constraints (1e)-(1f) that forbid cycles. As an
+    optimisation (also used by the paper's SCC trick in §4.3), ordering
+    constraints are only emitted for edges inside a non-trivial strongly
+    connected component — cross-SCC edges can never participate in a
+    cycle — so only a class in such a component gets a t column. *)
 
 type encoding = {
   problem : Lp.problem;
-  s_offset : int;  (** variable index of s_0 (always 0) *)
-  t_offset : int;  (** variable index of t_0 *)
+  t_var : int array;  (** each class's t column, or -1 if it has none *)
   integer_vars : int array;
 }
 

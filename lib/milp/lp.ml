@@ -48,12 +48,13 @@ let check_feasible ?(tol = feas_tol) p x =
 
 (* Bounded-variable tableau over x' = x - lower, one dense row per
    constraint:
-     columns : structural vars | slacks/surpluses | artificials
+     columns : structural vars | one slack per row
+   A Ge row is negated into a Le row, and an Eq row's slack has range 0.
    Column j ranges over [0, range.(j)]. A nonbasic column sits at 0, or at
-   its range when [at_upper.(j)]; [value.(i)] is row i's basic value.
-   Row m holds the reduced costs, which the pivots keep current. Phase 1
-   minimises the artificial sum; phase 2 the true objective, with the
-   artificials' range cut to 0 so they never enter again. *)
+   its range when [at_upper.(j)]; [value.(i)] is row i's basic value,
+   which may lie outside its column's range until the dual simplex
+   drives it in. Row m holds the reduced costs, which the pivots keep
+   current. *)
 type tableau = {
   m : int;  (* constraint rows *)
   ncols : int;
@@ -62,74 +63,38 @@ type tableau = {
   basis : int array;  (* basic column of each row *)
   range : float array;
   at_upper : bool array;
-  art_start : int;  (* first artificial column *)
   nz : int array;  (* scratch: the pivot row's nonzero columns *)
 }
 
+(* The slack basis: every slack is basic at its row's right-hand side
+   over x' = x - lower, every structural column nonbasic at 0. *)
 let build_tableau p =
   let rows = Array.of_list p.constraints in
   let m = Array.length rows in
-  (* right-hand sides over x' = x - lower; a row whose side is negative
-     is negated, so its relation flips *)
-  let rhs =
-    Array.map
-      (fun c -> List.fold_left (fun acc (j, a) -> acc -. (a *. p.lower.(j))) c.rhs c.coeffs)
-      rows
-  in
-  let rel i =
-    if rhs.(i) < 0.0 then (match rows.(i).rel with Le -> Ge | Ge -> Le | Eq -> Eq)
-    else rows.(i).rel
-  in
-  (* Le gets a slack; Ge a surplus and an artificial; Eq an artificial. *)
-  let nslack = ref 0 and nart = ref 0 in
-  for i = 0 to m - 1 do
-    match rel i with
-    | Le -> incr nslack
-    | Ge ->
-        incr nslack;
-        incr nart
-    | Eq -> incr nart
-  done;
-  let ncols = p.nvars + !nslack + !nart in
-  let art_start = p.nvars + !nslack in
+  let ncols = p.nvars + m in
   let t = Array.make_matrix (m + 1) ncols 0.0 in
-  let value = Array.make m 0.0 in
-  let basis = Array.make m (-1) in
   let range = Array.make ncols infinity in
   for j = 0 to p.nvars - 1 do
     range.(j) <- p.upper.(j) -. p.lower.(j)
   done;
-  let next_slack = ref p.nvars and next_art = ref art_start in
-  Array.iteri
-    (fun i c ->
-      let sign = if rhs.(i) < 0.0 then -1.0 else 1.0 in
-      List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) c.coeffs;
-      value.(i) <- sign *. rhs.(i);
-      match rel i with
-      | Le ->
-          t.(i).(!next_slack) <- 1.0;
-          basis.(i) <- !next_slack;
-          incr next_slack
-      | Ge ->
-          t.(i).(!next_slack) <- -1.0;
-          incr next_slack;
-          t.(i).(!next_art) <- 1.0;
-          basis.(i) <- !next_art;
-          incr next_art
-      | Eq ->
-          t.(i).(!next_art) <- 1.0;
-          basis.(i) <- !next_art;
-          incr next_art)
-    rows;
+  let value =
+    Array.mapi
+      (fun i c ->
+        let sign = if c.rel = Ge then -1.0 else 1.0 in
+        List.iter (fun (j, a) -> t.(i).(j) <- t.(i).(j) +. (sign *. a)) c.coeffs;
+        t.(i).(p.nvars + i) <- 1.0;
+        if c.rel = Eq then range.(p.nvars + i) <- 0.0;
+        sign *. List.fold_left (fun acc (j, a) -> acc -. (a *. p.lower.(j))) c.rhs c.coeffs)
+      rows
+  in
   {
     m;
     ncols;
     t;
     value;
-    basis;
+    basis = Array.init m (fun i -> p.nvars + i);
     range;
     at_upper = Array.make ncols false;
-    art_start;
     nz = Array.make ncols 0;
   }
 
@@ -282,8 +247,7 @@ let run_phase ?(deadline = Timer.no_deadline) tb cost =
 
 let tableau_cells p =
   let rows = List.length p.constraints in
-  (* columns <= nvars + one slack + one artificial per row *)
-  rows * (p.nvars + (2 * rows) + 1)
+  (rows + 1) * (p.nvars + rows)
 
 (* The optimal point the tableau describes, with round-off just outside a
    bound cleaned. *)
@@ -298,99 +262,6 @@ let optimal p tb =
     else if x.(j) > p.upper.(j) && x.(j) < p.upper.(j) +. feas_tol then x.(j) <- p.upper.(j)
   done;
   Optimal { x; obj = eval_objective p x }
-
-(* The root's optimal tableau over x' = x - lower, with the bounds it
-   was solved at and the phase-2 costs. Read-only once built, so any
-   number of re-solves may start from it concurrently. *)
-type root = { tb : tableau; lower : float array; upper : float array; cost : float array }
-type scratch = tableau
-
-(* The cold path: phase 1 from the slack basis, then phase 2. An optimal
-   result comes with its final tableau. *)
-let cold ~deadline p =
-  if p.nvars = 0 then (Optimal { x = [||]; obj = 0.0 }, None)
-  else if Array.exists2 ( > ) p.lower p.upper then (Infeasible, None)
-  else if tableau_cells p > max_tableau_cells then (Timeout, None)
-  else if Fault_plan.stall_solver deadline then
-    (* injected stall: the solver makes no progress until its deadline
-       passes, exactly like a pathological simplex instance *)
-    (Timeout, None)
-  else begin
-    let tb = build_tableau p in
-    let has_artificials = tb.art_start < tb.ncols in
-    let phase1_outcome =
-      if not has_artificials then Popt
-      else begin
-        let cost1 = Array.make tb.ncols 0.0 in
-        for j = tb.art_start to tb.ncols - 1 do
-          cost1.(j) <- 1.0
-        done;
-        run_phase ~deadline tb cost1
-      end
-    in
-    match phase1_outcome with
-    | Ptimeout -> (Timeout, None)
-    | Punbounded ->
-        (* phase 1 is bounded below by 0; treat as numerical failure *)
-        (Infeasible, None)
-    | Popt ->
-        let art_value = ref 0.0 in
-        for i = 0 to tb.m - 1 do
-          if tb.basis.(i) >= tb.art_start then art_value := !art_value +. tb.value.(i)
-        done;
-        if !art_value > feas_tol then (Infeasible, None)
-        else begin
-          (* Drive remaining (zero-valued) artificials out of the basis;
-             the entering column keeps its bound value. *)
-          for i = 0 to tb.m - 1 do
-            if tb.basis.(i) >= tb.art_start then begin
-              let found = ref (-1) in
-              (try
-                 for j = 0 to tb.art_start - 1 do
-                   if Float.abs tb.t.(i).(j) > eps then begin
-                     found := j;
-                     raise Exit
-                   end
-                 done
-               with Exit -> ());
-              let j = !found in
-              if j >= 0 then begin
-                tb.value.(i) <- (if tb.at_upper.(j) then tb.range.(j) else 0.0);
-                tb.at_upper.(j) <- false;
-                pivot tb i j
-              end
-              (* else: redundant row; leave the artificial basic at 0 *)
-            end
-          done;
-          Array.fill tb.range tb.art_start (tb.ncols - tb.art_start) 0.0;
-          let cost2 = Array.make tb.ncols 0.0 in
-          Array.blit p.objective 0 cost2 0 p.nvars;
-          match run_phase ~deadline tb cost2 with
-          | Ptimeout -> (Timeout, None)
-          | Punbounded -> (Unbounded, None)
-          | Popt ->
-              let lower = Array.copy p.lower and upper = Array.copy p.upper in
-              (optimal p tb, Some { tb; lower; upper; cost = cost2 })
-        end
-  end
-
-let solve_root ?(deadline = Timer.no_deadline) p =
-  if !Obs.on then Metrics.incr "lp.solves";
-  cold ~deadline p
-
-let solve ?deadline p = fst (solve_root ?deadline p)
-
-let scratch root =
-  let src = root.tb in
-  {
-    src with
-    t = Array.make_matrix (src.m + 1) src.ncols 0.0;
-    value = Array.make src.m 0.0;
-    basis = Array.make src.m 0;
-    range = Array.make src.ncols 0.0;
-    at_upper = Array.make src.ncols false;
-    nz = Array.make src.ncols 0;
-  }
 
 type dual_result = Dfeasible | Dinfeasible | Dgave_up
 
@@ -456,6 +327,78 @@ let run_dual ~deadline tb =
   in
   loop 0
 
+(* The tail every solve shares: dual simplex until the basis is primal
+   feasible, then one primal pass on the true costs, which takes up
+   round-off and prices what the dual pass priced at 0. [None] when
+   either pass gave up, at the deadline or the iteration cap. *)
+let finish ~deadline p tb cost =
+  match run_dual ~deadline tb with
+  | Dgave_up -> None
+  | Dinfeasible -> Some Infeasible
+  | Dfeasible -> (
+      match run_phase ~deadline tb cost with
+      | Ptimeout -> None
+      | Punbounded -> Some Unbounded
+      | Popt -> Some (optimal p tb))
+
+(* The root's optimal tableau over x' = x - lower, with the bounds it
+   was solved at and the true costs. Read-only once built, so any
+   number of re-solves may start from it concurrently. *)
+type root = { tb : tableau; lower : float array; upper : float array; cost : float array }
+type scratch = tableau
+
+(* The cold path starts from the slack basis with each structural column
+   at the bound its cost favours, at upper when c_j < 0, so every
+   reduced cost already has the sign an optimum needs. A column with
+   c_j < 0 and no finite range stays at lower and is priced at 0 for the
+   dual pass. An optimal result comes with its final tableau. *)
+let cold ~deadline p =
+  if p.nvars = 0 then (Optimal { x = [||]; obj = 0.0 }, None)
+  else if Array.exists2 ( > ) p.lower p.upper then (Infeasible, None)
+  else if tableau_cells p > max_tableau_cells then (Timeout, None)
+  else if Fault_plan.stall_solver deadline then
+    (* injected stall: the solver makes no progress until its deadline
+       passes, exactly like a pathological simplex instance *)
+    (Timeout, None)
+  else begin
+    let tb = build_tableau p in
+    let d = tb.t.(tb.m) in
+    for j = 0 to p.nvars - 1 do
+      let c = p.objective.(j) in
+      if c >= 0.0 then d.(j) <- c
+      else if Float.is_finite tb.range.(j) then begin
+        d.(j) <- c;
+        tb.at_upper.(j) <- true;
+        shift tb j tb.range.(j)
+      end
+    done;
+    let cost = Array.make tb.ncols 0.0 in
+    Array.blit p.objective 0 cost 0 p.nvars;
+    match finish ~deadline p tb cost with
+    | None -> (Timeout, None)
+    | Some (Optimal _ as res) ->
+        (res, Some { tb; lower = Array.copy p.lower; upper = Array.copy p.upper; cost })
+    | Some res -> (res, None)
+  end
+
+let solve_root ?(deadline = Timer.no_deadline) p =
+  if !Obs.on then Metrics.incr "lp.solves";
+  cold ~deadline p
+
+let solve ?deadline p = fst (solve_root ?deadline p)
+
+let scratch root =
+  let src = root.tb in
+  {
+    src with
+    t = Array.make_matrix (src.m + 1) src.ncols 0.0;
+    value = Array.make src.m 0.0;
+    basis = Array.make src.m 0;
+    range = Array.make src.ncols 0.0;
+    at_upper = Array.make src.ncols false;
+    nz = Array.make src.ncols 0;
+  }
+
 let resolve ?(deadline = Timer.no_deadline) root tb p =
   let src = root.tb in
   let n = Array.length root.lower in
@@ -513,15 +456,5 @@ let resolve ?(deadline = Timer.no_deadline) root tb p =
       end
     done;
     if not !finite then fall_back ()
-    else
-      match run_dual ~deadline tb with
-      | Dgave_up -> fall_back ()
-      | Dinfeasible -> answer Infeasible
-      | Dfeasible -> (
-          (* recomputes the reduced costs and takes up any round-off;
-             normally it makes no pivot *)
-          match run_phase ~deadline tb root.cost with
-          | Ptimeout -> fall_back ()
-          | Punbounded -> answer Unbounded
-          | Popt -> answer (optimal p tb))
+    else match finish ~deadline p tb root.cost with None -> fall_back () | Some res -> answer res
   end

@@ -1,23 +1,36 @@
-(** Linear programming by bounded-variable simplex, on two paths.
+(** Linear programming by bounded-variable dual simplex.
 
     Substrate for the ILP e-graph extraction baselines (Eq. 1 of the
     paper). Minimises cᵀx subject to linear constraints and box bounds
-    [lower ≤ x ≤ upper]. The tableau holds one dense row per constraint;
-    bounds stay out of it: a nonbasic variable sits at one of its bounds,
-    the ratio test also stops a basic variable at its upper bound, and an
-    entering variable whose own range is the shortest step flips to its
-    other bound without a pivot (counted as [lp.bound_flips]; [lp.pivots]
-    counts basis changes). A pivot touches only the nonzero columns of its
-    row, and the reduced costs are one more row that the pivots update.
+    [lower ≤ x ≤ upper]. The tableau holds one dense row per constraint
+    and one slack column per row ([Ge] rows are negated, an [Eq] row's
+    slack has range 0); bounds stay out of it: a nonbasic variable sits
+    at one of its bounds, the ratio test also stops a basic variable at
+    its upper bound, and an entering variable whose own range is the
+    shortest step flips to its other bound without a pivot (counted as
+    [lp.bound_flips]; [lp.pivots] counts basis changes). A pivot touches
+    only the nonzero columns of its row, and the reduced costs are one
+    more row that the pivots update.
 
-    - The cold path ({!solve}, {!solve_root}) is two-phase primal simplex
-      from the slack basis. It uses Dantzig pricing with a switch to
-      Bland's rule after a stall threshold to guarantee termination.
+    Every LP is solved one way: from a dual feasible basis, a dual
+    simplex (leaving row: largest bound violation; entering column:
+    smallest |d_j / a_rj| among those that move the leaving variable
+    back toward its bound) pivots until every basic value is within its
+    bounds, then one primal pass on the true costs (Dantzig pricing,
+    Bland's rule after a stall threshold) takes up round-off and prices
+    any column the dual pass priced at 0. The dual has no anti-cycling
+    rule: a cold dual that reaches the iteration cap answers [Timeout],
+    and a re-solve's falls back to the cold path. The two entry points
+    differ only in the starting tableau:
+
+    - The cold path ({!solve}, {!solve_root}) starts from the slack
+      basis with each column at the bound its cost favours: at upper
+      when c_j < 0. A column with c_j < 0 and no finite upper bound stays
+      at lower, priced at 0 until the primal pass.
     - The re-solve ({!resolve}) starts from a copy of a root's optimal
       tableau with new bounds applied on the side each nonbasic column
-      sat at, which keeps the reduced costs' signs, and runs dual simplex
-      until the basis is primal feasible. It is how branch-and-bound
-      solves every node after the root.
+      sat at, which keeps the reduced costs' signs. It is how
+      branch-and-bound solves every node after the root.
 
     Both honour an external deadline, so branch-and-bound can keep the
     paper's 15-minute-style time limits. Every LP either path answers
@@ -48,8 +61,8 @@ type result =
   | Unbounded
   | Timeout
       (** deadline expired, the iteration cap was hit, or the tableau
-          (constraint rows × structural, slack and artificial columns)
-          would exceed the solver's memory capacity *)
+          ((constraint rows + 1) × (structural and slack columns)) would
+          exceed the solver's memory capacity *)
 
 val solve : ?deadline:Timer.deadline -> problem -> result
 (** The cold path. *)
@@ -75,16 +88,13 @@ val resolve : ?deadline:Timer.deadline -> root -> scratch -> problem -> result
 (** [resolve root scratch p] solves [p], which must have the root's rows
     and objective, under its own bounds. It blits the root's tableau into
     [scratch], moves each nonbasic column to its new bound on the side it
-    sat at, runs dual simplex (leaving row: largest bound violation;
-    entering column: smallest |d_j / a_rj| among those that move the
-    leaving variable back toward its bound), then one primal pass that
-    takes up round-off. It allocates little beyond the returned point
-    (no tableau). The result
-    is a function of [root] and [p] alone, whatever [scratch] held.
+    sat at, then runs the dual and primal passes. It allocates little
+    beyond the returned point (no tableau). The result is a function of
+    [root] and [p] alone, whatever [scratch] held.
 
     It falls back to the cold path, counting [lp.resolve_fallbacks],
-    when the dual simplex hits the cold path's iteration cap or when a
-    nonbasic column's new bound is not finite. A deadline that has
+    when either pass hits the iteration cap or when a nonbasic column's
+    new bound is not finite. A deadline that has
     passed, before or during the re-solve, counts there too but answers
     [Timeout] without a cold solve. Honours an injected solver stall
     like {!solve}.

@@ -73,12 +73,30 @@ let greedy_matches_brute_force_on_trees =
 
 (* ----------------------------------------------------------- greedy-dag *)
 
-let greedy_dag_never_worse_than_greedy =
-  qtest "greedy-dag <= greedy on DAG cost" (Test_util.arb_egraph ~max_classes:7 ())
-    (fun g ->
-      let a = (Greedy_dag.extract g).Extractor.cost in
-      let b = (Greedy.extract g).Extractor.cost in
-      a <= b +. 1e-9)
+(* When no class fills two child slots nothing can be shared, so a
+   node's set cost is its tree cost and both heuristics price every
+   choice alike. *)
+let greedy_dag_equals_greedy_without_sharing =
+  qtest ~count:200 "greedy-dag = greedy if no sharing"
+    (Test_util.arb_egraph ~max_classes:7 ()) (fun g ->
+      let slots = Array.make (Egraph.num_classes g) 0 in
+      Array.iter (Array.iter (fun c -> slots.(c) <- slots.(c) + 1)) g.Egraph.children;
+      Array.exists (fun k -> k > 1) slots
+      || Test_util.float_close (Greedy_dag.extract g).Extractor.cost
+           (Greedy.extract g).Extractor.cost)
+
+let test_greedy_dag_can_cost_more () =
+  (* Heuristic+ costs each class by its own node set, so it cannot see
+     nodes a sibling class already pays for. Here class 1 takes n1
+     ({n1, n7}, 16 + 5 = 21) over n2 ({n2, n4}, 6 + 17 = 23). But the
+     root's other child class takes n4 too, so n2 would have added only
+     6: greedy-DAG pays 10 + 21 + 17 = 48, and tree greedy's pick of n2
+     pays 33, the optimum. *)
+  let g = Test_util.random_egraph (Rng.create 1110) ~classes:4 in
+  Test_util.check_close ~msg:"greedy-dag" 48.0 (Greedy_dag.extract g).Extractor.cost;
+  Test_util.check_close ~msg:"greedy" 33.0 (Greedy.extract g).Extractor.cost;
+  let bf, _ = Test_util.brute_force_optimum g in
+  Test_util.check_close ~msg:"optimum" 33.0 bf
 
 let test_greedy_dag_beats_greedy_on_sharing () =
   (* A diamond *below a single e-node*: x1 (cost 1) uses P and Q, both
@@ -135,7 +153,13 @@ let greedy_dag_always_valid =
 let test_ilp_encoding_shape () =
   let g = Fig1.egraph () in
   let enc = Ilp.encode g in
-  Alcotest.(check int) "vars = N + M" (Egraph.num_nodes g + Egraph.num_classes g)
+  (* a t column only for a class in a cyclic SCC; fig1 has none *)
+  let cyclic_classes =
+    Array.fold_left
+      (fun acc members -> if Array.length members > 1 then acc + Array.length members else acc)
+      0 g.Egraph.sccs
+  in
+  Alcotest.(check int) "vars = N + classes in cycles" (Egraph.num_nodes g + cyclic_classes)
     enc.Ilp.problem.Lp.nvars;
   Alcotest.(check int) "all s binary" (Egraph.num_nodes g) (Array.length enc.Ilp.integer_vars);
   (* fig1 is acyclic: no big-M rows, so constraints = 1 root + per-edge *)
@@ -187,6 +211,17 @@ let test_ilp_warm_start_round_trip () =
       let decoded = Ilp.decode g x in
       Test_util.check_close ~msg:"round trip cost" Fig1.heuristic_cost
         (Egraph.Solution.dag_cost g decoded)
+
+let warm_start_lifts_cyclic =
+  qtest "warm start lifts on cyclic e-graphs"
+    (Test_util.arb_egraph ~max_classes:6 ~cycle_prob:0.4 ()) (fun g ->
+      match (Greedy_dag.extract g).Extractor.solution with
+      | Some s when Egraph.Solution.is_valid g s -> (
+          let enc = Ilp.encode g in
+          match Ilp.warm_start_point g enc s with
+          | Some x -> Lp.check_feasible enc.Ilp.problem x
+          | None -> false)
+      | Some _ | None -> true)
 
 (* -------------------------------------------------------------- genetic *)
 
@@ -494,7 +529,8 @@ let () =
         ] );
       ( "greedy_dag",
         [
-          greedy_dag_never_worse_than_greedy;
+          greedy_dag_equals_greedy_without_sharing;
+          Alcotest.test_case "can cost more than greedy" `Quick test_greedy_dag_can_cost_more;
           Alcotest.test_case "beats greedy on shared subexpr" `Quick
             test_greedy_dag_beats_greedy_on_sharing;
           Alcotest.test_case "cross-class sharing still defeats it" `Quick
@@ -508,6 +544,7 @@ let () =
           ilp_matches_brute_force;
           ilp_matches_brute_force_cyclic;
           Alcotest.test_case "warm start round trip" `Quick test_ilp_warm_start_round_trip;
+          warm_start_lifts_cyclic;
           Alcotest.test_case "gap note finite under node limit" `Quick test_ilp_gap_note_finite;
         ] );
       ( "hybrid",

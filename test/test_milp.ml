@@ -263,26 +263,47 @@ let lp_resolve_matches_cold =
           | None, Lp.Infeasible, Lp.Infeasible -> true
           | _ -> false))
 
+(* An LP's pivot and bound-flip counts, and its answer. *)
+let counting_steps p =
+  Metrics.scoped (fun () ->
+      let res = Obs.with_enabled (fun () -> Lp.solve p) in
+      (res, Metrics.counter_value "lp.pivots", Metrics.counter_value "lp.bound_flips"))
+
 let test_lp_bound_flip () =
-  (* min -x0 - x1 with x0 + x1 <= 5 never binding: both columns flip to
-     their upper bound and the basis never changes *)
+  (* min -x0 + x1 with x0 - 2 x1 <= 0: x0 has no finite upper bound, so
+     it starts at 0 and enters the basis at a degenerate pivot; x1 then
+     flips to its upper bound, which lets x0 rise to 2 *)
+  let p =
+    lp ~nvars:2 ~objective:[| -1.0; 1.0 |]
+      ~constraints:[ constr [ (0, 1.0); (1, -2.0) ] Lp.Le 0.0 ]
+      ~upper:[| infinity; 1.0 |]
+  in
+  let res, pivots, flips = counting_steps p in
+  (match res with
+  | Lp.Optimal { x; obj } ->
+      Test_util.check_close ~msg:"obj" (-1.0) obj;
+      Alcotest.(check (array (float 1e-12))) "x" [| 2.0; 1.0 |] x
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check (float 0.0)) "one pivot" 1.0 pivots;
+  Alcotest.(check (float 0.0)) "one flip" 1.0 flips
+
+let test_lp_favoured_bounds () =
+  (* min -x0 - x1 with x0 + x1 <= 5 never binding: the cold start puts
+     both columns at the upper bound their costs favour, which is
+     already optimal *)
   let p =
     lp ~nvars:2 ~objective:[| -1.0; -1.0 |]
       ~constraints:[ constr [ (0, 1.0); (1, 1.0) ] Lp.Le 5.0 ]
       ~upper:[| 1.0; 1.0 |]
   in
-  let res, pivots, flips =
-    Metrics.scoped (fun () ->
-        let res = Obs.with_enabled (fun () -> Lp.solve p) in
-        (res, Metrics.counter_value "lp.pivots", Metrics.counter_value "lp.bound_flips"))
-  in
+  let res, pivots, flips = counting_steps p in
   (match res with
   | Lp.Optimal { x; obj } ->
       Test_util.check_close ~msg:"obj" (-2.0) obj;
       Alcotest.(check (array (float 0.0))) "x at upper bounds" [| 1.0; 1.0 |] x
   | _ -> Alcotest.fail "expected optimal");
   Alcotest.(check (float 0.0)) "no pivot" 0.0 pivots;
-  Alcotest.(check (float 0.0)) "two flips" 2.0 flips
+  Alcotest.(check (float 0.0)) "no flip" 0.0 flips
 
 let test_lp_fix_through_lower () =
   (* x0 fixed to 1 by its lower bound, as B&B fixes a binary: the row
@@ -310,8 +331,8 @@ let test_lp_crossed_bounds () =
   Alcotest.(check bool) "lower > upper is infeasible" true (Lp.solve p = Lp.Infeasible)
 
 (* The re-solve's two ways out to [lp.resolve_fallbacks], from the root
-   of [test_lp_bound_flip], whose optimum leaves both columns nonbasic
-   at their upper bound 1. *)
+   of [test_lp_favoured_bounds], whose optimum leaves both columns
+   nonbasic at their upper bound 1. *)
 let flip_root () =
   let p =
     lp ~nvars:2 ~objective:[| -1.0; -1.0 |]
@@ -368,7 +389,7 @@ let test_lp_resolve_allocation () =
       let res = Lp.resolve root scratch child in
       let words = Test_util.allocated_words () -. before in
       let rows = List.length p.Lp.constraints in
-      (* a lower bound on the tableau: one slack or artificial per row *)
+      (* the tableau: one slack per row *)
       let tableau_words = float_of_int ((rows + 1) * (p.Lp.nvars + rows)) in
       Alcotest.(check bool)
         (Printf.sprintf "%.0f words < a tenth of %.0f" words tableau_words)
@@ -378,6 +399,30 @@ let test_lp_resolve_allocation () =
           Test_util.check_close ~msg:"same objective as cold" cold obj
       | _ -> Alcotest.fail "expected optimal")
   | _ -> Alcotest.fail "expected an optimal root"
+
+(* The root LP of every bundled instance, the relaxation of its Eq. (1)
+   encoding: each one whose tableau fits answers a feasible optimum, and
+   the two past the capacity guard decline at once. *)
+let test_lp_bundled_roots () =
+  let over_capacity = [ "mul_512"; "BERT" ] in
+  List.iter
+    (fun ds ->
+      List.iter
+        (fun inst ->
+          let name = inst.Registry.inst_name in
+          let p = (Ilp.encode (inst.Registry.build ())).Ilp.problem in
+          let res, wall = Timer.time (fun () -> Lp.solve p) in
+          match (List.mem name over_capacity, res) with
+          | false, Lp.Optimal { x; obj } ->
+              Alcotest.(check bool) (name ^ " feasible") true (Lp.check_feasible ~tol:1e-6 p x);
+              Alcotest.(check (float 0.0)) (name ^ " objective") (Lp.eval_objective p x) obj
+          | true, Lp.Timeout ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s declined in %.3f s" name wall)
+                true (wall < 1.0)
+          | _ -> Alcotest.failf "%s: unexpected LP answer" name)
+        ds.Registry.instances)
+    Registry.all
 
 (* ------------------------------------------------------------------ MILP *)
 
@@ -664,6 +709,7 @@ let () =
           Alcotest.test_case "capacity guard" `Quick test_lp_capacity_guard;
           Alcotest.test_case "deadline" `Quick test_lp_deadline;
           Alcotest.test_case "bound flip" `Quick test_lp_bound_flip;
+          Alcotest.test_case "cold start at the favoured bounds" `Quick test_lp_favoured_bounds;
           Alcotest.test_case "fix through lower" `Quick test_lp_fix_through_lower;
           Alcotest.test_case "lower > upper" `Quick test_lp_crossed_bounds;
           lp_optimum_dominates_random_points;
@@ -673,6 +719,7 @@ let () =
           Alcotest.test_case "re-solve past its deadline" `Quick test_lp_resolve_past_deadline;
           Alcotest.test_case "re-solve to an infinite bound" `Quick
             test_lp_resolve_infinite_bound;
+          Alcotest.test_case "root LPs of the bundled instances" `Slow test_lp_bundled_roots;
         ] );
       ( "bnb",
         [
