@@ -65,7 +65,12 @@ let best_of_batch ?(repair = false) g ~model ~cp =
     done;
     !closing
   in
-  let x = Array.make n 0.0 in
+  (* a linear model sums u over the black classes' picks in class order,
+     which is node order (class-major numbering): [Cost_model.dense]'s
+     terms in its order. Other models score a reused 0/1 vector. *)
+  let linear = Cost_model.is_linear model in
+  let picked = Array.make (if linear then m else 0) 0 in
+  let x = Array.make (if linear then 0 else n) 0.0 in
   let mark v =
     for c = 0 to m - 1 do
       if colour.(c) = black then x.(pick.(c)) <- v
@@ -89,9 +94,22 @@ let best_of_batch ?(repair = false) g ~model ~cp =
     done;
     if !tries < 16 then Array.fill ranks 0 m 0;
     if !closing < 0 then begin
-      mark 1.0;
-      let cost = Cost_model.dense model x in
-      mark 0.0;
+      let cost =
+        if linear then begin
+          let k = ref 0 in
+          for c = 0 to m - 1 do
+            picked.(!k) <- pick.(c);
+            k := !k + Bool.to_int (colour.(c) = black)
+          done;
+          Cost_model.selected model picked !k
+        end
+        else begin
+          mark 1.0;
+          let cost = Cost_model.dense model x in
+          mark 0.0;
+          cost
+        end
+      in
       if Float.is_finite cost then begin
         incr accepted;
         (* strict: the earlier seed keeps a tie *)

@@ -20,8 +20,11 @@ val best_of_batch :
   cp:Tensor.t ->
   (int * Egraph.Solution.s * float) option
 (** Decode every seed (row) of the (B, N) cp tensor, score the valid
-    decodes with {!Cost_model.dense}, and return (seed index, solution,
-    cost) of the cheapest — the selection rule of §4.2's seed batching.
+    decodes, and return (seed index, solution, cost) of the cheapest —
+    the selection rule of §4.2's seed batching. A linear model scores
+    the selected classes' picks, in class order, by
+    {!Cost_model.selected}; any other model scores a 0/1 vector by
+    {!Cost_model.dense}. Both give [Cost_model.dense]'s bits.
     The contract:
     - A class's member is its argmax cp; on a cp tie the first-listed
       (lowest-id) member wins.

@@ -84,6 +84,10 @@ let relaxed m tape p =
         Ad.add base (Ad.dot_const (Ad.mul pa pb) w)
       end
 
+(* A selected node's linear term, u_i x_i; [dense] and [selected] sum
+   these in increasing node order *)
+let[@inline] term u i xi = u.(i) *. xi
+
 let dense m x =
   if Array.length x <> Array.length m.u then invalid_arg "Cost_model.dense: dimension mismatch";
   let u = m.u in
@@ -94,7 +98,7 @@ let dense m x =
      float per term *)
   let lin = ref 0.0 in
   for i = 0 to Array.length u - 1 do
-    if x.(i) <> 0.0 then lin := !lin +. (u.(i) *. x.(i))
+    if x.(i) <> 0.0 then lin := !lin +. term u i x.(i)
   done;
   match m.kind with
   | Linear -> !lin
@@ -106,6 +110,14 @@ let dense m x =
         if xa <> 0.0 && xb <> 0.0 then quad := !quad +. (w.(k) *. xa *. xb)
       done;
       !lin +. !quad
+
+let selected m ids k =
+  (match m.kind with Linear -> () | _ -> invalid_arg "Cost_model.selected: not a linear model");
+  let lin = ref 0.0 in
+  for j = 0 to k - 1 do
+    lin := !lin +. term m.u ids.(j) 1.0
+  done;
+  !lin
 
 let dense_solution m g s =
   if not (Egraph.Solution.is_valid g s) then infinity

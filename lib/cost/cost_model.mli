@@ -47,6 +47,13 @@ val relaxed : t -> Ad.tape -> Ad.v -> Ad.v
 val dense : t -> float array -> float
 (** Evaluate one binary (or relaxed) point. *)
 
+val selected : t -> int array -> int -> float
+(** [selected m ids k] is [dense m x] for a linear model and the 0/1
+    point x whose ones are at [ids.(0) < … < ids.(k - 1)], without
+    forming x: the same terms added in the same order, so the same
+    bits.
+    @raise Invalid_argument on a non-linear model. *)
+
 val dense_solution : t -> Egraph.t -> Egraph.Solution.s -> float
 (** Evaluate an extraction: infinite on invalid solutions, otherwise the
     model applied to the solution's dense indicator vector. For linear

@@ -98,22 +98,39 @@ let make ~rule ~root ~nodes ~parent_node ~parents ~components ~local_rounds =
 
 let width s = s.nodes.Segments.width
 
-type state = { q : float array; arg : int array }
-type scratch = { adj : float array; alt : float array; ys : float array; others : float array }
+(* Per-row values live in row-indexed arrays: a (round, class) slot's
+   q and argmax edge at [slot * batch + b], a class's running product
+   and adjoint sums at [b], edge [j]'s factor and prefix product at
+   [j * batch + b]. A chunk of rows [lo, hi) touches only its own
+   slots, so chunks on different domains never share a location. *)
+type state = { q : float array; arg : int array; prod : float array }
+
+type scratch = {
+  adj : float array;
+  alt : float array;
+  gq : float array;
+  acc : float array;
+  ys : float array;
+  others : float array;
+}
 
 let state s ~batch =
   {
     q = Array.make (batch * s.q_len) 0.0;
     arg = (if s.rule = Independent then [||] else Array.make (batch * s.q_len) (-1));
+    prod = (if s.rule = Correlated then [||] else Array.make batch 0.0);
   }
 
 let scratch s ~batch =
-  let w = width s and mp = s.max_parents in
+  let w = width s and products = s.rule <> Correlated in
+  let per_edge = if products then batch * s.max_parents else 0 in
   {
     adj = Array.make (batch * w) 0.0;
     alt = (if s.any_cyclic then Array.make (batch * w) 0.0 else [||]);
-    ys = Array.make (batch * mp) 0.0;
-    others = Array.make (batch * mp) 0.0;
+    gq = Array.make batch 0.0;
+    acc = Array.make (if products then batch else 0) 0.0;
+    ys = Array.make per_edge 0.0;
+    others = Array.make per_edge 0.0;
   }
 
 (* Kernel launch counter, one bump per call like the Segments kernels *)
@@ -123,6 +140,17 @@ let count_op label =
     Metrics.incr label
   end
 
+(* Unchecked access for the kernels' inner loops. Every index there is
+   a row's slot of an array [state], [scratch] or the shape checks
+   sized, at a position [make] checked against the segmentations. A
+   bare [get] as the left operand of [+.] or [*.] would let the
+   compiler swap the operands, and with two NaN operands the hardware
+   returns the left one, sign included; so such a load is let-bound
+   first, which keeps the operand order, and every NaN's sign, of the
+   expression as written. *)
+external get : float array -> int -> float = "%array_unsafe_get"
+external set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 (* One read of an input element: direct on the Vectorized backend,
    through [Tensor.Backend.scalar_read] on the Scalar one. Inlined, so
    the Vectorized path boxes nothing; both paths then run the same
@@ -131,88 +159,128 @@ let[@inline] rd scalar a i = if scalar then Tensor.Backend.scalar_read a i else 
 
 (* ---- Forward ---------------------------------------------------------- *)
 
-(* q of class [c] from its parents' current p (the row at [base] of
-   [p]), stored at [q.(qi)] with the argmax edge at [arg.(qi)]:
-   ind = 1 + (-Π (1 + (-x))) multiplied in edge order, cor = the first
-   maximum in edge order (0 and -1 without parents), hybrid
-   0.5 (ind + cor), the root pinned at 1. Computing 1 - x as 1 + (-x)
+(* q of class [c] in rows [lo, hi) from its parents' current p, into
+   [q.(o + b)] with the argmax edge at [arg.(o + b)]: ind = 1 + (-Π (1
+   + (-x))) multiplied in edge order, cor = the first maximum in edge
+   order (0 and -1 without parents), hybrid 0.5 (ind + cor), the root
+   pinned at 1. Each edge is one pass over the rows, so every row
+   multiplies and compares in edge order. Computing 1 - x as 1 + (-x)
    flips a NaN's sign; the order fixes the rounding, so an acyclic
    class gets the bits an exact topological evaluation gets. *)
-let class_q s ~scalar ~p ~base ~q ~arg ~qi c =
-  if c = s.root then begin
-    q.(qi) <- 1.0;
-    if s.rule <> Independent then arg.(qi) <- -1
-  end
-  else begin
-    let pn = s.parent_node in
-    let st = s.parents.Segments.starts.(c) and len = s.parents.Segments.lens.(c) in
-    let ind =
-      if s.rule = Correlated then 0.0
-      else begin
-        let prod = ref 1.0 in
-        for e = st to st + len - 1 do
-          prod := !prod *. (1.0 +. -.rd scalar p (base + Array.unsafe_get pn e))
-        done;
-        1.0 +. -. !prod
-      end
-    in
-    let cor =
-      if s.rule = Independent then 0.0
-      else if len = 0 then begin
-        arg.(qi) <- -1;
-        0.0
-      end
-      else begin
-        let best = ref (rd scalar p (base + pn.(st))) and besti = ref st in
-        for e = st + 1 to st + len - 1 do
-          let v = rd scalar p (base + Array.unsafe_get pn e) in
-          if v > !best then begin
-            best := v;
-            besti := e
+let class_q s st ~scalar ~p ~o lo hi c =
+  let q = st.q and arg = st.arg and prod = st.prod and w = width s and pn = s.parent_node in
+  let e0 = s.parents.Segments.starts.(c) and len = s.parents.Segments.lens.(c) in
+  match s.rule with
+  | _ when c = s.root ->
+      for b = lo to hi - 1 do
+        set q (o + b) 1.0
+      done;
+      if s.rule <> Independent then
+        for b = lo to hi - 1 do
+          Array.unsafe_set arg (o + b) (-1)
+        done
+  | Independent ->
+      for b = lo to hi - 1 do
+        set prod b 1.0
+      done;
+      for e = e0 to e0 + len - 1 do
+        let kk = pn.(e) in
+        for b = lo to hi - 1 do
+          let x = get prod b in
+          set prod b (x *. (1.0 +. -.rd scalar p ((b * w) + kk)))
+        done
+      done;
+      for b = lo to hi - 1 do
+        set q (o + b) (1.0 +. -.get prod b)
+      done
+  | Correlated | Hybrid when len = 0 ->
+      (* hybrid: 0.5 ((1 + (-1)) + 0) = 0 *)
+      for b = lo to hi - 1 do
+        set q (o + b) 0.0;
+        Array.unsafe_set arg (o + b) (-1)
+      done
+  | Correlated ->
+      (* the first edge seeds the maximum; a later one wins only if
+         strictly greater *)
+      let kk = pn.(e0) in
+      for b = lo to hi - 1 do
+        set q (o + b) (rd scalar p ((b * w) + kk));
+        Array.unsafe_set arg (o + b) e0
+      done;
+      for e = e0 + 1 to e0 + len - 1 do
+        let kk = pn.(e) in
+        for b = lo to hi - 1 do
+          let v = rd scalar p ((b * w) + kk) in
+          if v > get q (o + b) then begin
+            set q (o + b) v;
+            Array.unsafe_set arg (o + b) e
           end
-        done;
-        arg.(qi) <- !besti;
-        !best
-      end
-    in
-    q.(qi) <-
-      (match s.rule with Independent -> ind | Correlated -> cor | Hybrid -> 0.5 *. (ind +. cor))
-  end
+        done
+      done
+  | Hybrid ->
+      (* the product and the maximum in one pass over the edges *)
+      let kk = pn.(e0) in
+      for b = lo to hi - 1 do
+        let v = rd scalar p ((b * w) + kk) in
+        set prod b (1.0 *. (1.0 +. -.v));
+        set q (o + b) v;
+        Array.unsafe_set arg (o + b) e0
+      done;
+      for e = e0 + 1 to e0 + len - 1 do
+        let kk = pn.(e) in
+        for b = lo to hi - 1 do
+          let v = rd scalar p ((b * w) + kk) in
+          let x = get prod b in
+          set prod b (x *. (1.0 +. -.v));
+          if v > get q (o + b) then begin
+            set q (o + b) v;
+            Array.unsafe_set arg (o + b) e
+          end
+        done
+      done;
+      for b = lo to hi - 1 do
+        set q (o + b) (0.5 *. (1.0 +. -.get prod b +. get q (o + b)))
+      done
 
-(* p_n = cp_n q_c for the nodes of class [c] *)
-let class_p s ~scalar ~cp ~p ~base ~q ~qi c =
-  let qc = rd scalar q qi in
-  let st = s.nodes.Segments.starts.(c) in
-  for n = base + st to base + st + s.nodes.Segments.lens.(c) - 1 do
-    p.(n) <- rd scalar cp n *. qc
+(* p_n = cp_n q_c for the nodes of class [c] in rows [lo, hi), q_c read
+   from [q.(o + b)] *)
+let class_p s ~scalar ~cp ~p ~q ~o lo hi c =
+  let w = width s and st = s.nodes.Segments.starts.(c) and len = s.nodes.Segments.lens.(c) in
+  for b = lo to hi - 1 do
+    let qc = rd scalar q (o + b) and base = (b * w) + st in
+    for n = base to base + len - 1 do
+      set p n (rd scalar cp n *. qc)
+    done
   done
 
-let forward_row s ~scalar ~cp ~p st b =
-  let base = b * width s and qbase = b * s.q_len in
-  let q = st.q and arg = st.arg in
+(* The sweep over rows [lo, hi) of a (batch, width) cp *)
+let forward_rows s st ~scalar ~cp ~p ~batch lo hi =
+  let w = width s in
   for k = 0 to Array.length s.rounds - 1 do
-    let lo = s.comp_start.(k) and hi = s.comp_start.(k + 1) in
-    let size = hi - lo in
+    let first = s.comp_start.(k) and last = s.comp_start.(k + 1) - 1 in
+    let size = last - first + 1 in
     if s.cyclic.(k) then
       (* round 0 of a cyclic component: q = 0, the root at 1 *)
-      for i = lo to hi - 1 do
+      for i = first to last do
         let c = s.order.(i) in
         let q0 = if c = s.root then 1.0 else 0.0 in
-        let nst = s.nodes.Segments.starts.(c) in
-        for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
-          p.(n) <- rd scalar cp n *. q0
+        let nst = s.nodes.Segments.starts.(c) and len = s.nodes.Segments.lens.(c) in
+        for b = lo to hi - 1 do
+          for n = (b * w) + nst to (b * w) + nst + len - 1 do
+            set p n (rd scalar cp n *. q0)
+          done
         done
       done;
     (* Jacobi inside the component: every q of a round reads the p of
        the round before, then every p moves *)
     for r = 0 to s.rounds.(k) - 1 do
-      for i = lo to hi - 1 do
+      for i = first to last do
         let c = s.order.(i) in
-        class_q s ~scalar ~p ~base ~q ~arg ~qi:(qbase + s.q_at.(c) + (r * size)) c
+        class_q s st ~scalar ~p ~o:((s.q_at.(c) + (r * size)) * batch) lo hi c
       done;
-      for i = lo to hi - 1 do
+      for i = first to last do
         let c = s.order.(i) in
-        class_p s ~scalar ~cp ~p ~base ~q ~qi:(qbase + s.q_at.(c) + (r * size)) c
+        class_p s ~scalar ~cp ~p ~q:st.q ~o:((s.q_at.(c) + (r * size)) * batch) lo hi c
       done
     done
   done
@@ -227,21 +295,14 @@ let check_state name s st ~batch =
   if Array.length st.q <> batch * s.q_len then
     invalid_arg (Printf.sprintf "Propagation.%s: state sized for another batch" name)
 
-(* [row scalar b] for every row: chunked at fixed boundaries on the
-   Vectorized backend, one row after another on the Scalar one *)
-let each_row s batch row =
-  match Tensor.Backend.current () with
-  | Tensor.Backend.Vectorized ->
-      let w = Stdlib.max 1 (width s) in
-      Parallel.chunks ~grain:(Stdlib.max 1 (Parallel.default_grain / w)) ~cost:w batch
-        (fun lo hi ->
-          for b = lo to hi - 1 do
-            row false b
-          done)
-  | Tensor.Backend.Scalar ->
-      for b = 0 to batch - 1 do
-        row true b
-      done
+(* [body lo hi] for every chunk of rows, at fixed boundaries: the
+   Vectorized backend's schedule (the Scalar one runs all rows as one
+   chunk) *)
+let chunks s batch body =
+  let w = Stdlib.max 1 (width s) in
+  Parallel.chunks ~grain:(Stdlib.max 1 (Parallel.default_grain / w)) ~cost:w batch body
+
+let scalar () = Tensor.Backend.current () = Tensor.Backend.Scalar
 
 let forward s st ~out cp =
   let batch = cp.Tensor.batch in
@@ -250,106 +311,148 @@ let forward s st ~out cp =
   check_state "forward" s st ~batch;
   count_op "tensor.segment_ops.propagate";
   let cpd = Tensor.unsafe_data cp and p = Tensor.unsafe_data out in
-  each_row s batch (fun scalar b -> forward_row s ~scalar ~cp:cpd ~p st b)
+  if scalar () then forward_rows s st ~scalar:true ~cp:cpd ~p ~batch 0 batch
+  else chunks s batch (fun lo hi -> forward_rows s st ~scalar:false ~cp:cpd ~p ~batch lo hi)
 
 (* ---- Backward --------------------------------------------------------- *)
 
-(* Reverse of class [c]'s update in local round [r] of component [k].
-   [cur] holds the adjoints of the p this round wrote; they reach cp
-   through p_n = cp_n q_c, and q_c's adjoint reaches the parents' p:
-   into [nxt] for a parent inside the component (the p of round r - 1),
-   into [adj] for one outside (its final p). *)
-let class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur ~nxt ~b ~k ~r c =
-  let base = b * width s and qbase = b * s.q_len in
+(* edge slot [yo]'s factor [y] in row [b], after the product of the
+   factors before it *)
+let[@inline] factor ~ys ~others ~acc ~yo b y =
+  let a = get acc b in
+  set ys (yo + b) y;
+  set others (yo + b) a;
+  set acc b (a *. y)
+
+(* Reverse of class [c]'s update in local round [r] of component [k],
+   for rows [lo, hi). [cur] holds the adjoints of the p this round
+   wrote; they reach cp through p_n = cp_n q_c, and q_c's adjoint
+   reaches the parents' p: into [nxt] for a parent inside the component
+   (the p of round r - 1), into [adj] for one outside (its final p).
+   Per row, the node pass, the factors with their prefix products, the
+   suffix pass and the argmax edge run in that order, as a
+   row-at-a-time loop runs them. *)
+let class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur ~nxt ~batch ~k ~r lo hi c =
+  let w = width s in
   let size = s.comp_start.(k + 1) - s.comp_start.(k) in
-  let qi = qbase + s.q_at.(c) + (r * size) in
-  let qc = rd scalar st.q qi in
-  let gq = ref 0.0 in
-  let nst = s.nodes.Segments.starts.(c) in
-  for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
-    let a = cur.(n) in
-    into.(n) <- rd scalar into n +. (a *. qc);
-    gq := !gq +. (a *. rd scalar cp n)
+  let o = (s.q_at.(c) + (r * size)) * batch in
+  let q = st.q and gq = sc.gq and half = s.rule = Hybrid in
+  let nst = s.nodes.Segments.starts.(c) and nlen = s.nodes.Segments.lens.(c) in
+  (* gq holds q_c's adjoint, halved under Hybrid: both terms take half *)
+  for b = lo to hi - 1 do
+    let qc = rd scalar q (o + b) and base = (b * w) + nst in
+    let acc = ref 0.0 in
+    for n = base to base + nlen - 1 do
+      let a = get cur n in
+      set into n (rd scalar into n +. (a *. qc));
+      acc := !acc +. (a *. rd scalar cp n)
+    done;
+    set gq b (if half then 0.5 *. !acc else !acc)
   done;
   (* the pinned root passes nothing to its parents *)
   if c <> s.root then begin
     let pn = s.parent_node and adj = sc.adj in
-    let pst = s.parents.Segments.starts.(c) and plen = s.parents.Segments.lens.(c) in
-    let obase = b * s.max_parents in
-    let gi = match s.rule with Independent -> !gq | Correlated -> 0.0 | Hybrid -> 0.5 *. !gq in
-    let gc = match s.rule with Independent -> 0.0 | Correlated -> !gq | Hybrid -> 0.5 *. !gq in
+    let e0 = s.parents.Segments.starts.(c) and len = s.parents.Segments.lens.(c) in
     if s.rule <> Correlated then begin
-      (* y_e = 1 + (-x_e) at the parents' values this round read; then
-         the product of the others by prefix and suffix, no division *)
-      let ys = sc.ys and others = sc.others in
-      for e = pst to pst + plen - 1 do
-        let kk = pn.(e) in
+      (* y_e = 1 + (-x_e) at the parents' values this round read, with
+         the product of the factors before it; then the product of the
+         others by prefix and suffix, no division *)
+      let ys = sc.ys and others = sc.others and acc = sc.acc in
+      for b = lo to hi - 1 do
+        set acc b 1.0
+      done;
+      for j = 0 to len - 1 do
+        let kk = pn.(e0 + j) and yo = j * batch in
         let d = s.node_class.(kk) in
-        let x =
-          if s.comp_of.(d) <> k then rd scalar p (base + kk)
-          else if r = 0 then rd scalar cp (base + kk) *. if d = s.root then 1.0 else 0.0
-          else rd scalar cp (base + kk) *. rd scalar st.q (qbase + s.q_at.(d) + ((r - 1) * size))
-        in
-        ys.(obase + e - pst) <- 1.0 +. -.x
+        if s.comp_of.(d) <> k then
+          for b = lo to hi - 1 do
+            factor ~ys ~others ~acc ~yo b (1.0 +. -.rd scalar p ((b * w) + kk))
+          done
+        else if r = 0 then begin
+          let q0 = if d = s.root then 1.0 else 0.0 in
+          for b = lo to hi - 1 do
+            factor ~ys ~others ~acc ~yo b (1.0 +. -.(rd scalar cp ((b * w) + kk) *. q0))
+          done
+        end
+        else begin
+          let qo = (s.q_at.(d) + ((r - 1) * size)) * batch in
+          for b = lo to hi - 1 do
+            factor ~ys ~others ~acc ~yo b
+              (1.0 +. -.(rd scalar cp ((b * w) + kk) *. rd scalar q (qo + b)))
+          done
+        end
       done;
-      let acc = ref 1.0 in
-      for j = obase to obase + plen - 1 do
-        others.(j) <- !acc;
-        acc := !acc *. ys.(j)
+      for b = lo to hi - 1 do
+        set acc b 1.0
       done;
-      let acc = ref 1.0 in
-      for e = pst + plen - 1 downto pst do
-        let j = obase + e - pst in
-        let kk = pn.(e) in
+      for j = len - 1 downto 0 do
+        let kk = pn.(e0 + j) and yo = j * batch in
         let t = if s.comp_of.(s.node_class.(kk)) = k then nxt else adj in
-        t.(base + kk) <- t.(base + kk) +. (gi *. (others.(j) *. !acc));
-        acc := !acc *. ys.(j)
+        for b = lo to hi - 1 do
+          let i = (b * w) + kk and a = get acc b in
+          let ti = get t i and gb = get gq b and ob = get others (yo + b) in
+          set t i (ti +. (gb *. (ob *. a)));
+          set acc b (a *. get ys (yo + b))
+        done
       done
     end;
-    if s.rule <> Independent then begin
-      let e = st.arg.(qi) in
-      if e >= 0 then begin
-        let kk = pn.(e) in
-        let t = if s.comp_of.(s.node_class.(kk)) = k then nxt else adj in
-        t.(base + kk) <- t.(base + kk) +. gc
-      end
-    end
+    if s.rule <> Independent then
+      for b = lo to hi - 1 do
+        let e = Array.unsafe_get st.arg (o + b) in
+        if e >= 0 then begin
+          let kk = pn.(e) in
+          let t = if s.comp_of.(s.node_class.(kk)) = k then nxt else adj in
+          let i = (b * w) + kk in
+          let ti = get t i in
+          set t i (ti +. get gq b)
+        end
+      done
   end
 
-let backward_row s ~scalar ~cp ~p ~g ~into st sc b =
+let backward_rows s ~scalar ~cp ~p ~g ~into st sc ~batch lo hi =
   let w = width s in
-  let base = b * w in
   let adj = sc.adj in
-  for n = base to base + w - 1 do
-    adj.(n) <- rd scalar g n
+  for n = lo * w to (hi * w) - 1 do
+    set adj n (rd scalar g n)
   done;
   for k = Array.length s.rounds - 1 downto 0 do
-    let lo = s.comp_start.(k) and hi = s.comp_start.(k + 1) in
+    let first = s.comp_start.(k) and last = s.comp_start.(k + 1) - 1 in
     if not s.cyclic.(k) then
-      class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur:adj ~nxt:adj ~b ~k ~r:0 s.order.(lo)
+      class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur:adj ~nxt:adj ~batch ~k ~r:0 lo hi
+        s.order.(first)
     else begin
       (* the final p's adjoints sit in [adj]; each round's pass leaves
          the previous round's in the other buffer *)
       let cur = ref adj and nxt = ref sc.alt in
       for r = s.rounds.(k) - 1 downto 0 do
-        for i = lo to hi - 1 do
-          let nst = base + s.nodes.Segments.starts.(s.order.(i)) in
-          Array.fill !nxt nst s.nodes.Segments.lens.(s.order.(i)) 0.0
+        let t = !nxt in
+        for i = first to last do
+          let c = s.order.(i) in
+          let nst = s.nodes.Segments.starts.(c) and len = s.nodes.Segments.lens.(c) in
+          for b = lo to hi - 1 do
+            for n = (b * w) + nst to (b * w) + nst + len - 1 do
+              set t n 0.0
+            done
+          done
         done;
-        for i = lo to hi - 1 do
-          class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur:!cur ~nxt:!nxt ~b ~k ~r s.order.(i)
+        for i = first to last do
+          class_backward s ~scalar ~cp ~p ~into ~st ~sc ~cur:!cur ~nxt:t ~batch ~k ~r lo hi
+            s.order.(i)
         done;
-        let t = !cur in
-        cur := !nxt;
-        nxt := t
+        nxt := !cur;
+        cur := t
       done;
       (* round 0's p = cp q⁰ *)
-      for i = lo to hi - 1 do
+      let cur = !cur in
+      for i = first to last do
         let c = s.order.(i) in
         let q0 = if c = s.root then 1.0 else 0.0 in
-        let nst = s.nodes.Segments.starts.(c) in
-        for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
-          into.(n) <- rd scalar into n +. (!cur.(n) *. q0)
+        let nst = s.nodes.Segments.starts.(c) and len = s.nodes.Segments.lens.(c) in
+        for b = lo to hi - 1 do
+          for n = (b * w) + nst to (b * w) + nst + len - 1 do
+            let a = get cur n in
+            set into n (rd scalar into n +. (a *. q0))
+          done
         done
       done
     end
@@ -362,9 +465,10 @@ let backward s st sc ~cp ~p ~g ~into =
   check_shape "backward" s g ~batch;
   check_shape "backward" s into ~batch;
   check_state "backward" s st ~batch;
-  if Array.length sc.adj <> batch * width s then
+  if Array.length sc.gq <> batch then
     invalid_arg "Propagation.backward: scratch sized for another batch";
   count_op "tensor.segment_ops.propagate_grad";
   let cp = Tensor.unsafe_data cp and p = Tensor.unsafe_data p in
   let g = Tensor.unsafe_data g and into = Tensor.unsafe_data into in
-  each_row s batch (fun scalar b -> backward_row s ~scalar ~cp ~p ~g ~into st sc b)
+  if scalar () then backward_rows s ~scalar:true ~cp ~p ~g ~into st sc ~batch 0 batch
+  else chunks s batch (fun lo hi -> backward_rows s ~scalar:false ~cp ~p ~g ~into st sc ~batch lo hi)

@@ -15,10 +15,19 @@
     q = 0, the root at 1, and runs its own Jacobi rounds once its
     inputs are final.
 
-    Both kernels chunk over batch rows ({!Parallel.chunks}), so any
-    pool size gives the same bits, and honour {!Tensor.Backend}: the
-    Scalar backend reads every input through
-    {!Tensor.Backend.scalar_read} and computes the same bits. *)
+    Both kernels chunk over batch rows ({!Parallel.chunks}) and walk
+    the schedule once per chunk: each class is decoded once, then its
+    parent edges are the middle loop and the chunk's rows the inner
+    one (its own e-nodes are walked row by row). A row's running
+    products, maxima, argmax edges, adjoint sums, factors and prefix
+    products sit in row-indexed arrays of the {!state} and {!scratch},
+    where a chunk owns only its own rows' slots. Each row still runs
+    the expressions of a row-at-a-time sweep in the same order, edge
+    after edge, so the loop order changes no bit, and any pool size
+    gives the same bits. The kernels honour {!Tensor.Backend}: the
+    Scalar backend runs the same loops over all rows as one chunk,
+    reading every input through {!Tensor.Backend.scalar_read}, and
+    computes the same bits. *)
 
 type rule =
   | Independent  (** Eq. (6): q = 1 − Π_e (1 − p_e) over the parent edges *)
@@ -71,9 +80,13 @@ type state
 type scratch
 
 val state : schedule -> batch:int -> state
+(** Each row's q and argmax edge per (round, class), and the forward's
+    running product per row. *)
+
 val scratch : schedule -> batch:int -> scratch
-(** The backward's adjoint accumulators and product-of-others buffers,
-    one set per row. *)
+(** The backward's adjoint accumulators, per-row adjoint sums and
+    product-of-others buffers. Neither kernel allocates an array per
+    call. *)
 
 val forward : schedule -> state -> out:Tensor.t -> Tensor.t -> unit
 (** [forward s st ~out cp] writes p into [out]. Both are (B, width s);

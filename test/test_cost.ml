@@ -197,12 +197,45 @@ let test_mlp_corrected_dim_mismatch () =
     (Invalid_argument "Cost_model.mlp_corrected: dimension mismatch") (fun () ->
       ignore (Cost_model.mlp_corrected ~linear:[| 1.0 |] mlp))
 
+(* [selected] over a 0/1 point's ones in increasing order gives
+   [dense]'s bits, under signed zeros and non-finite coefficients too;
+   a non-linear model is refused *)
+let selected_matches_dense =
+  qtest ~count:200 "selected = dense on 0/1 points"
+    QCheck2.Gen.(pair (int_range 1 40) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let special = [| 0.0; -0.0; 1e300; -1e300; infinity; neg_infinity; Float.nan; 0.1 |] in
+      let u =
+        Array.init n (fun _ ->
+            if Rng.int rng 3 = 0 then special.(Rng.int rng (Array.length special))
+            else Rng.float rng 20.0 -. 10.0)
+      in
+      let x = Array.init n (fun _ -> if Rng.int rng 2 = 0 then 1.0 else 0.0) in
+      let ids = Array.make n (-1) and k = ref 0 in
+      Array.iteri
+        (fun i xi ->
+          if xi = 1.0 then begin
+            ids.(!k) <- i;
+            incr k
+          end)
+        x;
+      let m = Cost_model.linear u in
+      Int64.equal
+        (Int64.bits_of_float (Cost_model.selected m ids !k))
+        (Int64.bits_of_float (Cost_model.dense m x))
+      &&
+      match Cost_model.selected (Cost_model.pairwise ~linear:u []) ids !k with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "cost"
     [
       ( "linear",
         [
           Alcotest.test_case "dense" `Quick test_linear_dense;
+          selected_matches_dense;
           Alcotest.test_case "of_egraph matches dag cost" `Quick
             test_linear_of_egraph_matches_dag_cost;
           linear_relaxed_matches_dense;

@@ -371,6 +371,39 @@ let test_lp_resolve_infinite_bound () =
   | _ -> Alcotest.fail "expected optimal");
   Alcotest.(check (float 0.0)) "counted as a fallback" 1.0 fallbacks
 
+(* A re-solve must not keep the flags of the scratch's last use. Child
+   A's re-solve leaves x0 nonbasic at its upper bound, where the root
+   has it at its lower one; child B is then re-solved from the same
+   scratch and must match a cold solve. min 3 x0 + 2 x1 + 4 x2 with
+   x0 + x1 + x2 >= 1.5: the root takes x1 = 1.5; A caps x1 at 0, so x0
+   rises to its upper bound 1 and x2 makes up 0.5; B caps x1 at 1, so
+   x0 makes up 0.5. *)
+let test_lp_resolve_after_upper () =
+  let p =
+    lp ~nvars:3 ~objective:[| 3.0; 2.0; 4.0 |]
+      ~constraints:[ constr [ (0, 1.0); (1, 1.0); (2, 1.0) ] Lp.Ge 1.5 ]
+      ~upper:[| 1.0; 2.0; 1.0 |]
+  in
+  let optimal what = function
+    | Lp.Optimal { x; obj } -> (x, obj)
+    | _ -> Alcotest.failf "%s: expected optimal" what
+  in
+  match Lp.solve_root p with
+  | _, None -> Alcotest.fail "expected an optimal root"
+  | res, Some root ->
+      Alcotest.(check (array (float 1e-12))) "root x" [| 0.0; 1.5; 0.0 |] (fst (optimal "root" res));
+      let scratch = Lp.scratch root in
+      let a = { p with Lp.upper = [| 1.0; 0.0; 1.0 |] } in
+      let xa, obj_a = optimal "child A" (Lp.resolve root scratch a) in
+      Alcotest.(check (array (float 1e-12))) "child A x" [| 1.0; 0.0; 0.5 |] xa;
+      Test_util.check_close ~msg:"child A objective" 5.0 obj_a;
+      let b = { p with Lp.upper = [| 1.0; 1.0; 1.0 |] } in
+      let xb, obj_b = optimal "child B" (Lp.resolve root scratch b) in
+      let _, cold = optimal "cold B" (Lp.solve b) in
+      Test_util.check_close ~msg:"child B = cold" cold obj_b;
+      Test_util.check_close ~msg:"child B objective" 3.5 obj_b;
+      Alcotest.(check bool) "child B feasible" true (Lp.check_feasible b xb)
+
 let test_lp_resolve_allocation () =
   (* a depth-1 child of mcm_8's ILP, re-solved from the root into a
      pre-made scratch, allocates its answer and nothing tableau-sized *)
@@ -715,6 +748,8 @@ let () =
           lp_optimum_dominates_random_points;
           lp_matches_vertex_oracle;
           Alcotest.test_case "re-solve allocation" `Quick test_lp_resolve_allocation;
+          Alcotest.test_case "re-solve after a column left at upper" `Quick
+            test_lp_resolve_after_upper;
           lp_resolve_matches_cold;
           Alcotest.test_case "re-solve past its deadline" `Quick test_lp_resolve_past_deadline;
           Alcotest.test_case "re-solve to an infinite bound" `Quick

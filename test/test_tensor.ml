@@ -525,7 +525,7 @@ let seg_grads_match_composites =
 let propagate_backends_agree =
   qtest ~count:200 "backends agree on propagate"
     QCheck2.Gen.(
-      triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 3) (int_bound 1_000_000))
+      triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 20) (int_bound 1_000_000))
     (fun (g, batch, seed) ->
       let rule =
         [| Propagation.Independent; Propagation.Correlated; Propagation.Hybrid |].(seed mod 3)
@@ -546,6 +546,312 @@ let propagate_backends_agree =
       in
       let p1, d1 = run Tensor.Backend.Vectorized and p2, d2 = run Tensor.Backend.Scalar in
       Tensor.bits_equal p1 p2 && Tensor.bits_equal d1 d2)
+
+(* The row-at-a-time sweep that [Propagation]'s kernels replaced, kept
+   as their oracle: each row walks the whole schedule and decodes every
+   class again. It takes [Propagation.make]'s inputs, since a schedule is
+   abstract, and holds each row's q and argmax edges at [b * q_len +
+   slot]. *)
+module Row_sweep = struct
+  type t = {
+    rule : Propagation.rule;
+    root : int;
+    nodes : Segments.t;
+    parent_node : int array;
+    parents : Segments.t;
+    node_class : int array;
+    order : int array;
+    comp_start : int array;
+    comp_of : int array;
+    cyclic : bool array;
+    rounds : int array;
+    q_at : int array;
+    q_len : int;
+    max_parents : int;
+  }
+
+  let make ~rule ~root ~nodes ~parent_node ~parents ~components ~local_rounds =
+    let m = Segments.count nodes and ncomp = Array.length components in
+    let node_class = Array.make nodes.Segments.width 0 in
+    for c = 0 to m - 1 do
+      for n = nodes.Segments.starts.(c) to nodes.Segments.starts.(c) + nodes.Segments.lens.(c) - 1 do
+        node_class.(n) <- c
+      done
+    done;
+    let comp_of = Array.make m 0 in
+    Array.iteri (fun k comp -> Array.iter (fun c -> comp_of.(c) <- k) comp) components;
+    let cyclic = Array.make ncomp false in
+    for c = 0 to m - 1 do
+      let st = parents.Segments.starts.(c) in
+      for e = st to st + parents.Segments.lens.(c) - 1 do
+        if comp_of.(node_class.(parent_node.(e))) = comp_of.(c) then cyclic.(comp_of.(c)) <- true
+      done
+    done;
+    let rounds =
+      Array.mapi
+        (fun k comp -> if cyclic.(k) then max 1 (local_rounds (Array.length comp)) else 1)
+        components
+    in
+    let comp_start = Array.make (ncomp + 1) 0 and q_at = Array.make m 0 and q_len = ref 0 in
+    for k = 0 to ncomp - 1 do
+      let size = Array.length components.(k) in
+      comp_start.(k + 1) <- comp_start.(k) + size;
+      Array.iteri (fun i c -> q_at.(c) <- !q_len + i) components.(k);
+      q_len := !q_len + (rounds.(k) * size)
+    done;
+    {
+      rule; root; nodes; parent_node; parents; node_class;
+      order = Array.concat (Array.to_list components);
+      comp_start; comp_of; cyclic; rounds; q_at; q_len = !q_len;
+      max_parents = Array.fold_left max 0 parents.Segments.lens;
+    }
+
+  let width s = s.nodes.Segments.width
+
+  let class_q s ~p ~base ~q ~arg ~qi c =
+    if c = s.root then begin
+      q.(qi) <- 1.0;
+      arg.(qi) <- -1
+    end
+    else begin
+      let pn = s.parent_node in
+      let st = s.parents.Segments.starts.(c) and len = s.parents.Segments.lens.(c) in
+      let prod = ref 1.0 in
+      for e = st to st + len - 1 do
+        prod := !prod *. (1.0 +. -.p.(base + pn.(e)))
+      done;
+      let ind = 1.0 +. -. !prod in
+      let cor =
+        if len = 0 then begin
+          arg.(qi) <- -1;
+          0.0
+        end
+        else begin
+          let best = ref p.(base + pn.(st)) and besti = ref st in
+          for e = st + 1 to st + len - 1 do
+            let v = p.(base + pn.(e)) in
+            if v > !best then begin
+              best := v;
+              besti := e
+            end
+          done;
+          arg.(qi) <- !besti;
+          !best
+        end
+      in
+      q.(qi) <-
+        (match s.rule with
+        | Propagation.Independent -> ind
+        | Correlated -> cor
+        | Hybrid -> 0.5 *. (ind +. cor))
+    end
+
+  let class_p s ~cp ~p ~base ~q ~qi c =
+    let st = s.nodes.Segments.starts.(c) in
+    for n = base + st to base + st + s.nodes.Segments.lens.(c) - 1 do
+      p.(n) <- cp.(n) *. q.(qi)
+    done
+
+  (* p for every row of cp, with each row's q and argmax edges *)
+  let forward s ~batch cp p =
+    let q = Array.make (batch * s.q_len) 0.0 and arg = Array.make (batch * s.q_len) (-1) in
+    for b = 0 to batch - 1 do
+      let base = b * width s and qbase = b * s.q_len in
+      for k = 0 to Array.length s.rounds - 1 do
+        let lo = s.comp_start.(k) and hi = s.comp_start.(k + 1) in
+        let size = hi - lo in
+        if s.cyclic.(k) then
+          for i = lo to hi - 1 do
+            let c = s.order.(i) in
+            let q0 = if c = s.root then 1.0 else 0.0 in
+            let nst = s.nodes.Segments.starts.(c) in
+            for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
+              p.(n) <- cp.(n) *. q0
+            done
+          done;
+        for r = 0 to s.rounds.(k) - 1 do
+          for i = lo to hi - 1 do
+            let c = s.order.(i) in
+            class_q s ~p ~base ~q ~arg ~qi:(qbase + s.q_at.(c) + (r * size)) c
+          done;
+          for i = lo to hi - 1 do
+            let c = s.order.(i) in
+            class_p s ~cp ~p ~base ~q ~qi:(qbase + s.q_at.(c) + (r * size)) c
+          done
+        done
+      done
+    done;
+    (q, arg)
+
+  let class_backward s ~cp ~p ~into ~q ~arg ~adj ~ys ~others ~cur ~nxt ~b ~k ~r c =
+    let base = b * width s and qbase = b * s.q_len in
+    let size = s.comp_start.(k + 1) - s.comp_start.(k) in
+    let qi = qbase + s.q_at.(c) + (r * size) in
+    let qc = q.(qi) in
+    let gq = ref 0.0 in
+    let nst = s.nodes.Segments.starts.(c) in
+    for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
+      let a = cur.(n) in
+      into.(n) <- into.(n) +. (a *. qc);
+      gq := !gq +. (a *. cp.(n))
+    done;
+    if c <> s.root then begin
+      let pn = s.parent_node in
+      let pst = s.parents.Segments.starts.(c) and plen = s.parents.Segments.lens.(c) in
+      let obase = b * s.max_parents in
+      let gi, gc =
+        match s.rule with
+        | Propagation.Independent -> (!gq, 0.0)
+        | Correlated -> (0.0, !gq)
+        | Hybrid -> (0.5 *. !gq, 0.5 *. !gq)
+      in
+      let target kk = if s.comp_of.(s.node_class.(kk)) = k then nxt else adj in
+      if s.rule <> Propagation.Correlated then begin
+        for e = pst to pst + plen - 1 do
+          let kk = pn.(e) in
+          let d = s.node_class.(kk) in
+          let x =
+            if s.comp_of.(d) <> k then p.(base + kk)
+            else if r = 0 then cp.(base + kk) *. if d = s.root then 1.0 else 0.0
+            else cp.(base + kk) *. q.(qbase + s.q_at.(d) + ((r - 1) * size))
+          in
+          ys.(obase + e - pst) <- 1.0 +. -.x
+        done;
+        let acc = ref 1.0 in
+        for j = obase to obase + plen - 1 do
+          others.(j) <- !acc;
+          acc := !acc *. ys.(j)
+        done;
+        let acc = ref 1.0 in
+        for e = pst + plen - 1 downto pst do
+          let j = obase + e - pst and kk = pn.(e) in
+          let t = target kk in
+          t.(base + kk) <- t.(base + kk) +. (gi *. (others.(j) *. !acc));
+          acc := !acc *. ys.(j)
+        done
+      end;
+      if s.rule <> Propagation.Independent then begin
+        let e = arg.(qi) in
+        if e >= 0 then begin
+          let kk = pn.(e) in
+          let t = target kk in
+          t.(base + kk) <- t.(base + kk) +. gc
+        end
+      end
+    end
+
+  (* adds into [into] cp's adjoint for p's adjoint [g], from the q and
+     argmax edges [forward] returned for this cp *)
+  let backward s ~batch (q, arg) ~cp ~p ~g ~into =
+    let w = width s in
+    let adj = Array.copy g and alt = Array.make (batch * w) 0.0 in
+    let ys = Array.make (batch * s.max_parents) 0.0 in
+    let others = Array.make (batch * s.max_parents) 0.0 in
+    for b = 0 to batch - 1 do
+      let base = b * w in
+      for k = Array.length s.rounds - 1 downto 0 do
+        let lo = s.comp_start.(k) and hi = s.comp_start.(k + 1) in
+        let back ~cur ~nxt ~r c =
+          class_backward s ~cp ~p ~into ~q ~arg ~adj ~ys ~others ~cur ~nxt ~b ~k ~r c
+        in
+        if not s.cyclic.(k) then back ~cur:adj ~nxt:adj ~r:0 s.order.(lo)
+        else begin
+          let cur = ref adj and nxt = ref alt in
+          for r = s.rounds.(k) - 1 downto 0 do
+            for i = lo to hi - 1 do
+              let c = s.order.(i) in
+              Array.fill !nxt (base + s.nodes.Segments.starts.(c)) s.nodes.Segments.lens.(c) 0.0
+            done;
+            for i = lo to hi - 1 do
+              back ~cur:!cur ~nxt:!nxt ~r s.order.(i)
+            done;
+            let t = !cur in
+            cur := !nxt;
+            nxt := t
+          done;
+          for i = lo to hi - 1 do
+            let c = s.order.(i) in
+            let q0 = if c = s.root then 1.0 else 0.0 in
+            let nst = s.nodes.Segments.starts.(c) in
+            for n = base + nst to base + nst + s.nodes.Segments.lens.(c) - 1 do
+              into.(n) <- into.(n) +. (!cur.(n) *. q0)
+            done
+          done
+        end
+      done
+    done
+end
+
+(* [hard_tensor] with a NaN in about one element of 16 *)
+let hard_nan_tensor rng ~batch ~width =
+  Tensor.init ~batch ~width (fun _ _ -> if Rng.int rng 16 = 0 then Float.nan else hard_value rng)
+
+(* The class-by-class kernels against the row-at-a-time oracle, bit for
+   bit, on random e-graphs with cycles under every rule, on both
+   backends, over hard values: ties, signed zeros, p at exactly 1, NaN. *)
+let propagate_matches_row_sweep =
+  qtest ~count:200 "propagate = row-at-a-time sweep, bitwise"
+    QCheck2.Gen.(
+      triple (Test_util.arb_egraph ~cycle_prob:0.35 ()) (int_range 1 20) (int_bound 1_000_000))
+    (fun (g, batch, seed) ->
+      let n = Egraph.num_nodes g in
+      let rng = Rng.create seed in
+      let cp = hard_nan_tensor rng ~batch ~width:n in
+      let g_adj = hard_nan_tensor rng ~batch ~width:n in
+      let into0 = hard_tensor rng ~batch ~width:n in
+      List.for_all
+        (fun rule ->
+          let inputs make =
+            make ~rule ~root:g.Egraph.root ~nodes:g.Egraph.class_seg
+              ~parent_node:g.Egraph.parent_edge_node ~parents:g.Egraph.parent_seg
+              ~components:(Array.of_list (List.rev (Array.to_list g.Egraph.sccs)))
+              ~local_rounds:(fun size -> min 96 (size + 3))
+          in
+          let r = inputs Row_sweep.make in
+          let want_p = Tensor.create ~batch ~width:n and want_into = Tensor.copy into0 in
+          let qa = Row_sweep.forward r ~batch (Tensor.unsafe_data cp) (Tensor.unsafe_data want_p) in
+          Row_sweep.backward r ~batch qa ~cp:(Tensor.unsafe_data cp)
+            ~p:(Tensor.unsafe_data want_p) ~g:(Tensor.unsafe_data g_adj)
+            ~into:(Tensor.unsafe_data want_into);
+          let s = inputs Propagation.make in
+          List.for_all
+            (fun mode ->
+              Tensor.Backend.with_mode mode @@ fun () ->
+              let p = Tensor.create ~batch ~width:n and into = Tensor.copy into0 in
+              let st = Propagation.state s ~batch in
+              Propagation.forward s st ~out:p cp;
+              Propagation.backward s st (Propagation.scratch s ~batch) ~cp ~p ~g:g_adj ~into;
+              Tensor.bits_equal p want_p && Tensor.bits_equal into want_into)
+            [ Tensor.Backend.Vectorized; Tensor.Backend.Scalar ])
+        [ Propagation.Independent; Propagation.Correlated; Propagation.Hybrid ])
+
+(* A forward plus a backward on a made state and scratch allocates
+   only its two chunk closures (and the option boxes of their
+   arguments): its per-row products, maxima, argmax edges, adjoint
+   sums, factors and prefix products live in the state and scratch. On
+   box_3 at batch 16 the row-at-a-time kernels allocated 49 words per
+   pair of calls; a per-call array of one float per row would add 17. *)
+let test_propagate_allocation () =
+  let g = (Registry.find_instance "box_3").Registry.build () in
+  let s = Relaxation.schedule Propagation.Hybrid g in
+  let batch = 16 and n = Egraph.num_nodes g in
+  let rng = Rng.create 3 in
+  let cp = Segments.softmax (hard_tensor rng ~batch ~width:n) g.Egraph.class_seg in
+  let adj = hard_tensor rng ~batch ~width:n in
+  let p = Tensor.create ~batch ~width:n and into = Tensor.create ~batch ~width:n in
+  let st = Propagation.state s ~batch and sc = Propagation.scratch s ~batch in
+  let run () =
+    Propagation.forward s st ~out:p cp;
+    Propagation.backward s st sc ~cp ~p ~g:adj ~into
+  in
+  let was_on = !Obs.on in
+  Obs.on := false;
+  Fun.protect ~finally:(fun () -> Obs.on := was_on) @@ fun () ->
+  run ();
+  let before = Test_util.allocated_words () in
+  run ();
+  let words = Test_util.allocated_words () -. before in
+  if words > 52.0 then Alcotest.failf "forward + backward allocated %.0f words (bound 52)" words
 
 let test_gather_scatter () =
   let src = Tensor.of_array ~batch:2 ~width:3 [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
@@ -595,6 +901,9 @@ let () =
           seg_max_argmax_consistent;
           seg_prod_grad_scratch_correct;
           propagate_backends_agree;
+          propagate_matches_row_sweep;
+          Alcotest.test_case "propagate allocates no arrays per call" `Quick
+            test_propagate_allocation;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           seg_grads_match_composites;
         ]
