@@ -309,14 +309,15 @@ let lambda_flag =
 let plan_flag =
   Arg.(
     value
-    & opt (enum [ ("off", "off"); ("on", "on"); ("check", "check") ]) "off"
+    & opt (enum [ ("off", "off"); ("on", "on"); ("check", "check") ]) "on"
     & info [ "plan" ] ~docv:"MODE"
         ~doc:
-          "SmoothE static-plan replay: $(b,off) interprets every iteration; $(b,on) \
-           captures the iteration IR, verifies it with the plan-level dataflow analysis \
-           and replays later iterations over a preallocated arena with zero tensor \
-           allocation; $(b,check) replays AND interprets every iteration, asserting \
-           bit-identical losses, probabilities and gradients (differential testing).")
+          "SmoothE static-plan replay: $(b,on) (the default) captures the iteration IR, \
+           verifies it with the plan-level dataflow analysis and replays later \
+           iterations over a preallocated arena with zero tensor allocation, \
+           bit-identical to the interpreter; $(b,off) interprets every iteration; \
+           $(b,check) replays AND interprets every iteration, asserting bit-identical \
+           losses, probabilities and gradients (differential testing).")
 
 let seed_flag = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 
@@ -983,10 +984,13 @@ let serve_cmd =
       & opt (enum [ ("off", "off"); ("on", "on"); ("check", "check") ]) "off"
       & info [ "plan" ] ~docv:"MODE"
           ~doc:
-            "Static-plan replay for SmoothE requests: $(b,on) arms verified \
-             zero-allocation replay of each request's iteration IR, $(b,check) also \
-             interprets and asserts bitwise identity; gate failures fall back to the \
-             interpreter per request.")
+            "Static-plan replay for SmoothE requests: $(b,off) (the default) interprets; \
+             $(b,on) arms verified zero-allocation replay of each request's iteration \
+             IR, $(b,check) also interprets and asserts bitwise identity; gate failures \
+             fall back to the interpreter per request. The default stays $(b,off) \
+             because each request captures its own plan, and a replay pays only over \
+             many iterations: it starts after two interpreted capture iterations and a \
+             plan build and check, while typical requests run a handful.")
   in
   let journal_dir =
     Arg.(

@@ -62,7 +62,7 @@ let default =
     min_temperature = 0.2;
     entropy_weight = 0.0;
     seed = 7;
-    plan = Plan_off;
+    plan = Plan_on;
   }
 
 (* The paper's parallel propagation needs enough unrolled steps for

@@ -15,11 +15,14 @@ val assumption_name : assumption -> string
 val assumption_of_string : string -> assumption
 
 type plan_mode =
-  | Plan_off  (** interpret every iteration (the baseline) *)
+  | Plan_off
+      (** interpret every iteration; the only executor on the scalar
+          backend, and what [serve] runs by default *)
   | Plan_on
       (** capture iterations 1–2, verify with the plan_check analysis,
           then replay 3..N over the preallocated arena; any gate failure
-          falls back to interpretation with a [Plan] health event *)
+          falls back to interpretation with a [Plan] health event. The
+          default: replay is bit-identical to the interpreter *)
   | Plan_check
       (** replay AND interpret every iteration, asserting bit-identical
           losses, probabilities and gradients (differential testing) *)
@@ -56,7 +59,11 @@ type t = {
           premature commitment. Our extension. *)
   seed : int;
   plan : plan_mode;
-      (** static-plan replay of the iteration IR (see {!plan_mode}) *)
+      (** static-plan replay of the iteration IR (see {!plan_mode});
+          [Plan_on] by default, so [extract], the hybrid pipeline, the
+          portfolio and the experiment budgets replay. A replay pays
+          only over many iterations: it starts after two interpreted
+          capture iterations and a plan build and check. *)
 }
 
 val default : t

@@ -19,6 +19,10 @@ type result =
 let eps = 1e-9
 let feas_tol = 1e-6
 
+(* A weight is a squared norm; the floor keeps round-off from driving one
+   to zero or below. *)
+let min_weight = 1e-12
+
 (* Dense-tableau capacity: beyond this the solver would need gigabytes;
    real solvers switch to sparse revised simplex, ours declines (the
    caller sees a Timeout, i.e. "no solution within resources"). *)
@@ -54,7 +58,9 @@ let check_feasible ?(tol = feas_tol) p x =
    its range when [at_upper.(j)]; [value.(i)] is row i's basic value,
    which may lie outside its column's range until the dual simplex
    drives it in. Row m holds the reduced costs, which the pivots keep
-   current. *)
+   current. The slack columns hold B⁻¹, and [beta.(i)] is row i's dual
+   steepest-edge weight ‖e_iᵀB⁻¹‖², the squared norm of its slack part,
+   which the pivots keep current too. *)
 type tableau = {
   m : int;  (* constraint rows *)
   ncols : int;
@@ -63,11 +69,13 @@ type tableau = {
   basis : int array;  (* basic column of each row *)
   range : float array;
   at_upper : bool array;
+  beta : float array;  (* dual steepest-edge weight of each row *)
   nz : int array;  (* scratch: the pivot row's nonzero columns *)
 }
 
 (* The slack basis: every slack is basic at its row's right-hand side
-   over x' = x - lower, every structural column nonbasic at 0. *)
+   over x' = x - lower, every structural column nonbasic at 0. B = I, so
+   every weight is 1. *)
 let build_tableau p =
   let rows = Array.of_list p.constraints in
   let m = Array.length rows in
@@ -95,40 +103,65 @@ let build_tableau p =
     basis = Array.init m (fun i -> p.nvars + i);
     range;
     at_upper = Array.make ncols false;
+    beta = Array.make m 1.0;
     nz = Array.make ncols 0;
   }
 
 (* Scale the pivot row and collect its nonzero columns once; every other
    row, the reduced costs included, changes only at those columns, and
-   only if its entry in the pivot column is nonzero. *)
+   only if its entry in the pivot column is nonzero. The same pass keeps
+   the weights exact (Forrest & Goldfarb, Math. Prog. 1992): with α_r the
+   pivot element, f = α_i and τ_i the product of row i with the scaled
+   pivot row over the slack columns, read before row i changes,
+   β_i ← β_i − 2fτ_i + f²β_r/α_r² and β_r ← β_r/α_r². The slack columns
+   are the last m, so they are a suffix of [nz], and only that suffix
+   accumulates τ. *)
 let pivot tb row col =
   if !Obs.on then Metrics.incr "lp.pivots";
-  let t = tb.t and nz = tb.nz in
+  let t = tb.t and nz = tb.nz and beta = tb.beta in
   let prow = t.(row) in
-  let inv = 1.0 /. prow.(col) in
+  let alpha = prow.(col) in
+  let inv = 1.0 /. alpha in
   let k = ref 0 in
-  for j = 0 to tb.ncols - 1 do
-    let v = prow.(j) in
-    if v <> 0.0 then begin
-      prow.(j) <- v *. inv;
-      nz.(!k) <- j;
-      incr k
-    end
-  done;
+  let collect lo hi =
+    for j = lo to hi do
+      let v = prow.(j) in
+      if v <> 0.0 then begin
+        prow.(j) <- v *. inv;
+        nz.(!k) <- j;
+        incr k
+      end
+    done
+  in
+  let slacks = tb.ncols - tb.m in
+  collect 0 (slacks - 1);
+  let s = !k in
+  collect slacks (tb.ncols - 1);
   let k = !k in
+  let beta_r = beta.(row) /. (alpha *. alpha) in
   for i = 0 to tb.m do
     if i <> row then begin
       let r = t.(i) in
       let f = r.(col) in
       if Float.abs f > 0.0 then begin
-        for q = 0 to k - 1 do
+        for q = 0 to s - 1 do
           let j = nz.(q) in
           r.(j) <- r.(j) -. (f *. prow.(j))
         done;
+        let tau = ref 0.0 in
+        for q = s to k - 1 do
+          let j = nz.(q) in
+          let v = r.(j) and p = prow.(j) in
+          tau := !tau +. (v *. p);
+          r.(j) <- v -. (f *. p)
+        done;
+        if i < tb.m then
+          beta.(i) <- Float.max min_weight (beta.(i) -. (2.0 *. f *. !tau) +. (f *. f *. beta_r));
         r.(col) <- 0.0
       end
     end
   done;
+  beta.(row) <- beta_r;
   prow.(col) <- 1.0;
   tb.basis.(row) <- col
 
@@ -273,14 +306,19 @@ let run_dual ~deadline tb =
   let rec loop iter =
     if Timer.poll deadline iter || iter > iter_cap then Dgave_up
     else begin
-      (* leaving row: the largest bound violation, the lowest row on a tie *)
-      let r = ref (-1) and worst = ref eps in
+      (* leaving row, by dual steepest edge: of the rows whose bound
+         violation exceeds eps, the largest violation²/β, the lowest row
+         on a tie *)
+      let r = ref (-1) and best = ref 0.0 in
       for i = 0 to tb.m - 1 do
         let v = tb.value.(i) in
         let violation = Float.max (-.v) (v -. tb.range.(tb.basis.(i))) in
-        if violation > !worst then begin
-          worst := violation;
-          r := i
+        if violation > eps then begin
+          let score = violation *. violation /. tb.beta.(i) in
+          if !r < 0 || score > !best then begin
+            best := score;
+            r := i
+          end
         end
       done;
       if !r < 0 then Dfeasible
@@ -341,9 +379,10 @@ let finish ~deadline p tb cost =
       | Punbounded -> Some Unbounded
       | Popt -> Some (optimal p tb))
 
-(* The root's optimal tableau over x' = x - lower, with the bounds it
-   was solved at and the true costs. Read-only once built, so any
-   number of re-solves may start from it concurrently. *)
+(* The root's optimal tableau over x' = x - lower, its weights
+   included, with the bounds it was solved at and the true costs.
+   Read-only once built, so any number of re-solves may start from it
+   concurrently. *)
 type root = { tb : tableau; lower : float array; upper : float array; cost : float array }
 type scratch = tableau
 
@@ -396,6 +435,7 @@ let scratch root =
     basis = Array.make src.m 0;
     range = Array.make src.ncols 0.0;
     at_upper = Array.make src.ncols false;
+    beta = Array.make src.m 0.0;
     nz = Array.make src.ncols 0;
   }
 
@@ -432,9 +472,10 @@ let resolve ?(deadline = Timer.no_deadline) root tb p =
     Array.blit src.basis 0 tb.basis 0 src.m;
     Array.blit src.range 0 tb.range 0 src.ncols;
     Array.blit src.at_upper 0 tb.at_upper 0 src.ncols;
-    (* Move to the new bounds in x' = x - lower. The pivot's scratch
-       holds each column's basic row (-1 if nonbasic) until the first
-       pivot overwrites it. *)
+    Array.blit src.beta 0 tb.beta 0 src.m;
+    (* Move to the new bounds in x' = x - lower; B stays, and so do the
+       weights. The pivot's scratch holds each column's basic row (-1 if
+       nonbasic) until the first pivot overwrites it. *)
     let row_of = tb.nz in
     Array.fill row_of 0 tb.ncols (-1);
     for i = 0 to tb.m - 1 do

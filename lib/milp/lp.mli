@@ -13,15 +13,21 @@
     more row that the pivots update.
 
     Every LP is solved one way: from a dual feasible basis, a dual
-    simplex (leaving row: largest bound violation; entering column:
+    simplex pivots until every basic value is within its bounds, then
+    one primal pass on the true costs (Dantzig pricing, Bland's rule
+    after a stall threshold) takes up round-off and prices any column
+    the dual pass priced at 0. The dual prices by dual steepest edge
+    (Forrest & Goldfarb, Math. Prog. 1992): the leaving row is the one
+    with the largest violation²/β_i, the lowest row on a tie, where the
+    weight β_i = ‖e_iᵀB⁻¹‖² is the squared norm of row i over the slack
+    columns. The weights are reset to 1 at the slack basis (B = I),
+    kept exact by every pivot of either pass, and carried by the
+    {!root} handle into every re-solve. The entering column is the
     smallest |d_j / a_rj| among those that move the leaving variable
-    back toward its bound) pivots until every basic value is within its
-    bounds, then one primal pass on the true costs (Dantzig pricing,
-    Bland's rule after a stall threshold) takes up round-off and prices
-    any column the dual pass priced at 0. The dual has no anti-cycling
-    rule: a cold dual that reaches the iteration cap answers [Timeout],
-    and a re-solve's falls back to the cold path. The two entry points
-    differ only in the starting tableau:
+    back toward its bound. The dual has no anti-cycling rule: a cold
+    dual that reaches the iteration cap answers [Timeout], and a
+    re-solve's falls back to the cold path. The two entry points differ
+    only in the starting tableau:
 
     - The cold path ({!solve}, {!solve_root}) starts from the slack
       basis with each column at the bound its cost favours: at upper
@@ -68,8 +74,9 @@ val solve : ?deadline:Timer.deadline -> problem -> result
 (** The cold path. *)
 
 type root
-(** A root LP's optimal tableau and the bounds it was solved at. It is
-    read-only once built, so re-solves on several domains may share it. *)
+(** A root LP's optimal tableau, its steepest-edge weights included, and
+    the bounds it was solved at. It is read-only once built, so
+    re-solves on several domains may share it. *)
 
 type scratch
 (** A tableau-sized buffer that {!resolve} overwrites. One per domain. *)
@@ -86,9 +93,10 @@ val scratch : root -> scratch
 
 val resolve : ?deadline:Timer.deadline -> root -> scratch -> problem -> result
 (** [resolve root scratch p] solves [p], which must have the root's rows
-    and objective, under its own bounds. It blits the root's tableau into
-    [scratch], moves each nonbasic column to its new bound on the side it
-    sat at, then runs the dual and primal passes. It allocates little
+    and objective, under its own bounds. It blits the root's tableau and
+    weights into [scratch], moves each nonbasic column to its new bound
+    on the side it sat at (which leaves B, and so the weights, as they
+    are), then runs the dual and primal passes. It allocates little
     beyond the returned point (no tableau). The result is a function of
     [root] and [p] alone, whatever [scratch] held.
 

@@ -229,11 +229,22 @@ let lp_matches_vertex_oracle =
       | None, Lp.Infeasible -> true
       | _ -> false)
 
+(* A solve's answer, with its pivot and bound-flip counts. *)
+let counting_steps solve =
+  Metrics.scoped (fun () ->
+      let res = Obs.with_enabled solve in
+      (res, Metrics.counter_value "lp.pivots", Metrics.counter_value "lp.bound_flips"))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
 (* Branch-and-bound's re-solve against two oracles: tighten a solved
    root's bounds at random, as fixes do, and [Lp.resolve] must agree
    with the best vertex and with a cold solve. The scratch first holds
-   the re-solve of another child, its basis, flags and values, since a
-   result may not depend on what the scratch held. *)
+   the re-solve of another child, its basis, flags, values and weights,
+   since a result may not depend on what the scratch held: its x bits
+   and its pivot count must equal a re-solve's from a fresh scratch. *)
 let lp_resolve_matches_cold =
   let moves = QCheck2.Gen.(array_repeat 4 (int_range 0 3)) in
   qtest ~count:3000 "re-solve from the root basis = cold solve"
@@ -254,20 +265,73 @@ let lp_resolve_matches_cold =
       | _, None -> true
       | _, Some root ->
           let q = child moves in
+          let fresh, fresh_pivots, _ =
+            counting_steps (fun () -> Lp.resolve root (Lp.scratch root) q)
+          in
           let scratch = Lp.scratch root in
           ignore (Lp.resolve root scratch (child earlier));
+          let res, pivots, _ = counting_steps (fun () -> Lp.resolve root scratch q) in
           let close v obj = Float.abs (obj -. v) <= 1e-6 *. Float.max 1.0 (Float.abs v) in
-          (match (best_vertex q, Lp.solve q, Lp.resolve root scratch q) with
-          | Some v, Lp.Optimal { obj = cold; _ }, Lp.Optimal { x; obj } ->
-              close v obj && close v cold && Lp.check_feasible q x
-          | None, Lp.Infeasible, Lp.Infeasible -> true
-          | _ -> false))
+          pivots = fresh_pivots
+          &&
+          match (best_vertex q, Lp.solve q, res, fresh) with
+          | Some v, Lp.Optimal { obj = cold; _ }, Lp.Optimal { x; obj }, Lp.Optimal { x = x'; _ }
+            ->
+              close v obj && close v cold && Lp.check_feasible q x && same_bits x x'
+          | None, Lp.Infeasible, Lp.Infeasible, Lp.Infeasible -> true
+          | _ -> false)
 
-(* An LP's pivot and bound-flip counts, and its answer. *)
-let counting_steps p =
-  Metrics.scoped (fun () ->
-      let res = Obs.with_enabled (fun () -> Lp.solve p) in
-      (res, Metrics.counter_value "lp.pivots", Metrics.counter_value "lp.bound_flips"))
+(* The leaving row by dual steepest edge, with exact weights. min
+   4 x0 + 4 x1 with x0 + x1 >= 4, 3 x0 + x1 >= 3 and 3 x0 + 2 x1 >= 5.
+   Every weight starts at 1: both rules leave row 2 (violation 5), x0
+   enters, then row 0, x1 enters. Rows 1 and 2 are then violated by 5
+   and 3, with slack parts (3, 1, -2) and (2, 0, -1), so weights 14 and
+   5. The largest violation leaves row 1 and takes two more pivots;
+   steepest edge leaves row 2 (9/5 > 25/14) and takes one. Weights
+   updated without the τ term would read 12 and 41/9 and leave row 1
+   too. *)
+let test_lp_steepest_edge () =
+  let p =
+    lp ~nvars:2 ~objective:[| 4.0; 4.0 |]
+      ~constraints:
+        [
+          constr [ (0, 1.0); (1, 1.0) ] Lp.Ge 4.0;
+          constr [ (0, 3.0); (1, 1.0) ] Lp.Ge 3.0;
+          constr [ (0, 3.0); (1, 2.0) ] Lp.Ge 5.0;
+        ]
+      ~upper:[| infinity; infinity |]
+  in
+  let res, pivots, _ = counting_steps (fun () -> Lp.solve p) in
+  (match res with
+  | Lp.Optimal { x; obj } ->
+      Test_util.check_close ~msg:"obj" 16.0 obj;
+      Alcotest.(check (array (float 1e-12))) "x" [| 0.0; 4.0 |] x
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check (float 0.0)) "three pivots" 3.0 pivots
+
+(* A dual-degenerate cold LP: equal costs tie every ratio, and all four
+   rows tie on violation 2 at weight 1, rows 0 and 1 as duplicates and
+   rows 2 and 3 scaled by 2. The dual simplex has no anti-cycling rule,
+   so this checks that the lowest-row and lowest-column tie breaks
+   still end at the vertex oracle's optimum. *)
+let test_lp_dual_degenerate () =
+  let p =
+    lp ~nvars:3 ~objective:[| 1.0; 1.0; 1.0 |]
+      ~constraints:
+        [
+          constr [ (0, 1.0); (1, 1.0); (2, 1.0) ] Lp.Ge 2.0;
+          constr [ (0, 1.0); (1, 1.0); (2, 1.0) ] Lp.Ge 2.0;
+          constr [ (0, 2.0); (1, 2.0) ] Lp.Ge 2.0;
+          constr [ (1, 2.0); (2, 2.0) ] Lp.Ge 2.0;
+        ]
+      ~upper:[| 1.0; 1.0; 1.0 |]
+  in
+  match (best_vertex p, Lp.solve p) with
+  | Some v, Lp.Optimal { x; obj } ->
+      Test_util.check_close ~msg:"vertex oracle" 2.0 v;
+      Test_util.check_close ~msg:"obj" v obj;
+      Alcotest.(check bool) "feasible" true (Lp.check_feasible p x)
+  | _ -> Alcotest.fail "expected optimal"
 
 let test_lp_bound_flip () =
   (* min -x0 + x1 with x0 - 2 x1 <= 0: x0 has no finite upper bound, so
@@ -278,7 +342,7 @@ let test_lp_bound_flip () =
       ~constraints:[ constr [ (0, 1.0); (1, -2.0) ] Lp.Le 0.0 ]
       ~upper:[| infinity; 1.0 |]
   in
-  let res, pivots, flips = counting_steps p in
+  let res, pivots, flips = counting_steps (fun () -> Lp.solve p) in
   (match res with
   | Lp.Optimal { x; obj } ->
       Test_util.check_close ~msg:"obj" (-1.0) obj;
@@ -296,7 +360,7 @@ let test_lp_favoured_bounds () =
       ~constraints:[ constr [ (0, 1.0); (1, 1.0) ] Lp.Le 5.0 ]
       ~upper:[| 1.0; 1.0 |]
   in
-  let res, pivots, flips = counting_steps p in
+  let res, pivots, flips = counting_steps (fun () -> Lp.solve p) in
   (match res with
   | Lp.Optimal { x; obj } ->
       Test_util.check_close ~msg:"obj" (-2.0) obj;
@@ -742,6 +806,8 @@ let () =
           Alcotest.test_case "capacity guard" `Quick test_lp_capacity_guard;
           Alcotest.test_case "deadline" `Quick test_lp_deadline;
           Alcotest.test_case "bound flip" `Quick test_lp_bound_flip;
+          Alcotest.test_case "leaving row by steepest edge" `Quick test_lp_steepest_edge;
+          Alcotest.test_case "dual-degenerate ties" `Quick test_lp_dual_degenerate;
           Alcotest.test_case "cold start at the favoured bounds" `Quick test_lp_favoured_bounds;
           Alcotest.test_case "fix through lower" `Quick test_lp_fix_through_lower;
           Alcotest.test_case "lower > upper" `Quick test_lp_crossed_bounds;
